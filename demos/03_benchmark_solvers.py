@@ -9,7 +9,6 @@ the spectral-operation counters.
 import numpy as np
 
 from stsad import (
-    BaselineParams,
     LogssParams,
     SynthConfig,
     benchmark_timing,
@@ -47,8 +46,8 @@ def scored(solver):
 
 solvers = [
     ("logss", scored(lambda Y, o: solve(Y, o, graphs, params))),
-    ("loss", scored(lambda Y, o: solve_loss(Y, o, BaselineParams.defaults(Y, o, **baseline_kw)))),
-    ("horpca", scored(lambda Y, o: solve_horpca(Y, o, BaselineParams.defaults(Y, o, **baseline_kw)))),
+    ("loss", scored(lambda Y, o: solve_loss(Y, o, LogssParams.defaults(Y, o, **baseline_kw)))),
+    ("horpca", scored(lambda Y, o: solve_horpca(Y, o, LogssParams.defaults(Y, o, **baseline_kw)))),
     ("raw-ee", lambda Y, o: score_sparse_tensor(Y).scores),
 ]
 

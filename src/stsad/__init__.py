@@ -5,7 +5,7 @@ and a temporally smooth sparse part (ADMM), scores the sparse part with a
 robust per-fiber estimator, and evaluates detections against ground truth.
 """
 
-from .baselines import BaselineParams, solve_horpca, solve_loss, svt
+from .baselines import solve_horpca, solve_loss, svt
 from .evaluation import (
     EventList,
     LabeledScores,

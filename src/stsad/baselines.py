@@ -1,36 +1,24 @@
 """Nuclear-norm baselines: LOSS (low-rank + temporally smooth sparse) and
 HoRPCA (LOSS with the temporal term switched off).
 
-Both share the ADMM skeleton and the S/W/Z updates of the graph solver, but
-replace the spectral-projection consensus with per-mode auxiliary low-rank
-tensors updated by singular value thresholding.  That puts N dense SVDs in
+Both run the graph solver's ADMM loop with a different low-rank block:
+per-mode auxiliary low-rank tensors updated by singular value thresholding
+instead of the spectral-projection consensus.  That puts N dense SVDs in
 every iteration, which is exactly the cost the graph solver avoids; the
 instrumentation counters make the asymmetry testable.
 """
 
 from __future__ import annotations
 
-import time
+import dataclasses
 
 import numpy as np
 
 from . import instrumentation
-from .logss import (
-    BaselineParams,
-    DecompositionResult,
-    LogssParams,
-    NumericalError,
-    SolverState,
-    _check_finite,
-    _map_modes,
-    _total,
-    update_sparse,
-    update_smooth_aux,
-    update_tv_aux,
-)
-from .tensor import fold, mode_n_product, project_support, unfold
+from .logss import LogssParams, _admm, _map_modes
+from .tensor import fold, unfold
 
-__all__ = ["BaselineParams", "svt", "solve_loss", "solve_horpca"]
+__all__ = ["svt", "solve_loss", "solve_horpca"]
 
 
 def svt(M, tau):
@@ -49,95 +37,42 @@ def _svt_with_norm(M, tau):
     return (U * s) @ Vt, float(s.sum())
 
 
+class _SvtBlock:
+    """LOSS low-rank block: one full-shape tensor per mode, updated by SVT.
+
+    Its penalty is the sum of the nuclear norms, which fall out of the
+    thresholding, so the objective costs no extra SVDs.
+    """
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.svd_history = []
+
+    def update(self, state, params):
+        def one_mode(n):
+            target = unfold(state.L - state.gamma4[n - 1], n)
+            low, nuc = _svt_with_norm(target, params.theta / params.beta4)
+            return fold(low, n, state.L.shape), nuc
+
+        before = instrumentation.snapshot()["svd"]
+        updated = _map_modes(one_mode, range(1, state.L.ndim + 1), self.threads)
+        self.svd_history.append(instrumentation.snapshot()["svd"] - before)
+        return [u[0] for u in updated], sum(u[1] for u in updated)
+
+    def lift(self, state):
+        return state.G
+
+
 def solve_loss(Y, observed, params=None, threads=1):
     """ADMM for the nuclear-norm objective with temporal smoothness.
 
     Each mode keeps its own full-shape low-rank tensor tied to L by a
     consensus constraint and updated by :func:`svt` with threshold
-    theta/beta4; the S/W/Z blocks and the stopping rule are shared with the
-    graph solver so that accuracy differences isolate the low-rank
-    surrogate.  Diagnostics additionally record the SVD count per iteration.
+    theta/beta4; the S/W/Z blocks and the stopping rule are the graph
+    solver's, so that accuracy differences isolate the low-rank surrogate.
+    Diagnostics additionally record the SVD count per iteration.
     """
-    Y = np.asarray(Y, dtype=float)
-    observed = np.asarray(observed, dtype=bool)
-    if observed.shape != Y.shape:
-        raise ValueError("mask shape does not match tensor shape")
-    if not np.isfinite(Y).all():
-        raise NumericalError("non-finite values in Y at iteration 0")
-    if params is None:
-        params = BaselineParams.defaults(Y, observed)
-
-    N = Y.ndim
-    state = SolverState.zeros(Y, params)  # state.G holds the per-mode tensors
-    full_support = bool(observed.all())
-    norm_y = max(1.0, float(np.linalg.norm(Y)))
-    residual_history, objective_history, svd_history = [], [], []
-    start = time.perf_counter()
-
-    for t in range(1, params.max_iter + 1):
-        svd_before = instrumentation.snapshot()["svd"]
-
-        T1 = Y - state.S + state.gamma1
-        T2 = _total(state.G + state.gamma4)
-        on = (params.beta1 * T1 + params.beta4 * T2) / (
-            params.beta1 + N * params.beta4
-        )
-        state.L = on if full_support else np.where(observed, on, T2 / N)
-
-        def one_mode(n):
-            target = unfold(state.L - state.gamma4[n - 1], n)
-            low, nuc = _svt_with_norm(target, params.theta / params.beta4)
-            return fold(low, n, Y.shape), nuc
-
-        updated = _map_modes(one_mode, range(1, N + 1), threads)
-        state.G = [u[0] for u in updated]
-        nuclear_sum = sum(u[1] for u in updated)
-
-        state.S = update_sparse(state, Y, observed, params)
-        state.W = update_smooth_aux(state, params)
-        w_diff = mode_n_product(state.W, state.delta, 1)
-        state.Z = update_tv_aux(state, params, w_diff=w_diff)
-
-        r_data = project_support(state.L + state.S - Y, observed)
-        r_tv = w_diff - state.Z
-        r_sw = state.S - state.W
-        r_cons = [state.L - Ln for Ln in state.G]
-        state.gamma1 = state.gamma1 - r_data
-        state.gamma2 = state.gamma2 - r_tv
-        state.gamma3 = state.gamma3 - r_sw
-        state.gamma4 = [g - r for g, r in zip(state.gamma4, r_cons)]
-
-        _check_finite(
-            [("L", state.L), ("S", state.S), ("W", state.W), ("Z", state.Z)], t
-        )
-        residuals = {
-            "r_data": float(np.linalg.norm(r_data)),
-            "r_tv": float(np.linalg.norm(r_tv)),
-            "r_sw": float(np.linalg.norm(r_sw)),
-            "r_graph_max": max(float(np.linalg.norm(r)) for r in r_cons),
-        }
-        residual_history.append(residuals)
-        # objective evaluated at the per-mode auxiliaries: their nuclear
-        # norms fall out of the SVT step, so no extra SVDs are spent here
-        objective_history.append(
-            params.theta * nuclear_sum
-            + params.lam * float(np.abs(state.S).sum())
-            + params.gamma
-            * float(np.abs(mode_n_product(state.S, state.delta, 1)).sum())
-        )
-        svd_history.append(instrumentation.snapshot()["svd"] - svd_before)
-        if max(residuals.values()) / norm_y < params.tol:
-            break
-
-    return DecompositionResult(
-        L=state.L,
-        S=state.S,
-        iterations=len(residual_history),
-        residual_history=residual_history,
-        objective_history=objective_history,
-        wall_time=time.perf_counter() - start,
-        svd_history=svd_history,
-    )
+    return _admm(Y, observed, params, _SvtBlock(threads))
 
 
 def solve_horpca(Y, observed, params=None, threads=1):
@@ -148,9 +83,5 @@ def solve_horpca(Y, observed, params=None, threads=1):
     objective.
     """
     if params is None:
-        params = BaselineParams.defaults(
-            np.asarray(Y, dtype=float), np.asarray(observed, dtype=bool)
-        )
-    fields = {f: getattr(params, f) for f in LogssParams.__dataclass_fields__}
-    fields["gamma"] = 0.0
-    return solve_loss(Y, observed, BaselineParams(**fields), threads=threads)
+        params = LogssParams.defaults(Y, observed)
+    return solve_loss(Y, observed, dataclasses.replace(params, gamma=0.0), threads)

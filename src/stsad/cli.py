@@ -134,7 +134,8 @@ def run_graphs(cfg):
 
 def _load_graphs(cfg):
     _require(cfg, "graphs.json")
-    meta = json.load(open(_out(cfg, "graphs.json")))
+    with open(_out(cfg, "graphs.json")) as fh:
+        meta = json.load(fh)
     graphs = []
     for entry in meta:
         n = entry["mode"]
@@ -170,28 +171,27 @@ def run_decompose(cfg, threads=1):
         result = logss.DecompositionResult(
             L=np.zeros(Y.shape), S=Y, iterations=0,
             residual_history=[], objective_history=[], wall_time=0.0,
+            converged=True,
         )
     elif solver == "logss":
         graphs = _load_graphs(cfg)
         params = logss.LogssParams.defaults(Y, observed, **overrides)
         result = logss.solve(Y, observed, graphs, params, threads=threads)
     else:
-        params = baselines.BaselineParams.defaults(Y, observed, **overrides)
+        params = logss.LogssParams.defaults(Y, observed, **overrides)
         run = baselines.solve_loss if solver == "loss" else baselines.solve_horpca
         result = run(Y, observed, params, threads=threads)
 
     save_tensor(_out(cfg, "L.txt"), result.L)
     save_tensor(_out(cfg, "S.txt"), result.S)
     _write_jsonl(_out(cfg, "diagnostics.jsonl"), result.diagnostics_rows())
-    converged = bool(
-        result.residual_history
-        and max(result.residual_history[-1].values())
-        / max(1.0, float(np.linalg.norm(Y)))
-        < overrides["tol"]
-    ) or solver == "raw-ee"
     _write_json(
         _out(cfg, "decompose.json"),
-        {"solver": solver, "iterations": result.iterations, "converged": converged},
+        {
+            "solver": solver,
+            "iterations": result.iterations,
+            "converged": result.converged,
+        },
     )
     print(
         f"decompose[{solver}]: {result.iterations} iterations, "
@@ -267,7 +267,7 @@ def _bench_solvers(cfg, Y, observed, threads):
         return lambda Y, observed: scores_of(
             run(
                 Y, observed,
-                baselines.BaselineParams.defaults(Y, observed, **overrides),
+                logss.LogssParams.defaults(Y, observed, **overrides),
                 threads=threads,
             )
         )

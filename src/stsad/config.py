@@ -97,7 +97,8 @@ def parse_config(path):
     """Parse a ``key = value`` file; returns (values, explicitly-set keys)."""
     values, explicit = {}, set()
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):

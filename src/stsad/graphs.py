@@ -10,7 +10,7 @@ solver projects onto.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -48,10 +48,9 @@ class ModeGraph:
 
 @dataclass
 class StationarityReport:
-    """Per-mode stationarity ratios and the underlying spectral covariances."""
+    """Per-mode stationarity ratios."""
 
     s_r: list[float]
-    gammas: list[np.ndarray] = field(repr=False)
 
     def rows(self):
         """JSON-ready rows, one per mode (1-based)."""
@@ -165,7 +164,9 @@ def stationarity(X, graph):
     X = np.asarray(X, dtype=float)
     C = np.cov(X)
     if not np.linalg.norm(C) > 0:
-        raise ValueError("zero covariance: stationarity ratio undefined")
+        raise ValueError(
+            f"mode {graph.mode}: zero covariance, stationarity ratio undefined"
+        )
     gamma = graph.eigvecs.T @ C @ graph.eigvecs
     return float(np.linalg.norm(np.diag(gamma)) / np.linalg.norm(gamma))
 
@@ -191,15 +192,4 @@ def build_mode_graphs(Y, k=10, ratio=0.9):
 def stationarity_report(Y, graphs):
     """Stationarity diagnostic for every mode of Y."""
     Y = np.asarray(Y, dtype=float)
-    ratios, gammas = [], []
-    for graph in graphs:
-        X = unfold(Y, graph.mode)
-        C = np.cov(X)
-        if not np.linalg.norm(C) > 0:
-            raise ValueError(
-                f"mode {graph.mode}: zero covariance, stationarity undefined"
-            )
-        gamma = graph.eigvecs.T @ C @ graph.eigvecs
-        ratios.append(float(np.linalg.norm(np.diag(gamma)) / np.linalg.norm(gamma)))
-        gammas.append(gamma)
-    return StationarityReport(ratios, gammas)
+    return StationarityReport([stationarity(unfold(Y, g.mode), g) for g in graphs])

@@ -81,11 +81,6 @@ class LogssParams:
         return cls(**params)
 
 
-#: shared alias for the nuclear-norm baselines (gamma = 0 turns off the
-#: temporal term and yields HoRPCA behaviour)
-BaselineParams = LogssParams
-
-
 @dataclass
 class DecompositionResult:
     L: np.ndarray
@@ -95,6 +90,7 @@ class DecompositionResult:
     objective_history: list[float]
     wall_time: float
     svd_history: list[int] = field(default_factory=list)
+    converged: bool = False
 
     def diagnostics_rows(self):
         """One JSON-ready dict per iteration."""
@@ -288,29 +284,108 @@ def update_duals(state, Y, observed, lifted=None, w_diff=None, threads=1):
     return duals, residuals
 
 
-def objective_value(S, G, graphs, params, delta):
+def objective_value(S, low_rank_penalty, params, delta):
     """Objective value at the current primal iterates.
 
-    The graph-smoothness term is evaluated on the spectral coefficients G
-    (which track the projections of L through the consensus constraint);
-    recorded for diagnostics only, since ADMM is not monotone in it.
+    ``low_rank_penalty`` is the low-rank block's own term as returned by its
+    update (graph energy of G for LOGSS, summed nuclear norms for the
+    baselines); recorded for diagnostics only, since ADMM is not monotone.
     """
-    smooth = 0.0
-    for n, g in enumerate(graphs, start=1):
-        sq = G[n - 1] ** 2
-        energies = sq.sum(axis=tuple(a for a in range(sq.ndim) if a != n - 1))
-        smooth += float(g.low_eigvals @ energies)
     sparse = float(np.abs(S).sum())
     tv = float(np.abs(mode_n_product(S, delta, 1)).sum())
-    return params.theta * smooth + params.lam * sparse + params.gamma * tv
+    return params.theta * low_rank_penalty + params.lam * sparse + params.gamma * tv
 
 
-def _check_finite(arrays, iteration):
-    for name, arr in arrays:
-        if not np.isfinite(arr).all():
-            raise NumericalError(
-                f"non-finite values in {name} at iteration {iteration}"
-            )
+def _check_finite(residuals, iteration):
+    # every entry of L, S, W and Z enters r_graph, r_sw or r_tv, so finite
+    # residual norms imply finite iterates
+    for name, value in residuals.items():
+        if not math.isfinite(value):
+            raise NumericalError(f"non-finite {name} at iteration {iteration}")
+
+
+class _GraphBlock:
+    """LOGSS low-rank block: ridge projections onto the graph eigenbases."""
+
+    def __init__(self, graphs, threads):
+        self.graphs = graphs
+        self.threads = threads
+        self.svd_history = []  # stays empty: this block performs no SVDs
+
+    def update(self, state, params):
+        """New coefficients G and their graph energy sum_n tr(G^n' Lambda_n G^n)."""
+        G = update_graph_coeffs(state, params, self.graphs, threads=self.threads)
+        energy = 0.0
+        for n, g in enumerate(self.graphs, start=1):
+            sq = G[n - 1] ** 2
+            energies = sq.sum(axis=tuple(a for a in range(sq.ndim) if a != n - 1))
+            energy += float(g.low_eigvals @ energies)
+        return G, energy
+
+    def lift(self, state):
+        return _lifted_graph_terms(state, self.threads)
+
+
+def _admm(Y, observed, params, block, graphs=None):
+    """Scaled-form ADMM loop shared by every solver.
+
+    ``block`` is the low-rank block (:class:`_GraphBlock`, or the SVT block
+    of the baselines): ``update(state, params)`` returns the new G and its
+    penalty term, ``lift(state)`` the consensus terms tied to L.  The L, S,
+    W, Z and dual updates, the histories and the stopping rule are common.
+    ``graphs`` sizes G in the initial state (None: full shape per mode).
+    """
+    Y = np.asarray(Y, dtype=float)
+    observed = np.asarray(observed, dtype=bool)
+    if observed.shape != Y.shape:
+        raise ValueError("mask shape does not match tensor shape")
+    if not np.isfinite(Y).all():
+        raise NumericalError("non-finite values in Y at iteration 0")
+    if params is None:
+        params = LogssParams.defaults(Y, observed)
+
+    state = SolverState.zeros(Y, params, graphs)
+    norm_y = max(1.0, float(np.linalg.norm(Y)))
+    residual_history, objective_history = [], []
+    converged = False
+    lifted = [np.zeros(Y.shape) for _ in range(Y.ndim)]  # G starts at zero
+    start = time.perf_counter()
+
+    for t in range(1, params.max_iter + 1):
+        state.L = update_low_rank(state, Y, observed, params, lifted=lifted)
+        state.G, penalty = block.update(state, params)
+        state.S = update_sparse(state, Y, observed, params)
+        state.W = update_smooth_aux(state, params)
+        w_diff = mode_n_product(state.W, state.delta, 1)
+        state.Z = update_tv_aux(state, params, w_diff=w_diff)
+        lifted = block.lift(state)
+        duals, residuals = update_duals(
+            state, Y, observed, lifted=lifted, w_diff=w_diff
+        )
+        state.gamma1 = duals["gamma1"]
+        state.gamma2 = duals["gamma2"]
+        state.gamma3 = duals["gamma3"]
+        state.gamma4 = duals["gamma4"]
+
+        _check_finite(residuals, t)
+        residual_history.append(residuals)
+        objective_history.append(
+            objective_value(state.S, penalty, params, state.delta)
+        )
+        if max(residuals.values()) / norm_y < params.tol:
+            converged = True
+            break
+
+    return DecompositionResult(
+        L=state.L,
+        S=state.S,
+        iterations=len(residual_history),
+        residual_history=residual_history,
+        objective_history=objective_history,
+        wall_time=time.perf_counter() - start,
+        svd_history=block.svd_history,
+        converged=converged,
+    )
 
 
 def solve(Y, observed, graphs, params=None, threads=1):
@@ -335,56 +410,9 @@ def solve(Y, observed, graphs, params=None, threads=1):
         Final (L, S) with residual and objective histories.
 
     Stops when every primal residual, normalized by ``max(1, ||Y||_F)``,
-    falls below ``params.tol``, or at ``max_iter``.
+    falls below ``params.tol`` (``converged`` is then True), or at
+    ``max_iter``.
     """
-    Y = np.asarray(Y, dtype=float)
-    observed = np.asarray(observed, dtype=bool)
-    if observed.shape != Y.shape:
-        raise ValueError("mask shape does not match tensor shape")
-    if len(graphs) != Y.ndim:
-        raise ValueError(f"need {Y.ndim} mode graphs, got {len(graphs)}")
-    if not np.isfinite(Y).all():
-        raise NumericalError("non-finite values in Y at iteration 0")
-    if params is None:
-        params = LogssParams.defaults(Y, observed)
-
-    state = SolverState.zeros(Y, params, graphs)
-    norm_y = max(1.0, float(np.linalg.norm(Y)))
-    residual_history, objective_history = [], []
-    lifted = [np.zeros(Y.shape) for _ in range(Y.ndim)]  # G starts at zero
-    start = time.perf_counter()
-
-    for t in range(1, params.max_iter + 1):
-        state.L = update_low_rank(state, Y, observed, params, lifted=lifted)
-        state.G = update_graph_coeffs(state, params, graphs, threads=threads)
-        state.S = update_sparse(state, Y, observed, params)
-        state.W = update_smooth_aux(state, params)
-        w_diff = mode_n_product(state.W, state.delta, 1)
-        state.Z = update_tv_aux(state, params, w_diff=w_diff)
-        lifted = _lifted_graph_terms(state, threads)
-        duals, residuals = update_duals(
-            state, Y, observed, lifted=lifted, w_diff=w_diff
-        )
-        state.gamma1 = duals["gamma1"]
-        state.gamma2 = duals["gamma2"]
-        state.gamma3 = duals["gamma3"]
-        state.gamma4 = duals["gamma4"]
-
-        _check_finite(
-            [("L", state.L), ("S", state.S), ("W", state.W), ("Z", state.Z)], t
-        )
-        residual_history.append(residuals)
-        objective_history.append(
-            objective_value(state.S, state.G, graphs, params, state.delta)
-        )
-        if max(residuals.values()) / norm_y < params.tol:
-            break
-
-    return DecompositionResult(
-        L=state.L,
-        S=state.S,
-        iterations=len(residual_history),
-        residual_history=residual_history,
-        objective_history=objective_history,
-        wall_time=time.perf_counter() - start,
-    )
+    if len(graphs) != np.ndim(Y):
+        raise ValueError(f"need {np.ndim(Y)} mode graphs, got {len(graphs)}")
+    return _admm(Y, observed, params, _GraphBlock(graphs, threads), graphs)

@@ -1,7 +1,10 @@
 """Shared builders for solver test instances."""
 
+import itertools
+
 import numpy as np
 
+from stsad import logss
 from stsad.graphs import ModeGraph, build_mode_graphs
 from stsad.logss import LogssParams, SolverState
 from stsad.synth import builtin_template
@@ -63,3 +66,15 @@ def spike_instance(dims=(12, 6, 8, 5), spike=50.0, seed=0):
     Y = low.copy()
     Y[spike_idx] += spike
     return Y, graphs, spike_idx, low
+
+
+def break_sparse_update(monkeypatch, iteration):
+    """Make the solvers' S update return inf at one iteration of the next run."""
+    real = logss.update_sparse
+    calls = itertools.count(1)
+
+    def patched(*args, **kwargs):
+        S = real(*args, **kwargs)
+        return np.full_like(S, np.inf) if next(calls) == iteration else S
+
+    monkeypatch.setattr(logss, "update_sparse", patched)

@@ -21,7 +21,7 @@ import pytest
 from conftest import spike_instance
 
 from stsad import instrumentation
-from stsad.baselines import BaselineParams, solve_loss, svt
+from stsad.baselines import solve_loss, svt
 from stsad.cli import main as cli_main
 from stsad.evaluation import LabeledScores, labeled_scores, roc_auc
 from stsad.graphs import build_knn_graph, build_laplacian, build_mode_graphs, sym_eig

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import spike_instance
 
 from stsad import instrumentation
-from stsad.baselines import BaselineParams, solve_horpca, solve_loss, svt
+from stsad.baselines import solve_horpca, solve_loss, svt
 from stsad.logss import LogssParams, solve
 from stsad.tensor import project_support
 
@@ -64,7 +66,7 @@ def baseline_params(Y, observed, **kw):
     beta = 1.0 / Y.std()
     kw.setdefault("tol", 1e-4)
     kw.setdefault("max_iter", 300)
-    return BaselineParams.defaults(
+    return LogssParams.defaults(
         Y, observed, beta1=beta, beta2=beta, beta3=beta, beta4=beta, **kw
     )
 
@@ -72,7 +74,7 @@ def baseline_params(Y, observed, **kw):
 def test_solve_loss_zero_data():
     Y = np.zeros((4, 3, 5, 2))
     observed = np.ones(Y.shape, dtype=bool)
-    result = solve_loss(Y, observed, BaselineParams())
+    result = solve_loss(Y, observed, LogssParams())
     assert result.iterations == 1
     assert np.allclose(result.L, 0.0)
     assert np.allclose(result.S, 0.0)
@@ -105,10 +107,7 @@ def test_solve_loss_spike_instance(spike_loss_run):
 
 def test_loss_performs_exactly_n_svds_per_iteration(spike_loss_run):
     Y, _, _, observed, params, _ = spike_loss_run
-    short = BaselineParams(
-        **{**{f: getattr(params, f) for f in LogssParams.__dataclass_fields__},
-           "max_iter": 7, "tol": 0.0}
-    )
+    short = dataclasses.replace(params, max_iter=7, tol=0.0)
     before = instrumentation.snapshot()["svd"]
     result = solve_loss(Y, observed, short)
     total = instrumentation.snapshot()["svd"] - before
@@ -120,9 +119,7 @@ def test_loss_performs_exactly_n_svds_per_iteration(spike_loss_run):
 
 def test_logss_iterations_cost_no_svds_and_less_time(spike_loss_run):
     Y, graphs, _, observed, params, _ = spike_loss_run
-    fields = {f: getattr(params, f) for f in LogssParams.__dataclass_fields__}
-    fields.update(max_iter=40, tol=0.0)
-    same = BaselineParams(**fields)
+    same = dataclasses.replace(params, max_iter=40, tol=0.0)
     before = instrumentation.snapshot()
     fast = solve(Y, observed, graphs, same)
     assert instrumentation.snapshot()["svd"] == before["svd"]
@@ -136,9 +133,7 @@ def test_horpca_equals_loss_with_gamma_zero():
     Y = rng.normal(size=(5, 4, 6, 3))
     observed = rng.random(Y.shape) < 0.9
     params = baseline_params(Y, observed, max_iter=25, tol=0.0)
-    fields = {f: getattr(params, f) for f in LogssParams.__dataclass_fields__}
-    fields["gamma"] = 0.0
-    reference = solve_loss(Y, observed, BaselineParams(**fields))
+    reference = solve_loss(Y, observed, dataclasses.replace(params, gamma=0.0))
     horpca = solve_horpca(Y, observed, params)
     assert np.array_equal(horpca.L, reference.L)
     assert np.array_equal(horpca.S, reference.S)
@@ -155,7 +150,7 @@ def test_loss_threads_match_serial(spike_loss_run):
 def test_horpca_zero_data_and_spike():
     Y = np.zeros((4, 3, 5, 2))
     observed = np.ones(Y.shape, dtype=bool)
-    result = solve_horpca(Y, observed, BaselineParams())
+    result = solve_horpca(Y, observed, LogssParams())
     assert np.allclose(result.L, 0.0) and np.allclose(result.S, 0.0)
 
     Y, _, spike_idx, _ = spike_instance()

@@ -1,11 +1,14 @@
+import gc
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
+from conftest import break_sparse_update
 
-from stsad.cli import main
+from stsad.cli import _load_graphs, main
 from stsad.config import ConfigError, config_for_stage, parse_config
 from stsad.ingest import events_from_csv, ingest_trips, read_zone_list
 
@@ -267,6 +270,41 @@ def test_runtime_errors_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(cli_module._RUNNERS, "decompose", boom)
     assert run_stage("decompose", cfg_path) == 2
     assert "numerical blowup" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_numerical_failure_inside_solver_exits_2(tmp_path, capsys, monkeypatch):
+    cfg_path, _ = base_config(tmp_path, max_iter=10, tol=0)
+    for stage in ("synth", "graphs"):
+        assert run_stage(stage, cfg_path) == 0
+    break_sparse_update(monkeypatch, 3)
+    assert run_stage("decompose", cfg_path) == 2
+    assert "at iteration 3" in capsys.readouterr().err
+
+
+def test_decompose_json_reports_solver_convergence(tmp_path):
+    cfg_path, out = base_config(tmp_path, solver="raw-ee")
+    assert run_stage("synth", cfg_path) == 0
+    assert run_stage("decompose", cfg_path) == 0
+    assert json.loads((out / "decompose.json").read_text())["converged"] is True
+    cfg_path, _ = base_config(tmp_path, max_iter=3, tol=0)
+    assert run_stage("graphs", cfg_path) == 0
+    assert run_stage("decompose", cfg_path) == 0
+    meta = json.loads((out / "decompose.json").read_text())
+    assert meta == {"solver": "logss", "iterations": 3, "converged": False}
+
+
+def test_config_and_graph_loading_close_their_files(tmp_path):
+    cfg_path, _ = base_config(tmp_path)
+    for stage in ("synth", "graphs"):
+        assert run_stage(stage, cfg_path) == 0
+    cfg = config_for_stage(cfg_path, "decompose")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        parse_config(cfg_path)
+        _load_graphs(cfg)
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -1,10 +1,12 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
-from conftest import random_state, spike_instance, stub_graphs
+from conftest import break_sparse_update, random_state, spike_instance, stub_graphs
 
 from stsad import instrumentation
+from stsad.baselines import solve_loss
 from stsad.logss import (
     LogssParams,
     NumericalError,
@@ -425,6 +427,34 @@ def test_solve_spike_instance_converges(spike_run):
     )
     assert data_residual / norm_y <= 1e-3
     assert np.unravel_index(np.argmax(np.abs(result.S)), Y.shape) == spike_idx
+
+
+def test_solve_reports_convergence(spike_run):
+    Y, graphs, _, observed, params, result = spike_run
+    assert result.converged is True
+    assert result.iterations < params.max_iter
+    capped = dataclasses.replace(params, max_iter=5, tol=0.0)
+    result = solve(Y, observed, graphs, capped)
+    assert result.converged is False
+    assert result.iterations == 5
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda Y, observed, graphs, params: solve(Y, observed, graphs, params),
+        lambda Y, observed, graphs, params: solve_loss(Y, observed, params),
+    ],
+    ids=["logss", "loss"],
+)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_iterate_raises_at_its_iteration(monkeypatch, run):
+    graphs = stub_graphs(DIMS, RANKS, seed=37)
+    Y = np.random.default_rng(38).normal(size=DIMS)
+    observed = np.ones(DIMS, dtype=bool)
+    break_sparse_update(monkeypatch, 3)
+    with pytest.raises(NumericalError, match=r"at iteration 3$"):
+        run(Y, observed, graphs, make_params(max_iter=10, tol=0.0))
 
 
 def test_solve_residuals_monotone_tail_at_convergence(spike_run):
