@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 from . import instrumentation
-from .logss import LogssParams, _admm, _map_modes
+from .logss import LogssParams, _admm
 from .tensor import fold, unfold
 
 __all__ = ["svt", "solve_loss", "solve_horpca"]
@@ -44,8 +44,7 @@ class _SvtBlock:
     thresholding, so the objective costs no extra SVDs.
     """
 
-    def __init__(self, threads):
-        self.threads = threads
+    def __init__(self):
         self.svd_history = []
 
     def update(self, state, params):
@@ -55,7 +54,7 @@ class _SvtBlock:
             return fold(low, n, state.L.shape), nuc
 
         before = instrumentation.snapshot()["svd"]
-        updated = _map_modes(one_mode, range(1, state.L.ndim + 1), self.threads)
+        updated = [one_mode(n) for n in range(1, state.L.ndim + 1)]
         self.svd_history.append(instrumentation.snapshot()["svd"] - before)
         return [u[0] for u in updated], sum(u[1] for u in updated)
 
@@ -63,7 +62,7 @@ class _SvtBlock:
         return state.G
 
 
-def solve_loss(Y, observed, params=None, threads=1):
+def solve_loss(Y, observed, params=None):
     """ADMM for the nuclear-norm objective with temporal smoothness.
 
     Each mode keeps its own full-shape low-rank tensor tied to L by a
@@ -72,10 +71,10 @@ def solve_loss(Y, observed, params=None, threads=1):
     solver's, so that accuracy differences isolate the low-rank surrogate.
     Diagnostics additionally record the SVD count per iteration.
     """
-    return _admm(Y, observed, params, _SvtBlock(threads))
+    return _admm(Y, observed, params, _SvtBlock())
 
 
-def solve_horpca(Y, observed, params=None, threads=1):
+def solve_horpca(Y, observed, params=None):
     """LOSS with the temporal-variation weight forced to zero.
 
     With gamma = 0 the TV block is inert (Z tracks the mode-1 differences
@@ -84,4 +83,4 @@ def solve_horpca(Y, observed, params=None, threads=1):
     """
     if params is None:
         params = LogssParams.defaults(Y, observed)
-    return solve_loss(Y, observed, dataclasses.replace(params, gamma=0.0), threads)
+    return solve_loss(Y, observed, dataclasses.replace(params, gamma=0.0))

@@ -159,28 +159,29 @@ def _load_graphs(cfg):
     return graphs
 
 
-def run_decompose(cfg, threads=1):
-    _require(cfg, "Y.txt", "omega.txt")
-    Y = load_tensor(_out(cfg, "Y.txt"))
-    observed = load_mask(_out(cfg, "omega.txt"))
-    solver = cfg["solver"]
-    overrides = solver_param_overrides(cfg)
-
+def _decompose(solver, cfg, Y, observed, graphs):
+    """Run one solver on (Y, observed); ``graphs`` is needed by logss only."""
     if solver == "raw-ee":
         # passthrough: downstream stages score the raw tensor
-        result = logss.DecompositionResult(
+        return logss.DecompositionResult(
             L=np.zeros(Y.shape), S=Y, iterations=0,
             residual_history=[], objective_history=[], wall_time=0.0,
             converged=True,
         )
-    elif solver == "logss":
-        graphs = _load_graphs(cfg)
-        params = logss.LogssParams.defaults(Y, observed, **overrides)
-        result = logss.solve(Y, observed, graphs, params, threads=threads)
-    else:
-        params = logss.LogssParams.defaults(Y, observed, **overrides)
-        run = baselines.solve_loss if solver == "loss" else baselines.solve_horpca
-        result = run(Y, observed, params, threads=threads)
+    params = logss.LogssParams.defaults(Y, observed, **solver_param_overrides(cfg))
+    if solver == "logss":
+        return logss.solve(Y, observed, graphs, params)
+    run = baselines.solve_loss if solver == "loss" else baselines.solve_horpca
+    return run(Y, observed, params)
+
+
+def run_decompose(cfg):
+    _require(cfg, "Y.txt", "omega.txt")
+    Y = load_tensor(_out(cfg, "Y.txt"))
+    observed = load_mask(_out(cfg, "omega.txt"))
+    solver = cfg["solver"]
+    graphs = _load_graphs(cfg) if solver == "logss" else None
+    result = _decompose(solver, cfg, Y, observed, graphs)
 
     save_tensor(_out(cfg, "L.txt"), result.L)
     save_tensor(_out(cfg, "S.txt"), result.S)
@@ -197,6 +198,12 @@ def run_decompose(cfg, threads=1):
         f"decompose[{solver}]: {result.iterations} iterations, "
         f"{result.wall_time:.2f}s wall"
     )
+    if not result.converged:
+        print(
+            f"warning: decompose[{solver}] stopped at max_iter after "
+            f"{result.iterations} iterations without reaching tol = {cfg['tol']:g}",
+            file=sys.stderr,
+        )
 
 
 def run_score(cfg):
@@ -240,53 +247,30 @@ def run_evaluate(cfg):
     print(f"evaluate[{cfg['solver']}]: AUC = {auc:.4f}")
 
 
-def _bench_solvers(cfg, Y, observed, threads):
-    overrides = solver_param_overrides(cfg)
-    h = cfg["h_fraction"]
+def run_bench(cfg):
+    _require(cfg, "Y.txt", "omega.txt", "labels.txt")
+    Y = load_tensor(_out(cfg, "Y.txt"))
+    observed = load_mask(_out(cfg, "omega.txt"))
+    labels = load_mask(_out(cfg, "labels.txt"))
     graphs = (
         build_mode_graphs(Y, k=cfg["knn_k"], ratio=cfg["rank_ratio"])
         if "logss" in cfg["bench_solvers"]
         else None
     )
 
-    def scores_of(result):
-        return score_sparse_tensor(result.S, h_fraction=h).scores
+    def scorer(name):
+        def scores(Y, observed):
+            S = _decompose(name, cfg, Y, observed, graphs).S
+            return score_sparse_tensor(S, h_fraction=cfg["h_fraction"]).scores
+        return scores
 
-    def make(name):
-        if name == "raw-ee":
-            return lambda Y, observed: score_sparse_tensor(Y, h_fraction=h).scores
-        if name == "logss":
-            return lambda Y, observed: scores_of(
-                logss.solve(
-                    Y, observed, graphs,
-                    logss.LogssParams.defaults(Y, observed, **overrides),
-                    threads=threads,
-                )
-            )
-        run = baselines.solve_loss if name == "loss" else baselines.solve_horpca
-        return lambda Y, observed: scores_of(
-            run(
-                Y, observed,
-                logss.LogssParams.defaults(Y, observed, **overrides),
-                threads=threads,
-            )
-        )
-
-    return [(name, make(name)) for name in cfg["bench_solvers"]]
-
-
-def run_bench(cfg, threads=1):
-    _require(cfg, "Y.txt", "omega.txt", "labels.txt")
-    Y = load_tensor(_out(cfg, "Y.txt"))
-    observed = load_mask(_out(cfg, "omega.txt"))
-    labels = load_mask(_out(cfg, "labels.txt"))
-    solvers = _bench_solvers(cfg, Y, observed, threads)
+    solvers = [(name, scorer(name)) for name in cfg["bench_solvers"]]
     rows = benchmark_timing(solvers, (Y, observed, labels), cfg["bench_repeats"])
     _write_json(_out(cfg, "bench.json"), rows)
     for row in rows:
         if row["failures"]:
-            print(f"warning: {row['method']} failed {row['failures']} repeat(s)",
-                  file=sys.stderr)
+            print(f"warning: {row['method']} failed {row['failures']} repeat(s): "
+                  + "; ".join(row["errors"]), file=sys.stderr)
         if row["auc_mean"] is not None:
             print(
                 f"bench[{row['method']}]: AUC {row['auc_mean']:.4f} "
@@ -315,9 +299,12 @@ def main(argv=None):
     for stage in STAGES:
         p = sub.add_parser(stage)
         p.add_argument("--config", required=True, help="flat key=value config file")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; -h exits 0, a usage error is bad input
+        return 1 if exc.code else 0
 
     try:
         cfg = config_for_stage(args.config, args.stage, seed_override=args.seed)
@@ -326,10 +313,8 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    runner = _RUNNERS[args.stage]
-    kwargs = {"threads": args.threads} if args.stage in ("decompose", "bench") else {}
     try:
-        runner(cfg, **kwargs)
+        _RUNNERS[args.stage](cfg)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

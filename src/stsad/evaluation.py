@@ -118,20 +118,21 @@ def benchmark_timing(solvers, instance, repeats):
 
     ``solvers`` is a list of (name, fn) where ``fn(Y, observed) -> scores``
     returns an elementwise score tensor; ``instance`` is (Y, observed,
-    labels).  Failures are recorded per repeat and excluded from the stats.
+    labels).  Failures are excluded from the stats; each failed repeat's
+    ``"{type}: {message}"`` is kept in the row's ``errors`` list.
     """
     if repeats < 2:
         raise ValueError("need at least 2 repeats")
     Y, observed, labels = instance
     rows = []
     for name, fn in solvers:
-        times, aucs, failures = [], [], 0
+        times, aucs, errors = [], [], []
         for _ in range(repeats):
             start = time.perf_counter()
             try:
                 scores = fn(Y, observed)
-            except Exception:
-                failures += 1
+            except Exception as exc:
+                errors.append(f"{type(exc).__name__}: {exc}")
                 continue
             times.append(time.perf_counter() - start)
             arr = scores.scores if hasattr(scores, "scores") else scores
@@ -150,7 +151,8 @@ def benchmark_timing(solvers, instance, repeats):
                 "auc_std": auc_std,
                 "time_mean_s": time_mean,
                 "time_std_s": time_std,
-                "failures": failures,
+                "failures": len(errors),
+                "errors": errors,
             }
         )
     return rows

@@ -103,6 +103,10 @@ def events_from_csv(path, zone_list, year):
                 raise ValueError(f"{where}: unknown zone {zone!r}")
             start = _parse_timestamp(record["start_datetime"], where)
             end = _parse_timestamp(record["end_datetime"], where)
+            if (start.tzinfo is None) != (end.tzinfo is None):
+                raise ValueError(
+                    f"{where}: start and end must both have a UTC offset or neither"
+                )
             if end < start:
                 raise ValueError(f"{where}: event ends before it starts")
             indices = set()

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,13 +167,6 @@ def build_diff_operator(I1, circular=True):
     return delta
 
 
-def _map_modes(fn, args, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, args))
-    return [fn(a) for a in args]
-
-
 def _total(arrays):
     out = arrays[0].copy()
     for a in arrays[1:]:
@@ -182,16 +174,15 @@ def _total(arrays):
     return out
 
 
-def _lifted_graph_terms(state, threads=1):
+def _lifted_graph_terms(state):
     # G^n lifted back to full shape: G^n x_n P_hat_n
-    return _map_modes(
-        lambda n: mode_n_product(state.G[n - 1], state.graphs[n - 1].basis, n),
-        range(1, len(state.G) + 1),
-        threads,
-    )
+    return [
+        mode_n_product(G, g.basis, n)
+        for n, (G, g) in enumerate(zip(state.G, state.graphs), start=1)
+    ]
 
 
-def update_low_rank(state, Y, observed, params, lifted=None, threads=1):
+def update_low_rank(state, Y, observed, params, lifted=None):
     """Exact minimizer of the L block.
 
     On the support the data-fit and the N graph-consensus penalties mix; off
@@ -200,7 +191,7 @@ def update_low_rank(state, Y, observed, params, lifted=None, threads=1):
     """
     N = Y.ndim
     if lifted is None:
-        lifted = _lifted_graph_terms(state, threads)
+        lifted = _lifted_graph_terms(state)
     T1 = Y - state.S + state.gamma1
     T2 = _total(lifted + state.gamma4)
     on = (params.beta1 * T1 + params.beta4 * T2) / (params.beta1 + N * params.beta4)
@@ -209,7 +200,7 @@ def update_low_rank(state, Y, observed, params, lifted=None, threads=1):
     return np.where(observed, on, T2 / N)
 
 
-def update_graph_coeffs(state, params, graphs, threads=1):
+def update_graph_coeffs(state, params, graphs):
     """Per-mode spectral coefficient updates.
 
     Each mode solves an independent ridge problem in the truncated eigenbasis;
@@ -217,14 +208,13 @@ def update_graph_coeffs(state, params, graphs, threads=1):
     projected unfolding.
     """
 
-    def one_mode(n):
-        g = graphs[n - 1]
+    def one_mode(n, g):
         scale = 1.0 / (2.0 * params.theta / params.beta4 * g.low_eigvals + 1.0)
         return mode_n_product(
             state.L - state.gamma4[n - 1], scale[:, None] * g.basis.T, n
         )
 
-    return _map_modes(one_mode, range(1, len(graphs) + 1), threads)
+    return [one_mode(n, g) for n, g in enumerate(graphs, start=1)]
 
 
 def update_sparse(state, Y, observed, params):
@@ -255,14 +245,14 @@ def update_tv_aux(state, params, w_diff=None):
     return soft_threshold(w_diff - state.gamma2, params.gamma / params.beta2)
 
 
-def update_duals(state, Y, observed, lifted=None, w_diff=None, threads=1):
+def update_duals(state, Y, observed, lifted=None, w_diff=None):
     """Dual ascent on all constraints.
 
     Returns the new dual tensors together with the primal residual norms
     used both for the stopping rule and the diagnostics.
     """
     if lifted is None:
-        lifted = _lifted_graph_terms(state, threads)
+        lifted = _lifted_graph_terms(state)
     if w_diff is None:
         w_diff = mode_n_product(state.W, state.delta, 1)
     r_data = project_support(state.L + state.S - Y, observed)
@@ -307,14 +297,13 @@ def _check_finite(residuals, iteration):
 class _GraphBlock:
     """LOGSS low-rank block: ridge projections onto the graph eigenbases."""
 
-    def __init__(self, graphs, threads):
+    def __init__(self, graphs):
         self.graphs = graphs
-        self.threads = threads
         self.svd_history = []  # stays empty: this block performs no SVDs
 
     def update(self, state, params):
         """New coefficients G and their graph energy sum_n tr(G^n' Lambda_n G^n)."""
-        G = update_graph_coeffs(state, params, self.graphs, threads=self.threads)
+        G = update_graph_coeffs(state, params, self.graphs)
         energy = 0.0
         for n, g in enumerate(self.graphs, start=1):
             sq = G[n - 1] ** 2
@@ -323,7 +312,7 @@ class _GraphBlock:
         return G, energy
 
     def lift(self, state):
-        return _lifted_graph_terms(state, self.threads)
+        return _lifted_graph_terms(state)
 
 
 def _admm(Y, observed, params, block, graphs=None):
@@ -388,7 +377,7 @@ def _admm(Y, observed, params, block, graphs=None):
     )
 
 
-def solve(Y, observed, graphs, params=None, threads=1):
+def solve(Y, observed, graphs, params=None):
     """Run the full ADMM loop from the all-zero initialization.
 
     Parameters
@@ -401,8 +390,6 @@ def solve(Y, observed, graphs, params=None, threads=1):
         One per mode, in mode order.
     params : LogssParams, optional
         Defaults to :meth:`LogssParams.defaults` on (Y, observed).
-    threads : int
-        Worker threads for the independent per-mode updates.
 
     Returns
     -------
@@ -415,4 +402,4 @@ def solve(Y, observed, graphs, params=None, threads=1):
     """
     if len(graphs) != np.ndim(Y):
         raise ValueError(f"need {np.ndim(Y)} mode graphs, got {len(graphs)}")
-    return _admm(Y, observed, params, _GraphBlock(graphs, threads), graphs)
+    return _admm(Y, observed, params, _GraphBlock(graphs), graphs)

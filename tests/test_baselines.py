@@ -139,14 +139,6 @@ def test_horpca_equals_loss_with_gamma_zero():
     assert np.array_equal(horpca.S, reference.S)
 
 
-def test_loss_threads_match_serial(spike_loss_run):
-    Y, _, _, observed, params, result = spike_loss_run
-    threaded = solve_loss(Y, observed, params, threads=4)
-    assert np.allclose(threaded.L, result.L)
-    assert np.allclose(threaded.S, result.S)
-    assert threaded.svd_history == result.svd_history
-
-
 def test_horpca_zero_data_and_spike():
     Y = np.zeros((4, 3, 5, 2))
     observed = np.ones(Y.shape, dtype=bool)

@@ -191,6 +191,21 @@ def test_events_from_csv(tmp_path):
         events_from_csv(str(path), zones, 2018)
 
 
+def test_evaluate_rejects_event_mixing_offsets(tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    events.write_text(
+        "zone,start_datetime,end_datetime\n"
+        "A,2020-03-02T10:00+00:00,2020-03-02T12:00\n"
+    )
+    zones = zone_file(tmp_path, zones=("A", "B", "C"))
+    cfg_path, _ = base_config(tmp_path, solver="raw-ee", events_csv=events,
+                              zone_file=zones, year=2020)
+    for stage in ("synth", "decompose", "score"):
+        assert run_stage(stage, cfg_path) == 0, stage
+    assert run_stage("evaluate", cfg_path) == 1
+    assert f"{events}:2: start and end must both have a UTC offset" in capsys.readouterr().err
+
+
 def run_stage(stage, cfg_path, **kw):
     args = [stage, "--config", cfg_path]
     for key, value in kw.items():
@@ -282,16 +297,30 @@ def test_numerical_failure_inside_solver_exits_2(tmp_path, capsys, monkeypatch):
     assert "at iteration 3" in capsys.readouterr().err
 
 
-def test_decompose_json_reports_solver_convergence(tmp_path):
+def test_usage_errors_exit_1(tmp_path, capsys):
+    cfg_path, _ = base_config(tmp_path)
+    assert main(["synth"]) == 1
+    assert main(["synth", "--config", cfg_path, "--threads", "2"]) == 1
+    assert main(["synth", "--config", cfg_path, "--seed", "x"]) == 1
+    assert main(["resolve", "--config", cfg_path]) == 1
+    capsys.readouterr()
+    assert main(["decompose", "-h"]) == 0
+    assert "--threads" not in capsys.readouterr().out
+
+
+def test_decompose_json_reports_solver_convergence(tmp_path, capsys):
     cfg_path, out = base_config(tmp_path, solver="raw-ee")
     assert run_stage("synth", cfg_path) == 0
     assert run_stage("decompose", cfg_path) == 0
     assert json.loads((out / "decompose.json").read_text())["converged"] is True
+    assert "warning" not in capsys.readouterr().err
     cfg_path, _ = base_config(tmp_path, max_iter=3, tol=0)
     assert run_stage("graphs", cfg_path) == 0
     assert run_stage("decompose", cfg_path) == 0
     meta = json.loads((out / "decompose.json").read_text())
     assert meta == {"solver": "logss", "iterations": 3, "converged": False}
+    err = capsys.readouterr().err
+    assert "warning: decompose[logss] stopped at max_iter after 3 iterations" in err
 
 
 def test_config_and_graph_loading_close_their_files(tmp_path):
@@ -356,4 +385,22 @@ def test_bench_stage(tmp_path):
     assert [r["method"] for r in rows] == ["raw-ee", "horpca"]
     for row in rows:
         assert row["failures"] == 0
+        assert row["errors"] == []
         assert row["time_mean_s"] >= 0.0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_bench_reports_why_a_repeat_failed(tmp_path, capsys, monkeypatch):
+    cfg_path, out = base_config(
+        tmp_path, max_iter=5, tol=0, bench_solvers="horpca", bench_repeats=2
+    )
+    assert run_stage("synth", cfg_path) == 0
+    break_sparse_update(monkeypatch, 3)
+    assert run_stage("bench", cfg_path) == 0
+    [row] = json.load(open(out / "bench.json"))
+    assert row["failures"] == 1
+    assert len(row["errors"]) == 1
+    assert row["errors"][0].startswith("NumericalError: non-finite")
+    assert row["errors"][0].endswith("at iteration 3")
+    err = capsys.readouterr().err
+    assert "warning: horpca failed 1 repeat(s): NumericalError" in err

@@ -185,6 +185,7 @@ def test_benchmark_records_failures():
 
     rows = benchmark_timing([("flaky", flaky)], instance, repeats=3)
     assert rows[0]["failures"] == 1
+    assert rows[0]["errors"] == ["RuntimeError: boom"]
     assert rows[0]["auc_mean"] is not None
 
     rows = benchmark_timing(
@@ -193,6 +194,7 @@ def test_benchmark_records_failures():
         repeats=2,
     )
     assert rows[0]["failures"] == 2
+    assert rows[0]["errors"] == ["RuntimeError: ", "RuntimeError: "]
     assert rows[0]["auc_mean"] is None
     with pytest.raises(ValueError):
         benchmark_timing([("x", lambda Y, o: Y)], instance, repeats=1)
