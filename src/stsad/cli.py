@@ -11,10 +11,11 @@ point is timing).
 from __future__ import annotations
 
 import argparse
-import csv
+import bisect
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -51,26 +52,69 @@ def _write_jsonl(path, rows):
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _write_scores_csv(path, scores):
+def _write_csv(path, header, row_format, columns):
+    """Write the ``header`` line and one ``row_format`` row per entry of the
+    1-D ``columns``, ending lines with ``\\r\\n`` as ``csv.writer`` does."""
+    rows = map((row_format + "\r\n").format, *(c.tolist() for c in columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i1", "i2", "i3", "i4", "score"])
-        for idx in np.ndindex(scores.shape):
-            writer.writerow([*idx, f"{scores[idx]:.17g}"])
+        fh.write(header + "\r\n")
+        fh.write("".join(rows))
+
+
+_SCORES_HEADER = "i1,i2,i3,i4,score"
+
+
+def _write_scores_csv(path, scores):
+    index = np.indices(scores.shape).reshape(scores.ndim, -1)  # C order, as ravel
+    _write_csv(path, _SCORES_HEADER, "{},{},{},{},{:.17g}", [*index, scores.ravel()])
+
+
+def _score_table(lines, dims):
+    """``scores.csv`` body lines (any iterable of str, such as the open file
+    after its header) as an (n, 5) float table.
+
+    Raises ValueError unless every non-empty line has five numeric fields
+    whose first four are integer-valued indices inside ``dims``.  The check
+    is per line, so a prefix of a valid body is valid.
+    """
+    with warnings.catch_warnings():
+        # a body without rows is reported by the coverage check
+        warnings.simplefilter("ignore", UserWarning)
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if table.size == 0:
+        return np.empty((0, 5))
+    if table.shape[1] != 5:
+        raise ValueError("rows must have five fields")
+    index = table[:, :4]
+    if not ((index == np.floor(index)) & (index >= 0) & (index < dims)).all():
+        raise ValueError("index not an integer inside the tensor")
+    return table
 
 
 def _read_scores_csv(path, dims):
-    scores = np.full(dims, np.nan)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for record in reader:
-            try:
-                idx = tuple(int(record[f"i{k}"]) for k in range(1, 5))
-                if any(not 0 <= i < d for i, d in zip(idx, dims)):
-                    raise IndexError(idx)
-                scores[idx] = float(record["score"])
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{reader.line_num}: bad row") from exc
+        header = fh.readline()
+        if header.rstrip("\r\n") != _SCORES_HEADER:
+            raise ValueError(f"{path}:1: header {header!r} is not {_SCORES_HEADER}")
+        try:
+            table = _score_table(fh, dims)
+        except ValueError as exc:
+            # the first bad line ends the shortest body prefix that fails;
+            # numbered as csv does, header = line 1
+            fh.seek(0)
+            lines = fh.readlines()[1:]
+
+            def fails(k):
+                try:
+                    _score_table(lines[:k], dims)
+                except ValueError:
+                    return True
+                return False
+
+            line = bisect.bisect_left(range(len(lines) + 1), True, key=fails) + 1
+            raise ValueError(f"{path}:{line}: bad row") from exc
+    scores = np.full(dims, np.nan)
+    scores[tuple(table[:, :4].astype(np.intp).T)] = table[:, 4]
     if np.isnan(scores).any():
         raise ValueError(f"{path}: does not cover all {dims} elements")
     return scores
@@ -212,13 +256,13 @@ def run_score(cfg):
     field = score_sparse_tensor(S, h_fraction=cfg["h_fraction"])
     _write_scores_csv(_out(cfg, "scores.csv"), field.scores)
     if cfg["write_fit_stats"]:
-        with open(_out(cfg, "fit_stats.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i1", "i2", "i4", "loc", "scale"])
-            for idx in np.ndindex(field.loc.shape):
-                writer.writerow(
-                    [*idx, f"{field.loc[idx]:.17g}", f"{field.scale[idx]:.17g}"]
-                )
+        index = np.indices(field.loc.shape).reshape(field.loc.ndim, -1)
+        _write_csv(
+            _out(cfg, "fit_stats.csv"),
+            "i1,i2,i4,loc,scale",
+            "{},{},{},{:.17g},{:.17g}",
+            [*index, field.loc.ravel(), field.scale.ravel()],
+        )
     print(f"score: wrote scores for {S.shape}")
 
 
@@ -231,11 +275,7 @@ def run_evaluate(cfg):
     auc = roc_auc(ls)
     _write_json(_out(cfg, "auc.json"), {"method": cfg["solver"], "auc": auc})
     fpr, tpr = roc_points(ls)
-    with open(_out(cfg, "roc.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr"])
-        for f, t in zip(fpr, tpr):
-            writer.writerow([f"{f:.17g}", f"{t:.17g}"])
+    _write_csv(_out(cfg, "roc.csv"), "fpr,tpr", "{:.17g},{:.17g}", [fpr, tpr])
     if cfg["events_csv"]:
         zones = read_zone_list(cfg["zone_file"])
         events = events_from_csv(cfg["events_csv"], zones, cfg["year"])

@@ -6,7 +6,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .scoring import top_k_mask
 
@@ -69,7 +68,9 @@ def roc_auc(ls):
     """
     if ls.n_pos == 0 or ls.n_neg == 0:
         raise ValueError("AUC needs at least one positive and one negative")
-    ranks = rankdata(ls.scores)
+    _, inverse, counts = np.unique(ls.scores, return_inverse=True, return_counts=True)
+    upper = np.cumsum(counts)
+    ranks = (upper - (counts - 1) / 2.0)[inverse]
     pos_ranks = ranks[ls.labels == 1].sum()
     return float(
         (pos_ranks - ls.n_pos * (ls.n_pos + 1) / 2.0) / (ls.n_pos * ls.n_neg)
@@ -77,19 +78,29 @@ def roc_auc(ls):
 
 
 def roc_points(ls):
-    """ROC curve vertices (fpr, tpr), one per distinct threshold."""
+    """ROC curve corners (fpr, tpr) from (0, 0) to (1, 1).
+
+    The full curve has one vertex per distinct threshold.  A run of
+    same-label thresholds traces a horizontal (negatives) or vertical
+    (positives) line, so only its ends are kept; a threshold shared by both
+    labels gives a diagonal segment, whose ends are always kept.  The
+    dropped vertices lie on the returned polyline, so its trapezoid area is
+    :func:`roc_auc`.
+    """
     if ls.n_pos == 0 or ls.n_neg == 0:
         raise ValueError("ROC needs at least one positive and one negative")
     order = np.argsort(-ls.scores, kind="stable")
     labels = ls.labels[order]
     scores = ls.scores[order]
-    tp = np.cumsum(labels)
-    fp = np.cumsum(1 - labels)
-    # keep only the last point of each tied-score run
+    # counts at the last element of each tied-score run, after the origin
     last = np.r_[scores[1:] != scores[:-1], True]
-    fpr = np.r_[0.0, fp[last] / ls.n_neg]
-    tpr = np.r_[0.0, tp[last] / ls.n_pos]
-    return fpr, tpr
+    tp = np.r_[0, np.cumsum(labels)[last]]
+    fp = np.r_[0, np.cumsum(1 - labels)[last]]
+    flat = np.diff(tp) == 0
+    upright = np.diff(fp) == 0
+    straight = (flat[:-1] & flat[1:]) | (upright[:-1] & upright[1:])
+    keep = np.r_[True, ~straight, True]
+    return fp[keep] / ls.n_neg, tp[keep] / ls.n_pos
 
 
 def detection_at_k(scores, events, k_list):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import instrumentation
 from .tensor import unfold
@@ -75,14 +74,24 @@ def build_knn_graph(X, k):
         diagonal.  ``sigma_i`` is the distance from row i to its k-th
         neighbour; pairs at zero distance get weight 1.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be a 2-D array of row samples")
     n = X.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
 
-    dist = cdist(X, X)
+    # exact row differences, upper triangle then mirrored: the Gram form
+    # |x|^2 + |y|^2 - 2 x.y would leave rounding noise where rows coincide
+    # and so break the zero-distance rule
+    dist = np.zeros((n, n))
+    buf = np.empty_like(X)
+    for i in range(n - 1):
+        diff = buf[i + 1:]
+        np.subtract(X[i + 1:], X[i], out=diff)
+        np.square(diff, out=diff)
+        dist[i, i + 1:] = np.sqrt(diff.sum(axis=1))
+    dist += dist.T
     ranked = dist.copy()
     np.fill_diagonal(ranked, np.inf)  # a point is never its own neighbour
     order = np.argsort(ranked, axis=1, kind="stable")

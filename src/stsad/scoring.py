@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.stats import chi2
 
 #: scales at or below this are treated as degenerate
 ZERO_SCALE_TOL = 1e-12
@@ -43,7 +43,9 @@ def _consistency_factor(h, n):
     # no truncation when the subset is the whole sample
     if h == n:
         return 1.0
-    return 1.0 / math.sqrt(chi2.ppf(h / n, df=1))
+    # 1 / sqrt of the chi-square(1) quantile at h/n; chi-square(1) is a
+    # squared standard normal, so that root is the normal quantile below
+    return 1.0 / NormalDist().inv_cdf((1 + h / n) / 2)
 
 
 def _mcd_rows(rows, h):

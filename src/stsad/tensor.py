@@ -126,8 +126,9 @@ def save_tensor(path, tensor):
     values = tensor.ravel(order="F")
     with open(path, "w") as fh:
         fh.write("dims: " + " ".join(str(d) for d in tensor.shape) + "\n")
-        for v in values:
-            fh.write(f"{v:.17g}\n")
+        # one %-format over all values: the same text as "{:.17g}", and
+        # about twice as fast as formatting value by value
+        fh.write(("%.17g\n" * values.size) % tuple(values.tolist()))
 
 
 def _read_header(fh, path):
@@ -166,8 +167,7 @@ def save_mask(path, mask):
     mask = np.asarray(mask, dtype=bool)
     with open(path, "w") as fh:
         fh.write("dims: " + " ".join(str(d) for d in mask.shape) + "\n")
-        for v in mask.ravel(order="F"):
-            fh.write("1\n" if v else "0\n")
+        fh.write("".join([("0\n", "1\n")[v] for v in mask.ravel(order="F").tolist()]))
 
 
 def load_mask(path):

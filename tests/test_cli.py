@@ -1,14 +1,18 @@
+import csv
 import gc
 import hashlib
+import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from conftest import break_sparse_update
 
-from stsad.cli import _load_graphs, main
+from stsad.cli import _load_graphs, _read_scores_csv, _write_scores_csv, main
 from stsad.config import ConfigError, config_for_stage, parse_config
 from stsad.ingest import events_from_csv, ingest_trips, read_zone_list
 
@@ -347,8 +351,6 @@ def test_seed_flag_overrides_config(tmp_path):
 
 
 def test_scores_csv_rejects_bad_rows(tmp_path):
-    from stsad.cli import _read_scores_csv
-
     path = tmp_path / "scores.csv"
     path.write_text("i1,i2,i3,i4,score\n-1,0,0,0,3.5\n")
     with pytest.raises(ValueError, match="bad row"):
@@ -356,6 +358,100 @@ def test_scores_csv_rejects_bad_rows(tmp_path):
     path.write_text("i1,i2,i3,i4,score\n0,0,0,0,3.5\n")
     with pytest.raises(ValueError, match="cover"):
         _read_scores_csv(str(path), (2, 2, 2, 2))
+
+    good = "0,0,0,0,0.5\n1,0,0,0,1.5\n2,0,0,0,2.5\n"
+    for bad in [
+        "0,0,0,x,1.0",    # non-numeric field
+        "0.5,0,0,0,1.0",  # non-integer index
+        "0,0,0,0,1.0,7",  # six fields
+        "0,0,0,0",        # four fields
+        "0,0,3,0,1.0",    # index out of range
+        "0,0,0,0,",       # empty score
+    ]:
+        first, rest = good.split("\n", 1)
+        path.write_text(f"i1,i2,i3,i4,score\n{first}\n{bad}\n{rest}")
+        with pytest.raises(ValueError, match="scores.csv:3: bad row$"):
+            _read_scores_csv(str(path), (3, 1, 3, 1))
+    # csv numbering: blank lines count, \r\n is one line end, a bad first row
+    # is line 2
+    path.write_bytes(b"i1,i2,i3,i4,score\r\n0,0,0,0,1\r\n\r\n0,0,0,0,1,2\r\n")
+    with pytest.raises(ValueError, match="scores.csv:4: bad row$"):
+        _read_scores_csv(str(path), (3, 1, 3, 1))
+    path.write_text("i1,i2,i3,i4,score\n9,0,0,0,1\n" + good)
+    with pytest.raises(ValueError, match="scores.csv:2: bad row$"):
+        _read_scores_csv(str(path), (3, 1, 3, 1))
+    path.write_text("i1,i2,i4,i3,score\n" + good)
+    with pytest.raises(ValueError, match="scores.csv:1: header"):
+        _read_scores_csv(str(path), (3, 1, 3, 1))
+    path.write_text("i1,i2,i3,i4,score\n")
+    with pytest.raises(ValueError, match="cover"):
+        _read_scores_csv(str(path), (3, 1, 3, 1))
+
+
+def csv_writer_bytes(header, rows):
+    """What csv.writer writes for ``header`` and ``rows``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def test_scores_csv_matches_csv_writer_and_round_trips(tmp_path):
+    scores = np.array([-0.0, 5e-324, 1e300, 0.1, 3.0, -42.0, 1.0 / 3.0, 7.0]).reshape(2, 1, 2, 2)
+    path = tmp_path / "scores.csv"
+    _write_scores_csv(str(path), scores)
+    expected = csv_writer_bytes(
+        ["i1", "i2", "i3", "i4", "score"],
+        ([*idx, f"{scores[idx]:.17g}"] for idx in np.ndindex(scores.shape)),
+    )
+    assert path.read_bytes() == expected
+    assert _read_scores_csv(str(path), scores.shape).tobytes() == scores.tobytes()
+
+
+def test_score_and_evaluate_csv_files_match_csv_writer(tmp_path):
+    from stsad.evaluation import labeled_scores, roc_points
+    from stsad.scoring import score_sparse_tensor
+    from stsad.tensor import save_mask, save_tensor
+
+    cfg_path, out = base_config(tmp_path, write_fit_stats="true")
+    out.mkdir()
+    rng = np.random.default_rng(4)
+    S = np.round(rng.normal(size=(3, 2, 6, 2)), 1)  # rounding gives ties
+    labels, observed = rng.random(S.shape) < 0.2, rng.random(S.shape) < 0.9
+    save_tensor(out / "S.txt", S)
+    save_mask(out / "labels.txt", labels)
+    save_mask(out / "omega.txt", observed)
+    assert run_stage("score", cfg_path) == 0
+    assert run_stage("evaluate", cfg_path) == 0
+
+    field = score_sparse_tensor(S)
+    assert (out / "scores.csv").read_bytes() == csv_writer_bytes(
+        ["i1", "i2", "i3", "i4", "score"],
+        ([*idx, f"{field.scores[idx]:.17g}"] for idx in np.ndindex(S.shape)),
+    )
+    assert (out / "fit_stats.csv").read_bytes() == csv_writer_bytes(
+        ["i1", "i2", "i4", "loc", "scale"],
+        ([*idx, f"{field.loc[idx]:.17g}", f"{field.scale[idx]:.17g}"]
+         for idx in np.ndindex(field.loc.shape)),
+    )
+    fpr, tpr = roc_points(labeled_scores(field.scores, labels, observed))
+    assert (out / "roc.csv").read_bytes() == csv_writer_bytes(
+        ["fpr", "tpr"], ([f"{f:.17g}", f"{t:.17g}"] for f, t in zip(fpr, tpr))
+    )
+
+
+def test_importing_the_cli_loads_no_scipy():
+    import stsad
+
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(stsad.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    code = ("import sys, stsad.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_synth_from_user_template(tmp_path):

@@ -198,3 +198,49 @@ def test_benchmark_records_failures():
     assert rows[0]["auc_mean"] is None
     with pytest.raises(ValueError):
         benchmark_timing([("x", lambda Y, o: Y)], instance, repeats=1)
+
+
+def full_roc(ls):
+    """Reference curve: one vertex per distinct threshold, after (0, 0)."""
+    order = np.argsort(-ls.scores, kind="stable")
+    labels, scores = ls.labels[order], ls.scores[order]
+    last = np.r_[scores[1:] != scores[:-1], True]
+    fpr = np.r_[0.0, np.cumsum(1 - labels)[last] / ls.n_neg]
+    tpr = np.r_[0.0, np.cumsum(labels)[last] / ls.n_pos]
+    return fpr, tpr
+
+
+def on_polyline(f, t, fpr, tpr):
+    """(f, t) is a vertex or lies on a horizontal or vertical segment."""
+    for a in range(len(fpr) - 1):
+        f0, f1, t0, t1 = fpr[a], fpr[a + 1], tpr[a], tpr[a + 1]
+        if t0 == t1 == t and f0 <= f <= f1 or f0 == f1 == f and t0 <= t <= t1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("levels", [None, 6, 40])
+def test_roc_points_keeps_the_corners(levels):
+    rng = np.random.default_rng(11)
+    scores = rng.normal(size=300)
+    if levels is not None:  # ties, including mixed-label ones
+        scores = np.round(scores * levels / 4.0)
+    ls = LabeledScores(scores, rng.random(300) < 0.3)
+    fpr, tpr = roc_points(ls)
+    full_f, full_t = full_roc(ls)
+    full = list(zip(full_f.tolist(), full_t.tolist()))
+    kept = list(zip(fpr.tolist(), tpr.tolist()))
+    # six score levels make every segment diagonal: nothing can be dropped
+    assert len(kept) == len(full) if levels == 6 else len(kept) < len(full)
+    # the corners are full-curve vertices in curve order, ends included
+    positions = [full.index(p) for p in kept]
+    assert positions == sorted(positions) and positions[0] == 0
+    assert positions[-1] == len(full) - 1
+    for f, t in full:
+        assert (f, t) in kept or on_polyline(f, t, fpr, tpr)
+    # no kept interior vertex continues a horizontal or vertical line
+    df, dt = np.diff(fpr), np.diff(tpr)
+    assert not ((df[:-1] == 0) & (df[1:] == 0)).any()
+    assert not ((dt[:-1] == 0) & (dt[1:] == 0)).any()
+    area = np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0)
+    assert abs(area - roc_auc(ls)) <= 1e-12

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,41 @@ def test_build_mode_graphs_and_report():
     rows = report.rows()
     assert [r["mode"] for r in rows] == [1, 2, 3, 4]
     assert all(0.0 <= r["s_r"] <= 1.0 + 1e-12 for r in rows)
+
+
+def knn_reference(X, k):
+    """Pure-Python k-NN graph by the documented rule, distances by math.dist."""
+    rows = [list(map(float, r)) for r in X]
+    n = len(rows)
+    dist = [[math.dist(a, b) for b in rows] for a in rows]
+    nbrs = [sorted((j for j in range(n) if j != i), key=lambda j: (dist[i][j], j))[:k]
+            for i in range(n)]
+    sigma = [dist[i][nbrs[i][-1]] for i in range(n)]
+    W = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in nbrs[i]:
+            denom = sigma[i] * sigma[j]
+            w = math.exp(-dist[i][j] ** 2 / denom) if denom > 0 else float(dist[i][j] == 0)
+            W[i][j] = W[j][i] = max(W[i][j], W[j][i], w)
+    return np.array(W)
+
+
+@pytest.mark.parametrize("shape, k", [((15, 7), 4), ((9, 40), 8), ((24, 3), 1)])
+def test_knn_matches_brute_force_reference(shape, k):
+    X = np.random.default_rng(shape[0]).normal(size=shape)
+    W_ref = knn_reference(X, k)
+    W = build_knn_graph(X, k)
+    # same edges; a different neighbour set would also move sigma and the weights
+    assert np.array_equal(W > 0, W_ref > 0)
+    assert np.allclose(W, W_ref, rtol=1e-12, atol=0.0)
+
+
+def test_knn_duplicate_rows_get_weight_one():
+    # an offset makes |x|^2 + |y|^2 - 2 x.y cancel badly, so only exact
+    # differences give these pairs distance 0
+    X = 1000.0 + np.random.default_rng(5).normal(size=(6, 30))
+    X = np.vstack([X, X[2], X[4]])
+    W = build_knn_graph(X, k=3)
+    assert W[2, 6] == W[6, 2] == 1.0
+    assert W[4, 7] == W[7, 4] == 1.0
+    assert np.all(np.diag(W) == 0)

@@ -26,6 +26,21 @@ def exhaustive_mcd(x, h):
     return best.mean(), best.std(ddof=1) * _consistency_factor(h, len(x))
 
 
+def test_consistency_factor_matches_chi2_reference():
+    from stsad.scoring import _consistency_factor
+
+    # 1 / sqrt(scipy.stats.chi2.ppf(h / n, df=1))
+    reference = {
+        (2, 4): 1.4826022185056031,
+        (39, 52): 0.8693011158689333,
+        (2, 399): 159.17692282653272,
+        (398, 399): 0.3308427560391244,
+    }
+    for (h, n), value in reference.items():
+        assert _consistency_factor(h, n) == pytest.approx(value, rel=1e-13)
+    assert _consistency_factor(5, 5) == 1.0
+
+
 def test_mcd_forced_zero_variance_window():
     loc, scale = univariate_mcd([0.0, 0.0, 0.0, 10.0], h=3)
     assert loc == 0.0

@@ -179,6 +179,25 @@ def test_mask_file_roundtrip(tmp_path):
     assert np.array_equal(got, mask)
 
 
+#: values whose text form is easy to get wrong: signed zero, the smallest
+#: subnormal, a huge and an inexact value, integers
+GOLDEN_VALUES = [-0.0, 5e-324, 1e300, 0.1, 3.0, -42.0, 1.0 / 3.0, 0.0]
+
+
+def test_tensor_and_mask_files_match_per_value_writer(tmp_path):
+    T = np.array(GOLDEN_VALUES).reshape(2, 2, 2)
+    save_tensor(tmp_path / "t.txt", T)
+    expected = "dims: 2 2 2\n" + "".join(f"{v:.17g}\n" for v in T.ravel(order="F"))
+    assert (tmp_path / "t.txt").read_bytes() == expected.encode()
+    loaded = load_tensor(tmp_path / "t.txt")
+    assert loaded.tobytes() == T.tobytes()  # -0.0 and 5e-324 survive
+
+    mask = np.array([[True, False, False], [True, True, False]])
+    save_mask(tmp_path / "m.txt", mask)
+    expected = "dims: 2 3\n" + "".join("1\n" if v else "0\n" for v in mask.ravel(order="F"))
+    assert (tmp_path / "m.txt").read_bytes() == expected.encode()
+
+
 def test_tensor_file_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 4\n1.0\n")
