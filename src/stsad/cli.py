@@ -73,9 +73,9 @@ def _score_table(lines, dims):
     """``scores.csv`` body lines (any iterable of str, such as the open file
     after its header) as an (n, 5) float table.
 
-    Raises ValueError unless every non-empty line has five numeric fields
-    whose first four are integer-valued indices inside ``dims``.  The check
-    is per line, so a prefix of a valid body is valid.
+    Raises ValueError unless every non-empty line has five numeric fields:
+    integer-valued indices inside ``dims`` that no other line repeats, and a
+    finite score.  Every prefix of a valid body is valid.
     """
     with warnings.catch_warnings():
         # a body without rows is reported by the coverage check
@@ -88,6 +88,11 @@ def _score_table(lines, dims):
     index = table[:, :4]
     if not ((index == np.floor(index)) & (index >= 0) & (index < dims)).all():
         raise ValueError("index not an integer inside the tensor")
+    flat = np.ravel_multi_index(tuple(index.astype(np.intp).T), dims)
+    if np.bincount(flat).max() > 1:
+        raise ValueError("element listed twice")
+    if not np.isfinite(table[:, 4]).all():
+        raise ValueError("score not finite")
     return table
 
 
@@ -158,16 +163,21 @@ def run_ingest(cfg):
     print(f"ingest: counted {summary['counted']} records into {Y.shape}")
 
 
+_GRAPH_ARRAYS = ("weights", "laplacian", "eigvals", "eigvecs")  # ModeGraph fields
+
+
+def _graph_file(mode, name):
+    return f"mode{mode}_{name}.txt"
+
+
 def run_graphs(cfg):
     _require(cfg, "Y.txt")
     Y = load_tensor(_out(cfg, "Y.txt"))
     graphs = build_mode_graphs(Y, k=cfg["knn_k"], ratio=cfg["rank_ratio"])
     meta = []
     for g in graphs:
-        save_tensor(_out(cfg, f"mode{g.mode}_weights.txt"), g.weights)
-        save_tensor(_out(cfg, f"mode{g.mode}_laplacian.txt"), g.laplacian)
-        save_tensor(_out(cfg, f"mode{g.mode}_eigvals.txt"), g.eigvals)
-        save_tensor(_out(cfg, f"mode{g.mode}_eigvecs.txt"), g.eigvecs)
+        for name in _GRAPH_ARRAYS:
+            save_tensor(_out(cfg, _graph_file(g.mode, name)), getattr(g, name))
         meta.append({"mode": g.mode, "rank": g.rank, "size": int(g.weights.shape[0])})
     _write_json(_out(cfg, "graphs.json"), meta)
     report = stationarity_report(Y, graphs)
@@ -182,24 +192,10 @@ def _load_graphs(cfg):
         meta = json.load(fh)
     graphs = []
     for entry in meta:
-        n = entry["mode"]
-        _require(
-            cfg,
-            f"mode{n}_weights.txt",
-            f"mode{n}_laplacian.txt",
-            f"mode{n}_eigvals.txt",
-            f"mode{n}_eigvecs.txt",
-        )
-        graphs.append(
-            ModeGraph(
-                mode=n,
-                weights=load_tensor(_out(cfg, f"mode{n}_weights.txt")),
-                laplacian=load_tensor(_out(cfg, f"mode{n}_laplacian.txt")),
-                eigvals=load_tensor(_out(cfg, f"mode{n}_eigvals.txt")),
-                eigvecs=load_tensor(_out(cfg, f"mode{n}_eigvecs.txt")),
-                rank=entry["rank"],
-            )
-        )
+        files = {name: _graph_file(entry["mode"], name) for name in _GRAPH_ARRAYS}
+        _require(cfg, *files.values())
+        arrays = {name: load_tensor(_out(cfg, f)) for name, f in files.items()}
+        graphs.append(ModeGraph(mode=entry["mode"], rank=entry["rank"], **arrays))
     return graphs
 
 
@@ -348,14 +344,20 @@ def main(argv=None):
 
     try:
         cfg = config_for_stage(args.config, args.stage, seed_override=args.seed)
-        os.makedirs(cfg["output_dir"], exist_ok=True)
+        try:
+            os.makedirs(cfg["output_dir"], exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output_dir: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
     try:
         _RUNNERS[args.stage](cfg)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    # a path that cannot be read or written as asked is bad input; any other
+    # OSError (a full disk, say) is a runtime failure
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -7,6 +7,9 @@ before any work happens.
 
 from __future__ import annotations
 
+from .logss import LogssParams
+from .synth import SynthConfig
+
 
 class ConfigError(ValueError):
     pass
@@ -36,21 +39,21 @@ def _paths(text):
 # key -> (caster, default); a default of REQUIRED-by-stage is handled below
 _SCHEMA = {
     "output_dir": (str, None),
-    "seed": (int, 0),
+    "seed": (int, SynthConfig.seed),
     "dims": (_ints, None),
     "solver": (str, "logss"),
     # synthetic data
     "synth_c": (float, None),
     "synth_l": (int, None),
     "synth_m": (float, None),
-    "synth_p": (float, 0.0),
-    "noise_mean": (float, 1.0),
-    "noise_var": (float, 0.5),
+    "synth_p": (float, SynthConfig.p),
+    "noise_mean": (float, SynthConfig.noise_mean),
+    "noise_var": (float, SynthConfig.noise_var),
     "base_tensor": (str, ""),
     # graphs
     "knn_k": (int, 10),
     "rank_ratio": (float, 0.9),
-    # solver parameters (unset means data-driven default)
+    # solver parameters, checked by LogssParams (unset means data-driven default)
     "theta": (float, None),
     "lambda": (float, None),
     "gamma": (float, None),
@@ -58,9 +61,9 @@ _SCHEMA = {
     "beta2": (float, None),
     "beta3": (float, None),
     "beta4": (float, None),
-    "max_iter": (int, 300),
-    "tol": (float, 1e-5),
-    "circular_diff": (_bool, True),
+    "max_iter": (int, LogssParams.max_iter),
+    "tol": (float, LogssParams.tol),
+    "circular_diff": (_bool, LogssParams.circular),
     # scoring
     "h_fraction": (float, 0.75),
     "write_fit_stats": (_bool, False),
@@ -92,10 +95,17 @@ STAGES = tuple(_REQUIRED)
 
 _SOLVERS = ("logss", "loss", "horpca", "raw-ee")
 
+# config key -> LogssParams field
+_SOLVER_FIELDS = {
+    "theta": "theta", "lambda": "lam", "gamma": "gamma",
+    "beta1": "beta1", "beta2": "beta2", "beta3": "beta3", "beta4": "beta4",
+    "max_iter": "max_iter", "tol": "tol", "circular_diff": "circular",
+}
+
 
 def parse_config(path):
-    """Parse a ``key = value`` file; returns (values, explicitly-set keys)."""
-    values, explicit = {}, set()
+    """Parse a ``key = value`` file into a dict of the keys it sets."""
+    values = {}
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -111,26 +121,22 @@ def parse_config(path):
         key, value = key.strip(), value.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in explicit:
+        if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         caster, _ = _SCHEMA[key]
         try:
             values[key] = caster(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-        explicit.add(key)
-    return values, explicit
+    return values
 
 
 def config_for_stage(path, stage, seed_override=None):
-    """Validated config dict for one stage, with defaults filled in.
-
-    The returned dict carries the explicitly-set key names under
-    ``"_explicit"`` so callers can distinguish user choices from defaults.
-    """
+    """Validated config dict for one stage, with defaults filled in; a key
+    left at ``None`` is unset."""
     if stage not in _REQUIRED:
         raise ConfigError(f"unknown stage {stage!r}")
-    values, explicit = parse_config(path)
+    values = parse_config(path)
     missing = [k for k in ("output_dir",) + _REQUIRED[stage] if k not in values]
     if missing:
         raise ConfigError(
@@ -139,7 +145,6 @@ def config_for_stage(path, stage, seed_override=None):
     cfg = {key: values.get(key, default) for key, (_, default) in _SCHEMA.items()}
     if seed_override is not None:
         cfg["seed"] = seed_override
-        explicit.add("seed")
     if cfg["solver"] not in _SOLVERS:
         raise ConfigError(
             f"{path}: solver must be one of {', '.join(_SOLVERS)}, got {cfg['solver']!r}"
@@ -148,16 +153,12 @@ def config_for_stage(path, stage, seed_override=None):
         len(cfg["dims"]) != 4 or any(d < 1 for d in cfg["dims"])
     ):
         raise ConfigError(f"{path}: dims must be four positive integers")
-    for name in ("theta", "lambda", "gamma"):
-        if cfg[name] is not None and cfg[name] < 0:
-            raise ConfigError(f"{path}: {name} must be nonnegative")
-    for name in ("beta1", "beta2", "beta3", "beta4"):
-        if cfg[name] is not None and not cfg[name] > 0:
-            raise ConfigError(f"{path}: {name} must be positive")
-    if cfg["max_iter"] < 1:
-        raise ConfigError(f"{path}: max_iter must be at least 1")
-    if cfg["tol"] < 0:
-        raise ConfigError(f"{path}: tol must be nonnegative")
+    for key, field in _SOLVER_FIELDS.items():
+        if cfg[key] is not None:
+            try:
+                LogssParams(**{field: cfg[key]})
+            except ValueError as exc:
+                raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from exc
     if cfg["bench_repeats"] < 2:
         raise ConfigError(f"{path}: bench_repeats must be at least 2")
     if stage == "evaluate" and cfg["events_csv"]:
@@ -169,27 +170,11 @@ def config_for_stage(path, stage, seed_override=None):
     unknown = [s for s in cfg["bench_solvers"] if s not in _SOLVERS]
     if unknown:
         raise ConfigError(f"{path}: unknown bench solvers: {', '.join(unknown)}")
-    cfg["_explicit"] = explicit
     return cfg
 
 
 def solver_param_overrides(cfg):
-    """The solver parameters the user pinned explicitly, keyed for LogssParams."""
-    mapping = {
-        "theta": "theta",
-        "lambda": "lam",
-        "gamma": "gamma",
-        "beta1": "beta1",
-        "beta2": "beta2",
-        "beta3": "beta3",
-        "beta4": "beta4",
+    """The solver parameters the config sets, keyed for LogssParams."""
+    return {
+        field: cfg[key] for key, field in _SOLVER_FIELDS.items() if cfg[key] is not None
     }
-    overrides = {
-        dest: cfg[key]
-        for key, dest in mapping.items()
-        if key in cfg["_explicit"]
-    }
-    overrides["max_iter"] = cfg["max_iter"]
-    overrides["tol"] = cfg["tol"]
-    overrides["circular"] = cfg["circular_diff"]
-    return overrides

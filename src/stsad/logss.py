@@ -47,16 +47,15 @@ class LogssParams:
     circular: bool = True
 
     def __post_init__(self):
-        for name in ("theta", "lam", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        # written so that NaN fails every rule
+        for name in ("theta", "lam", "gamma", "tol"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         for name in ("beta1", "beta2", "beta3", "beta4"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
 
     @classmethod
     def defaults(cls, Y, observed=None, **overrides):

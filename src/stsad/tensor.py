@@ -97,16 +97,15 @@ def tensor_norms(tensor):
     return float(np.sqrt(np.dot(flat, flat))), float(flat.sum())
 
 
-def project_support(tensor, observed, complement=False):
-    """Keep entries on the support (or, with ``complement``, off it); zero the rest."""
+def project_support(tensor, observed):
+    """Keep entries on the support; zero the rest."""
     tensor = np.asarray(tensor)
     observed = np.asarray(observed, dtype=bool)
     if observed.shape != tensor.shape:
         raise ValueError(
             f"mask shape {observed.shape} does not match tensor shape {tensor.shape}"
         )
-    keep = ~observed if complement else observed
-    return np.where(keep, tensor, 0.0)
+    return np.where(observed, tensor, 0.0)
 
 
 def soft_threshold(tensor, phi):

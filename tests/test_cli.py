@@ -13,8 +13,9 @@ import pytest
 from conftest import break_sparse_update
 
 from stsad.cli import _load_graphs, _read_scores_csv, _write_scores_csv, main
-from stsad.config import ConfigError, config_for_stage, parse_config
+from stsad.config import ConfigError, config_for_stage, parse_config, solver_param_overrides
 from stsad.ingest import events_from_csv, ingest_trips, read_zone_list
+from stsad.logss import LogssParams
 
 
 def write_config(path, **kv):
@@ -84,6 +85,59 @@ def test_config_validates_values(tmp_path):
     cfg.write_text("output_dir = x\ndims = 3 3\n")
     with pytest.raises(ConfigError, match="dims"):
         config_for_stage(cfg, "synth") if False else config_for_stage(cfg, "graphs")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("theta", -1), ("theta", "inf"), ("lambda", -0.5), ("lambda", "nan"),
+        ("gamma", -1), ("gamma", "inf"), ("beta1", "inf"), ("beta2", 0),
+        ("beta3", -1), ("beta4", "nan"), ("max_iter", 0), ("tol", -1e-3),
+        ("tol", "nan"),
+    ],
+)
+def test_bad_solver_setting_exits_1_before_reading_artifacts(tmp_path, capsys, key, value):
+    cfg_path, out = base_config(tmp_path, **{key: value})
+    assert not out.exists()  # no Y.txt: a later check would name it
+    assert run_stage("decompose", cfg_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg_path}: bad value for {key!r}:"), err
+
+
+def test_solver_settings_override_data_driven_defaults(tmp_path):
+    cfg_path, _ = base_config(tmp_path, **{"lambda": 0, "tol": 0})
+    overrides = solver_param_overrides(config_for_stage(cfg_path, "decompose"))
+    assert overrides == {
+        "lam": 0.0, "beta1": 0.2, "beta2": 0.2, "beta3": 0.2, "beta4": 0.2,
+        "max_iter": 60, "tol": 0.0, "circular": True,
+    }
+    Y = np.arange(24.0).reshape(2, 3, 4, 1)
+    data_driven = LogssParams.defaults(Y)
+    params = LogssParams.defaults(Y, **overrides)
+    assert (params.lam, params.tol, params.beta3) == (0.0, 0.0, 0.2)
+    assert (params.theta, params.gamma) == (data_driven.theta, data_driven.gamma)
+
+
+def test_directory_as_input_file_exits_1(tmp_path, capsys):
+    cfg_path, out = base_config(tmp_path, base_tensor=tmp_path)
+    assert run_stage("synth", cfg_path) == 1
+    assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+
+    cfg_path, out = base_config(tmp_path)
+    assert run_stage("synth", cfg_path) == 0
+    (out / "S.txt").mkdir()
+    assert run_stage("score", cfg_path) == 1
+    assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+
+
+def test_uncreatable_output_dir_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("")
+    cfg_path, _ = base_config(tmp_path, output_dir=blocker / "out")
+    assert run_stage("synth", cfg_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output_dir:"), err
+    assert "Not a directory" in err
 
 
 def test_unknown_config_key_exits_1(tmp_path, capsys):
@@ -367,6 +421,10 @@ def test_scores_csv_rejects_bad_rows(tmp_path):
         "0,0,0,0",        # four fields
         "0,0,3,0,1.0",    # index out of range
         "0,0,0,0,",       # empty score
+        "0,0,1,0,nan",    # non-finite score
+        "0,0,1,0,inf",
+        "0,0,1,0,-inf",
+        "0,0,0,0,1.0",    # repeats the element of line 2
     ]:
         first, rest = good.split("\n", 1)
         path.write_text(f"i1,i2,i3,i4,score\n{first}\n{bad}\n{rest}")
@@ -377,6 +435,10 @@ def test_scores_csv_rejects_bad_rows(tmp_path):
     path.write_bytes(b"i1,i2,i3,i4,score\r\n0,0,0,0,1\r\n\r\n0,0,0,0,1,2\r\n")
     with pytest.raises(ValueError, match="scores.csv:4: bad row$"):
         _read_scores_csv(str(path), (3, 1, 3, 1))
+    # a repeat is reported where it repeats, not where the element first is
+    path.write_text("i1,i2,i3,i4,score\n0,0,0,0,1.5\n0,0,1,0,2.5\n0,0,0,0,9.5\n")
+    with pytest.raises(ValueError, match="scores.csv:4: bad row$"):
+        _read_scores_csv(str(path), (1, 1, 2, 1))
     path.write_text("i1,i2,i3,i4,score\n9,0,0,0,1\n" + good)
     with pytest.raises(ValueError, match="scores.csv:2: bad row$"):
         _read_scores_csv(str(path), (3, 1, 3, 1))

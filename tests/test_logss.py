@@ -48,6 +48,15 @@ def test_params_validation():
         make_params(tol=-1e-3)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "name", ["theta", "lam", "gamma", "beta1", "beta2", "beta3", "beta4", "tol"]
+)
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        make_params(**{name: value})
+
+
 def test_params_defaults_scale_with_data():
     rng = np.random.default_rng(0)
     Y = rng.normal(size=(9, 4, 4, 4))
