@@ -48,15 +48,16 @@ class _SvtBlock:
         self.svd_history = []
 
     def update(self, state, params):
-        def one_mode(n):
-            target = unfold(state.L - state.gamma4[n - 1], n)
-            low, nuc = _svt_with_norm(target, params.theta / params.beta4)
-            return fold(low, n, state.L.shape), nuc
-
+        diff = state.scratch[0]
+        penalty = 0
         before = instrumentation.snapshot()["svd"]
-        updated = [one_mode(n) for n in range(1, state.L.ndim + 1)]
+        for n, G in enumerate(state.G, start=1):
+            np.subtract(state.L, state.gamma4[n - 1], out=diff)
+            low, nuc = _svt_with_norm(unfold(diff, n), params.theta / params.beta4)
+            np.copyto(G, fold(low, n, G.shape))
+            penalty += nuc
         self.svd_history.append(instrumentation.snapshot()["svd"] - before)
-        return [u[0] for u in updated], sum(u[1] for u in updated)
+        return state.G, penalty
 
     def lift(self, state):
         return state.G

@@ -185,6 +185,8 @@ def build_mode_graphs(Y, k=10, ratio=0.9):
 
     ``k`` is clamped per mode to ``I_n - 1``.
     """
+    if not 0 <= ratio < 1:  # eigenvalue ratios lie in [0, 1]; NaN fails too
+        raise ValueError(f"rank ratio must be in [0, 1), got {ratio}")
     Y = np.asarray(Y, dtype=float)
     graphs = []
     for mode in range(1, Y.ndim + 1):

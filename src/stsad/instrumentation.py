@@ -7,24 +7,13 @@ happens (graph construction vs. solver iterations).
 
 from __future__ import annotations
 
-import threading
-
-_lock = threading.Lock()
 _counts = {"svd": 0, "eig": 0}
 
 
 def record(kind):
-    with _lock:
-        _counts[kind] += 1
+    _counts[kind] += 1
 
 
 def snapshot():
     """Current cumulative counts as a plain dict."""
-    with _lock:
-        return dict(_counts)
-
-
-def reset():
-    with _lock:
-        for k in _counts:
-            _counts[k] = 0
+    return dict(_counts)

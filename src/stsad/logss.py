@@ -8,7 +8,9 @@ along mode 1.  Auxiliary variables W (copy of S) and Z (mode-1 differences
 of W) decouple the two sparsity terms; scaled dual tensors enforce all
 constraints.  Every update below is the exact minimizer / proximal map of
 its block of the augmented Lagrangian, so one sweep per iteration needs no
-inner loops and no spectral decompositions.
+inner loops and no spectral decompositions.  Each writes into ``out`` when
+given (the ADMM loop passes the state's own buffer) and returns a new array
+otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import mode_n_product, project_support, soft_threshold
+from .tensor import mode_n_product, soft_threshold
 
 
 class NumericalError(RuntimeError):
@@ -105,12 +107,15 @@ class DecompositionResult:
 
 @dataclass
 class SolverState:
-    """All primal and dual iterates of one ADMM run.
+    """All buffers of one ADMM run, allocated once: the updates write into
+    them, so an iteration allocates no tensor.
 
-    ``G`` holds the per-mode spectral coefficient tensors (mode-n dimension
-    J_n); the dual tensors are all full shape.  ``w_inv`` is the precomputed
-    inverse used by the W update.  For the baselines ``graphs`` is None and
-    ``G`` holds full-shape per-mode low-rank tensors instead.
+    ``G`` holds the per-mode spectral coefficients (mode-n dimension J_n),
+    ``lifted`` their lifts to full shape, ``w_diff`` the mode-1 differences
+    of W, ``scratch`` two work tensors.  ``w_inv`` (W update) and
+    ``projectors`` (G update) are precomputed.  For the baselines ``graphs``
+    and ``projectors`` are None and ``G``, which is also ``lifted``, holds
+    full-shape per-mode low-rank tensors.
     """
 
     L: np.ndarray
@@ -124,7 +129,11 @@ class SolverState:
     gamma4: list[np.ndarray]
     delta: np.ndarray
     w_inv: np.ndarray
+    lifted: list[np.ndarray]
+    w_diff: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
     graphs: list | None = None
+    projectors: list[np.ndarray] | None = None
 
     @classmethod
     def zeros(cls, Y, params, graphs=None):
@@ -133,20 +142,22 @@ class SolverState:
         w_inv = np.linalg.inv(
             params.beta3 * np.eye(dims[0]) + params.beta2 * delta.T @ delta
         )
-        if graphs is not None:
-            G = []
-            for n, g in enumerate(graphs, start=1):
-                gdims = list(dims)
-                gdims[n - 1] = g.rank
-                G.append(np.zeros(gdims))
-        else:
-            G = [np.zeros(dims) for _ in dims]
         zero = lambda: np.zeros(dims)
+        if graphs is not None:
+            G = [np.zeros(dims[:n] + (g.rank,) + dims[n + 1:]) for n, g in enumerate(graphs)]
+            lifted = [zero() for _ in dims]
+            # the G update's ridge inverse is diagonal in the eigenbasis
+            weight = 2.0 * params.theta / params.beta4
+            scales = [1.0 / (weight * g.low_eigvals + 1.0) for g in graphs]
+            projectors = [s[:, None] * g.basis.T for s, g in zip(scales, graphs)]
+        else:
+            G = lifted = [zero() for _ in dims]
+            projectors = None
         return cls(
-            L=zero(), S=zero(), W=zero(), Z=zero(), G=G,
-            gamma1=zero(), gamma2=zero(), gamma3=zero(),
-            gamma4=[np.zeros(dims) for _ in dims],
-            delta=delta, w_inv=w_inv, graphs=graphs,
+            L=zero(), S=zero(), W=zero(), Z=zero(), G=G, gamma1=zero(), gamma2=zero(),
+            gamma3=zero(), gamma4=[zero() for _ in dims], delta=delta, w_inv=w_inv,
+            lifted=lifted, w_diff=zero(), scratch=(zero(), zero()), graphs=graphs,
+            projectors=projectors,
         )
 
 
@@ -166,22 +177,13 @@ def build_diff_operator(I1, circular=True):
     return delta
 
 
-def _total(arrays):
-    out = arrays[0].copy()
-    for a in arrays[1:]:
-        out += a
-    return out
-
-
 def _lifted_graph_terms(state):
-    # G^n lifted back to full shape: G^n x_n P_hat_n
-    return [
-        mode_n_product(G, g.basis, n)
-        for n, (G, g) in enumerate(zip(state.G, state.graphs), start=1)
-    ]
+    # G^n lifted back to full shape, G^n x_n P_hat_n, into state.lifted
+    terms = enumerate(zip(state.G, state.graphs, state.lifted), start=1)
+    return [mode_n_product(G, g.basis, n, out=o) for n, (G, g, o) in terms]
 
 
-def update_low_rank(state, Y, observed, params, lifted=None):
+def update_low_rank(state, Y, observed, params, lifted=None, out=None):
     """Exact minimizer of the L block.
 
     On the support the data-fit and the N graph-consensus penalties mix; off
@@ -191,97 +193,115 @@ def update_low_rank(state, Y, observed, params, lifted=None):
     N = Y.ndim
     if lifted is None:
         lifted = _lifted_graph_terms(state)
-    T1 = Y - state.S + state.gamma1
-    T2 = _total(lifted + state.gamma4)
-    on = (params.beta1 * T1 + params.beta4 * T2) / (params.beta1 + N * params.beta4)
-    if observed.all():
-        return on
-    return np.where(observed, on, T2 / N)
+    T2, work = state.scratch
+    np.copyto(T2, lifted[0])
+    for term in lifted[1:] + state.gamma4:
+        T2 += term
+    out = np.subtract(Y, state.S, out=out)  # T1 = Y - S + gamma1
+    out += state.gamma1
+    out *= params.beta1
+    out += np.multiply(T2, params.beta4, out=work)
+    out /= params.beta1 + N * params.beta4
+    if not observed.all():
+        T2 /= N
+        np.copyto(out, T2, where=~observed)
+    return out
 
 
-def update_graph_coeffs(state, params, graphs):
+def update_graph_coeffs(state, out=None):
     """Per-mode spectral coefficient updates.
 
     Each mode solves an independent ridge problem in the truncated eigenbasis;
     the matrix inverse is diagonal, so it is applied as a row scaling of the
-    projected unfolding.
+    projected unfolding (``state.projectors``).
     """
+    diff = state.scratch[0]
+    out = out or [None] * len(state.projectors)
+    G = []
+    for n, (P, o) in enumerate(zip(state.projectors, out), start=1):
+        np.subtract(state.L, state.gamma4[n - 1], out=diff)
+        G.append(mode_n_product(diff, P, n, out=o))
+    return G
 
-    def one_mode(n, g):
-        scale = 1.0 / (2.0 * params.theta / params.beta4 * g.low_eigvals + 1.0)
-        return mode_n_product(
-            state.L - state.gamma4[n - 1], scale[:, None] * g.basis.T, n
-        )
 
-    return [one_mode(n, g) for n, g in enumerate(graphs, start=1)]
-
-
-def update_sparse(state, Y, observed, params):
+def update_sparse(state, Y, observed, params, out=None):
     """Proximal update of S (exact on both the support and its complement)."""
-    T3 = Y - state.L + state.gamma1
-    T4 = state.W + state.gamma3
-    on = soft_threshold(params.beta1 * T3 + params.beta3 * T4, params.lam) / (
-        params.beta1 + params.beta3
-    )
-    if observed.all():
-        return on
-    off = soft_threshold(T4, params.lam / params.beta3)
-    return np.where(observed, on, off)
+    T3, T4 = state.scratch
+    np.subtract(Y, state.L, out=T3)  # T3 = Y - L + gamma1
+    T3 += state.gamma1
+    T3 *= params.beta1
+    np.add(state.W, state.gamma3, out=T4)  # T4 = W + gamma3
+    out = np.multiply(T4, params.beta3, out=out)
+    T3 += out
+    soft_threshold(T3, params.lam, out=out)
+    out /= params.beta1 + params.beta3
+    if not observed.all():
+        off = soft_threshold(T4, params.lam / params.beta3, out=T3)
+        np.copyto(out, off, where=~observed)
+    return out
 
 
-def update_smooth_aux(state, params):
+def update_smooth_aux(state, params, out=None):
     """Exact solve of the W block via the precomputed mode-1 inverse."""
-    rhs = params.beta3 * (state.S - state.gamma3) + params.beta2 * mode_n_product(
-        state.gamma2 + state.Z, state.delta.T, 1
-    )
-    return mode_n_product(rhs, state.w_inv, 1)
+    rhs, z_sum = state.scratch
+    np.subtract(state.S, state.gamma3, out=rhs)
+    rhs *= params.beta3
+    np.add(state.gamma2, state.Z, out=z_sum)
+    out = mode_n_product(z_sum, state.delta.T, 1, out=out)
+    out *= params.beta2
+    rhs += out
+    return mode_n_product(rhs, state.w_inv, 1, out=out)
 
 
-def update_tv_aux(state, params, w_diff=None):
+def update_tv_aux(state, params, w_diff=None, out=None):
     """Shrinkage update of the mode-1 difference variable Z."""
     if w_diff is None:
         w_diff = mode_n_product(state.W, state.delta, 1)
-    return soft_threshold(w_diff - state.gamma2, params.gamma / params.beta2)
+    arg = np.subtract(w_diff, state.gamma2, out=state.scratch[0])
+    return soft_threshold(arg, params.gamma / params.beta2, out=out)
 
 
 def update_duals(state, Y, observed, lifted=None, w_diff=None):
-    """Dual ascent on all constraints.
+    """Dual ascent on all constraints, in place on the state's duals.
 
-    Returns the new dual tensors together with the primal residual norms
+    Returns the updated dual tensors together with the primal residual norms
     used both for the stopping rule and the diagnostics.
     """
     if lifted is None:
         lifted = _lifted_graph_terms(state)
     if w_diff is None:
         w_diff = mode_n_product(state.W, state.delta, 1)
-    r_data = project_support(state.L + state.S - Y, observed)
-    r_tv = w_diff - state.Z
-    r_sw = state.S - state.W
-    r_graph = [state.L - lift for lift in lifted]
-    duals = {
-        "gamma1": state.gamma1 - r_data,
-        "gamma2": state.gamma2 - r_tv,
-        "gamma3": state.gamma3 - r_sw,
-        "gamma4": [g - r for g, r in zip(state.gamma4, r_graph)],
-    }
-    residuals = {
-        "r_data": float(np.linalg.norm(r_data)),
-        "r_tv": float(np.linalg.norm(r_tv)),
-        "r_sw": float(np.linalg.norm(r_sw)),
-        "r_graph_max": max(float(np.linalg.norm(r)) for r in r_graph),
-    }
+    # each residual is written to r, subtracted from its dual, then measured
+    r = state.scratch[0]
+    np.add(state.L, state.S, out=r)
+    r -= Y
+    if not observed.all():
+        np.copyto(r, 0.0, where=~observed)
+    state.gamma1 -= r
+    norms = [float(np.linalg.norm(r))]
+    constraints = [(state.gamma2, w_diff, state.Z), (state.gamma3, state.S, state.W)]
+    constraints += [(dual, state.L, lift) for dual, lift in zip(state.gamma4, lifted)]
+    for dual, a, b in constraints:  # residual a - b
+        dual -= np.subtract(a, b, out=r)
+        norms.append(float(np.linalg.norm(r)))
+    residuals = dict(zip(("r_data", "r_tv", "r_sw"), norms))
+    residuals["r_graph_max"] = max(norms[3:])
+    duals = {k: getattr(state, k) for k in ("gamma1", "gamma2", "gamma3", "gamma4")}
     return duals, residuals
 
 
-def objective_value(S, low_rank_penalty, params, delta):
+def objective_value(S, low_rank_penalty, params, delta, work=None):
     """Objective value at the current primal iterates.
 
     ``low_rank_penalty`` is the low-rank block's own term as returned by its
     update (graph energy of G for LOGSS, summed nuclear norms for the
     baselines); recorded for diagnostics only, since ADMM is not monotone.
+    ``work``, a tensor of S's shape, spares the two temporaries.
     """
-    sparse = float(np.abs(S).sum())
-    tv = float(np.abs(mode_n_product(S, delta, 1)).sum())
+    work = np.abs(S, out=work)
+    sparse = float(work.sum())
+    mode_n_product(S, delta, 1, out=work)
+    tv = float(np.abs(work, out=work).sum())
     return params.theta * low_rank_penalty + params.lam * sparse + params.gamma * tv
 
 
@@ -302,10 +322,11 @@ class _GraphBlock:
 
     def update(self, state, params):
         """New coefficients G and their graph energy sum_n tr(G^n' Lambda_n G^n)."""
-        G = update_graph_coeffs(state, params, self.graphs)
+        G = update_graph_coeffs(state, out=state.G)
         energy = 0.0
-        for n, g in enumerate(self.graphs, start=1):
-            sq = G[n - 1] ** 2
+        for n, (coeffs, g) in enumerate(zip(G, self.graphs), start=1):
+            sq = state.scratch[0].reshape(-1)[: coeffs.size].reshape(coeffs.shape)
+            np.square(coeffs, out=sq)
             energies = sq.sum(axis=tuple(a for a in range(sq.ndim) if a != n - 1))
             energy += float(g.low_eigvals @ energies)
         return G, energy
@@ -336,29 +357,25 @@ def _admm(Y, observed, params, block, graphs=None):
     norm_y = max(1.0, float(np.linalg.norm(Y)))
     residual_history, objective_history = [], []
     converged = False
-    lifted = [np.zeros(Y.shape) for _ in range(Y.ndim)]  # G starts at zero
+    lifted = state.lifted  # G starts at zero
     start = time.perf_counter()
 
+    # each block overwrites its own variable, which its update never reads;
+    # the returned array is kept in case a block hands back a new one
     for t in range(1, params.max_iter + 1):
-        state.L = update_low_rank(state, Y, observed, params, lifted=lifted)
+        state.L = update_low_rank(state, Y, observed, params, lifted=lifted, out=state.L)
         state.G, penalty = block.update(state, params)
-        state.S = update_sparse(state, Y, observed, params)
-        state.W = update_smooth_aux(state, params)
-        w_diff = mode_n_product(state.W, state.delta, 1)
-        state.Z = update_tv_aux(state, params, w_diff=w_diff)
+        state.S = update_sparse(state, Y, observed, params, out=state.S)
+        state.W = update_smooth_aux(state, params, out=state.W)
+        mode_n_product(state.W, state.delta, 1, out=state.w_diff)
+        state.Z = update_tv_aux(state, params, w_diff=state.w_diff, out=state.Z)
         lifted = block.lift(state)
-        duals, residuals = update_duals(
-            state, Y, observed, lifted=lifted, w_diff=w_diff
-        )
-        state.gamma1 = duals["gamma1"]
-        state.gamma2 = duals["gamma2"]
-        state.gamma3 = duals["gamma3"]
-        state.gamma4 = duals["gamma4"]
+        _, residuals = update_duals(state, Y, observed, lifted=lifted, w_diff=state.w_diff)
 
         _check_finite(residuals, t)
         residual_history.append(residuals)
         objective_history.append(
-            objective_value(state.S, penalty, params, state.delta)
+            objective_value(state.S, penalty, params, state.delta, work=state.scratch[0])
         )
         if max(residuals.values()) / norm_y < params.tol:
             converged = True

@@ -32,11 +32,6 @@ class FiberScoreField:
     loc: np.ndarray
     scale: np.ndarray
 
-    @property
-    def fit_stats(self):
-        """(location, scale) arrays, one entry per mode-3 fiber."""
-        return self.loc, self.scale
-
 
 def _consistency_factor(h, n):
     # scale correction so fits with the same subset fraction are comparable;

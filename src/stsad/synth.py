@@ -48,16 +48,18 @@ class SynthConfig:
         if base.ndim != 4:
             raise ValueError("base template must be an order-4 tensor")
         self.base = base
-        if not self.c > 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < math.inf:  # NaN fails every rule
+            raise ValueError("c must be finite and positive")
         if not 1 <= self.l <= base.shape[0]:
             raise ValueError(f"l must be in [1, {base.shape[0]}], got {self.l}")
         for name in ("m", "p"):
             v = getattr(self, name)
             if not 0 <= v <= 100:
                 raise ValueError(f"{name} must be a percentage in [0, 100], got {v}")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be nonnegative")
+        if not math.isfinite(self.noise_mean):
+            raise ValueError("noise_mean must be finite")
+        if not 0 <= self.noise_var < math.inf:
+            raise ValueError("noise_var must be finite and nonnegative")
 
 
 @dataclass

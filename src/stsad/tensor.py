@@ -69,12 +69,12 @@ def fold(matrix, mode, dims):
     return matrix.reshape(cyc_dims, order="F").transpose(inv)
 
 
-def mode_n_product(tensor, matrix, mode):
-    """Mode-``mode`` product ``tensor x_mode matrix``.
+def mode_n_product(tensor, matrix, mode, out=None):
+    """Mode-``mode`` product ``tensor x_mode matrix``, into ``out`` if given.
 
     ``matrix`` has shape ``(J, I_mode)``; the result replaces dimension
     ``I_mode`` with ``J``.  Equivalent to folding ``matrix @ unfold(tensor,
-    mode)`` back to a tensor.
+    mode)`` back to a tensor.  ``out`` must be C-contiguous.
     """
     tensor = np.asarray(tensor)
     matrix = np.asarray(matrix)
@@ -85,10 +85,22 @@ def mode_n_product(tensor, matrix, mode):
             f"of tensor with dims {tensor.shape}"
         )
     k = mode - 1
-    moved = tensor if k == 0 else np.moveaxis(tensor, k, 0)
-    flat = moved.reshape(tensor.shape[k], -1)
-    out = (matrix @ flat).reshape((matrix.shape[0],) + moved.shape[1:])
-    return out if k == 0 else np.moveaxis(out, 0, k)
+    J, I = matrix.shape
+    shape = tensor.shape[:k] + (J,) + tensor.shape[k + 1:]
+    if out is None:
+        out = np.empty(shape, dtype=np.result_type(tensor, matrix))
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+    # the C-order tensor is a stack of a (I_mode x b) slices: no transposed copy
+    a, b = math.prod(tensor.shape[:k]), math.prod(tensor.shape[k + 1:])
+    if b == 1:
+        # rows times matrix^T: a C-contiguous matrix^T makes OpenBLAS run the
+        # small-rank products of the solver about 2x faster
+        mt = np.ascontiguousarray(matrix.T)
+        np.matmul(tensor.reshape(a, I), mt, out=out.reshape(a, J))
+    else:
+        np.matmul(matrix, tensor.reshape(a, I, b), out=out.reshape(a, J, b))
+    return out
 
 
 def tensor_norms(tensor):
@@ -108,15 +120,16 @@ def project_support(tensor, observed):
     return np.where(observed, tensor, 0.0)
 
 
-def soft_threshold(tensor, phi):
-    """Elementwise shrinkage toward zero by ``phi`` (the l1 proximal operator)."""
+def soft_threshold(tensor, phi, out=None):
+    """Elementwise shrinkage toward zero by ``phi`` (the l1 proximal operator),
+    into ``out`` if given (not ``tensor`` itself)."""
     if phi < 0:
         raise ValueError(f"threshold must be nonnegative, got {phi}")
     tensor = np.asarray(tensor)
-    out = np.abs(tensor)
+    out = np.abs(tensor, out=out)
     out -= phi
     np.maximum(out, 0.0, out=out)
-    return np.copysign(out, tensor)
+    return np.copysign(out, tensor, out=out)
 
 
 def save_tensor(path, tensor):

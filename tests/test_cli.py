@@ -118,6 +118,25 @@ def test_solver_settings_override_data_driven_defaults(tmp_path):
     assert (params.theta, params.gamma) == (data_driven.theta, data_driven.gamma)
 
 
+@pytest.mark.parametrize(
+    "key, value", [("noise_var", "nan"), ("noise_mean", "inf"), ("synth_c", "inf")]
+)
+def test_non_finite_synth_setting_exits_1(tmp_path, capsys, key, value):
+    cfg_path, out = base_config(tmp_path, **{key: value})
+    assert run_stage("synth", cfg_path) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not (out / "Y.txt").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "1.5"])
+def test_bad_rank_ratio_exits_1(tmp_path, capsys, value):
+    cfg_path, out = base_config(tmp_path, rank_ratio=value)
+    assert run_stage("synth", cfg_path) == 0
+    assert run_stage("graphs", cfg_path) == 1
+    assert "rank ratio must be in [0, 1)" in capsys.readouterr().err
+    assert not (out / "graphs.json").exists()
+
+
 def test_directory_as_input_file_exits_1(tmp_path, capsys):
     cfg_path, out = base_config(tmp_path, base_tensor=tmp_path)
     assert run_stage("synth", cfg_path) == 1

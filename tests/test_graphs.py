@@ -131,6 +131,13 @@ def test_select_rank_rule():
         select_rank(np.array([1.0]))
 
 
+@pytest.mark.parametrize("ratio", [np.nan, np.inf, 1.0, -0.1])
+def test_build_mode_graphs_rejects_bad_ratio(ratio):
+    Y = np.random.default_rng(1).normal(size=(6, 4, 5, 3))
+    with pytest.raises(ValueError, match="rank ratio must be in"):
+        build_mode_graphs(Y, k=3, ratio=ratio)
+
+
 def test_select_rank_in_bounds_random():
     rng = np.random.default_rng(2)
     for _ in range(50):

@@ -10,12 +10,13 @@ from conftest import break_sparse_update, random_state, spike_instance, stub_gra
 
 import stsad
 from stsad import instrumentation
-from stsad.baselines import solve_loss
+from stsad.baselines import _svt_with_norm, solve_loss
 from stsad.logss import (
     LogssParams,
     NumericalError,
     SolverState,
     build_diff_operator,
+    objective_value,
     solve,
     update_duals,
     update_graph_coeffs,
@@ -24,7 +25,7 @@ from stsad.logss import (
     update_sparse,
     update_tv_aux,
 )
-from stsad.tensor import mode_n_product, project_support, soft_threshold, unfold
+from stsad.tensor import fold, mode_n_product, project_support, soft_threshold, unfold
 
 DIMS = (4, 3, 5, 2)
 RANKS = (2, 2, 3, 1)
@@ -133,7 +134,7 @@ def test_update_graph_coeffs_theta_zero():
     params = make_params(theta=0.0)
     graphs = stub_graphs(DIMS, RANKS, seed=6)
     state = random_state(DIMS, params, graphs, seed=7)
-    G = update_graph_coeffs(state, params, graphs)
+    G = update_graph_coeffs(state)
     for n, graph in enumerate(graphs, start=1):
         expected = mode_n_product(state.L - state.gamma4[n - 1], graph.basis.T, n)
         assert np.allclose(G[n - 1], expected)
@@ -145,7 +146,7 @@ def test_update_graph_coeffs_zero_frequencies():
     for g in graphs:
         g.eigvals[:] = 0.0
     state = random_state(DIMS, params, graphs, seed=9)
-    G = update_graph_coeffs(state, params, graphs)
+    G = update_graph_coeffs(state)
     for n, graph in enumerate(graphs, start=1):
         expected = mode_n_product(state.L - state.gamma4[n - 1], graph.basis.T, n)
         assert np.allclose(G[n - 1], expected)
@@ -159,7 +160,7 @@ def test_update_graph_coeffs_scalar_scaling():
     for g in graphs:
         g.eigvals[:] = 2.0
     state = random_state(DIMS, params, graphs, seed=11)
-    G = update_graph_coeffs(state, params, graphs)
+    G = update_graph_coeffs(state)
     for n, graph in enumerate(graphs, start=1):
         projected = mode_n_product(state.L - state.gamma4[n - 1], graph.basis.T, n)
         assert np.allclose(G[n - 1], projected / 5.0)
@@ -179,7 +180,7 @@ def test_update_graph_coeffs_zeroes_gradient():
     params = make_params()
     graphs = stub_graphs(DIMS, RANKS, seed=12)
     state = random_state(DIMS, params, graphs, seed=13)
-    G = update_graph_coeffs(state, params, graphs)
+    G = update_graph_coeffs(state)
     for n in range(1, 5):
         assert np.abs(g_block_gradient(G, state, params, graphs, n)).max() <= 1e-8
 
@@ -410,6 +411,76 @@ def test_solve_rejects_bad_inputs():
     bad[0, 0, 0, 0] = np.nan
     with pytest.raises(NumericalError):
         solve(bad, np.ones(DIMS, dtype=bool), graphs, make_params())
+
+
+def reference_admm(Y, observed, params, graphs=None):
+    """The solvers' iteration composed from the allocating block updates.
+
+    ``graphs`` None runs the LOSS low-rank block (per-mode SVT).
+    """
+    state = SolverState.zeros(Y, params, graphs)
+    lifted = [np.zeros(Y.shape) for _ in Y.shape]
+    history, objectives = [], []
+    for _ in range(params.max_iter):
+        state.L = update_low_rank(state, Y, observed, params, lifted=lifted)
+        if graphs is None:
+            updated = [
+                _svt_with_norm(unfold(state.L - state.gamma4[n - 1], n),
+                               params.theta / params.beta4)
+                for n in range(1, Y.ndim + 1)
+            ]
+            state.G = [fold(low, n, Y.shape) for n, (low, _) in enumerate(updated, start=1)]
+            penalty = sum(nuc for _, nuc in updated)
+        else:
+            state.G = update_graph_coeffs(state)
+            penalty = sum(
+                float(g.low_eigvals @ (G**2).sum(axis=tuple(a for a in range(G.ndim) if a != n - 1)))
+                for n, (G, g) in enumerate(zip(state.G, graphs), start=1)
+            )
+        state.S = update_sparse(state, Y, observed, params)
+        state.W = update_smooth_aux(state, params)
+        state.Z = update_tv_aux(state, params)
+        lifted = state.G if graphs is None else [
+            mode_n_product(G, g.basis, n) for n, (G, g) in enumerate(zip(state.G, graphs), start=1)
+        ]
+        _, residuals = update_duals(state, Y, observed, lifted=lifted)
+        history.append(residuals)
+        objectives.append(objective_value(state.S, penalty, params, state.delta))
+    return state.L, state.S, history, objectives
+
+
+@pytest.mark.parametrize("solver", ["logss", "loss"])
+@pytest.mark.parametrize("circular", [True, False])
+@pytest.mark.parametrize("masked", [False, True])
+def test_solvers_match_reference_loop_bit_for_bit(solver, circular, masked):
+    graphs = stub_graphs(DIMS, RANKS, seed=70)
+    rng = np.random.default_rng(71)
+    Y = rng.normal(size=DIMS)
+    observed = rng.random(DIMS) < 0.7 if masked else np.ones(DIMS, dtype=bool)
+    params = make_params(max_iter=25, tol=0.0, circular=circular)
+    if solver == "logss":
+        result = solve(Y, observed, graphs, params)
+        L, S, history, objectives = reference_admm(Y, observed, params, graphs)
+    else:
+        result = solve_loss(Y, observed, params)
+        L, S, history, objectives = reference_admm(Y, observed, params)
+    assert result.iterations == 25
+    assert np.array_equal(result.L, L) and np.array_equal(result.S, S)
+    assert result.residual_history == history
+    assert result.objective_history == objectives
+
+
+def test_back_to_back_solves_share_no_memory():
+    graphs = stub_graphs(DIMS, RANKS, seed=72)
+    Y = np.random.default_rng(73).normal(size=DIMS)
+    observed = np.ones(DIMS, dtype=bool)
+    params = make_params(max_iter=5, tol=0.0)
+    first, second = (solve(Y, observed, graphs, params) for _ in range(2))
+    for a in (first.L, first.S):
+        for b in (second.L, second.S):
+            assert not np.shares_memory(a, b)
+    assert not np.shares_memory(first.L, first.S)
+    assert np.array_equal(first.L, second.L) and np.array_equal(first.S, second.S)
 
 
 def spike_params(Y, observed, **kw):

@@ -149,6 +149,18 @@ def test_synth_config_validation():
         SynthConfig(base=np.zeros((2, 2)), c=1.0, l=1, m=5.0)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("noise_var", np.nan), ("noise_var", np.inf), ("noise_mean", np.nan),
+     ("noise_mean", -np.inf), ("c", np.inf), ("c", np.nan)],
+)
+def test_synth_config_rejects_non_finite(name, value):
+    kw = dict(base=builtin_template(DIMS), c=1.0, l=3, m=5.0)
+    kw[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        SynthConfig(**kw)
+
+
 def test_synthesize_deterministic_and_consistent():
     cfg = SynthConfig(base=builtin_template(DIMS), c=2.0, l=3, m=8.0, p=20.0, seed=42)
     Y1, obs1, truth1, man1 = synthesize(cfg)

@@ -100,6 +100,35 @@ def test_mode_product_equals_matricized_multiply():
     assert np.allclose(unfold(got, 2), U @ unfold(T, 2), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize(
+    "dims",
+    [(3, 4), (1, 5), (4, 1), (3, 1, 4), (2, 3, 4, 5), (3, 1, 2, 1), (2, 3, 1, 2, 3)],
+)
+def test_mode_product_into_out_matches_allocating_form(dims):
+    rng = np.random.default_rng(len(dims))
+    T = rng.normal(size=dims)
+    for mode, size in enumerate(dims, start=1):
+        for J in (1, size, size + 2):  # includes J > I_n
+            U = rng.normal(size=(J, size))
+            expected = mode_n_product(T, U, mode)
+            out = np.full(expected.shape, np.nan)
+            assert mode_n_product(T, U, mode, out=out) is out
+            assert np.array_equal(out, expected)
+            assert np.allclose(unfold(out, mode), U @ unfold(T, mode), rtol=1e-12, atol=1e-12)
+
+
+def test_mode_product_out_rules_and_strided_input():
+    rng = np.random.default_rng(3)
+    T = rng.normal(size=(5, 4, 3)).transpose(2, 0, 1)  # not C-contiguous
+    U = rng.normal(size=(2, 5))
+    expected = fold(U @ unfold(T, 2), 2, (3, 2, 4))
+    assert np.allclose(mode_n_product(T, U, 2), expected, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="out must be"):
+        mode_n_product(T, U, 2, out=np.empty((3, 5, 4)))
+    with pytest.raises(ValueError, match="out must be"):
+        mode_n_product(T, U, 2, out=np.empty((4, 2, 3)).transpose(2, 1, 0))
+
+
 def test_norms():
     assert tensor_norms(np.zeros((3, 3))) == (0.0, 0.0)
     assert tensor_norms(np.array([[-3.0]])) == (3.0, 3.0)
@@ -137,6 +166,13 @@ def test_soft_threshold_values():
     assert np.array_equal(soft_threshold(x, 0.0), x)
     with pytest.raises(ValueError):
         soft_threshold(x, -0.1)
+
+
+def test_soft_threshold_into_out():
+    x = np.random.default_rng(4).normal(size=(3, 5))
+    out = np.full(x.shape, np.nan)
+    assert soft_threshold(x, 0.4, out=out) is out
+    assert np.array_equal(out, soft_threshold(x, 0.4))
 
 
 def test_soft_threshold_is_l1_prox_by_grid_search():
