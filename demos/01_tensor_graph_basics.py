@@ -42,8 +42,7 @@ for g in graphs:
         f"spectrum [{lam[0]:.2e}, {lam[-1]:.2f}]"
     )
 
-report = stationarity_report(Y, graphs)
 print("\nstationarity (1 means the covariance is diagonal in the graph basis):")
-for row in report.rows():
+for row in stationarity_report(Y, graphs):
     print(f"  mode {row['mode']}: s_r = {row['s_r']:.3f}")
 print("high values on every mode back the low-rank-on-graphs model.")

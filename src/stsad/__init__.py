@@ -17,7 +17,6 @@ from .evaluation import (
 )
 from .graphs import (
     ModeGraph,
-    StationarityReport,
     build_knn_graph,
     build_laplacian,
     build_mode_graphs,

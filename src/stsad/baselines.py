@@ -45,6 +45,7 @@ class _SvtBlock:
     """
 
     def __init__(self):
+        self.graphs = None  # G is full shape per mode and its own lift
         self.svd_history = []
 
     def update(self, state, params):
@@ -57,10 +58,7 @@ class _SvtBlock:
             np.copyto(G, fold(low, n, G.shape))
             penalty += nuc
         self.svd_history.append(instrumentation.snapshot()["svd"] - before)
-        return state.G, penalty
-
-    def lift(self, state):
-        return state.G
+        return penalty
 
 
 def solve_loss(Y, observed, params=None):

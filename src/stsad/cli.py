@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from . import baselines, logss
-from .config import ConfigError, STAGES, config_for_stage, solver_param_overrides
+from .config import ConfigError, STAGES, config_for_stage, library_args
 from .evaluation import benchmark_timing, detection_at_k, labeled_scores, roc_auc, roc_points
 from .graphs import ModeGraph, build_mode_graphs, stationarity_report
 from .ingest import events_from_csv, ingest_trips, read_zone_list
@@ -130,16 +130,7 @@ def run_synth(cfg):
     base = load_tensor(cfg["base_tensor"]) if cfg["base_tensor"] else builtin_template(dims)
     if base.shape != tuple(dims):
         raise ValueError(f"base tensor shape {base.shape} != configured dims {dims}")
-    sc = SynthConfig(
-        base=base,
-        c=cfg["synth_c"],
-        l=cfg["synth_l"],
-        m=cfg["synth_m"],
-        p=cfg["synth_p"],
-        seed=cfg["seed"],
-        noise_mean=cfg["noise_mean"],
-        noise_var=cfg["noise_var"],
-    )
+    sc = SynthConfig(base, **library_args(cfg, "synth"))
     Y, observed, truth, manifest = synthesize(sc)
     save_tensor(_out(cfg, "Y.txt"), Y)
     save_mask(_out(cfg, "omega.txt"), observed)
@@ -150,13 +141,7 @@ def run_synth(cfg):
 
 def run_ingest(cfg):
     zones = read_zone_list(cfg["zone_file"])
-    Y, observed, summary = ingest_trips(
-        cfg["trips_csv"],
-        zones,
-        cfg["year"],
-        timestamp_column=cfg["timestamp_column"],
-        zone_column=cfg["zone_column"],
-    )
+    Y, observed, summary = ingest_trips(zone_list=zones, **library_args(cfg, "ingest"))
     save_tensor(_out(cfg, "Y.txt"), Y)
     save_mask(_out(cfg, "omega.txt"), observed)
     _write_json(_out(cfg, "ingest_summary.json"), summary)
@@ -173,15 +158,14 @@ def _graph_file(mode, name):
 def run_graphs(cfg):
     _require(cfg, "Y.txt")
     Y = load_tensor(_out(cfg, "Y.txt"))
-    graphs = build_mode_graphs(Y, k=cfg["knn_k"], ratio=cfg["rank_ratio"])
+    graphs = build_mode_graphs(Y, **library_args(cfg, "graphs"))
     meta = []
     for g in graphs:
         for name in _GRAPH_ARRAYS:
             save_tensor(_out(cfg, _graph_file(g.mode, name)), getattr(g, name))
         meta.append({"mode": g.mode, "rank": g.rank, "size": int(g.weights.shape[0])})
     _write_json(_out(cfg, "graphs.json"), meta)
-    report = stationarity_report(Y, graphs)
-    _write_json(_out(cfg, "stationarity.json"), report.rows())
+    _write_json(_out(cfg, "stationarity.json"), stationarity_report(Y, graphs))
     ranks = ", ".join(f"mode {m['mode']}: J={m['rank']}" for m in meta)
     print(f"graphs: {ranks}")
 
@@ -208,7 +192,7 @@ def _decompose(solver, cfg, Y, observed, graphs):
             residual_history=[], objective_history=[], wall_time=0.0,
             converged=True,
         )
-    params = logss.LogssParams.defaults(Y, observed, **solver_param_overrides(cfg))
+    params = logss.LogssParams.defaults(Y, observed, **library_args(cfg, "solver"))
     if solver == "logss":
         return logss.solve(Y, observed, graphs, params)
     run = baselines.solve_loss if solver == "loss" else baselines.solve_horpca
@@ -239,9 +223,10 @@ def run_decompose(cfg):
         f"{result.wall_time:.2f}s wall"
     )
     if not result.converged:
+        tol = logss.LogssParams(**library_args(cfg, "solver")).tol
         print(
             f"warning: decompose[{solver}] stopped at max_iter after "
-            f"{result.iterations} iterations without reaching tol = {cfg['tol']:g}",
+            f"{result.iterations} iterations without reaching tol = {tol:g}",
             file=sys.stderr,
         )
 
@@ -249,7 +234,7 @@ def run_decompose(cfg):
 def run_score(cfg):
     _require(cfg, "S.txt")
     S = load_tensor(_out(cfg, "S.txt"))
-    field = score_sparse_tensor(S, h_fraction=cfg["h_fraction"])
+    field = score_sparse_tensor(S, **library_args(cfg, "score"))
     _write_scores_csv(_out(cfg, "scores.csv"), field.scores)
     if cfg["write_fit_stats"]:
         index = np.indices(field.loc.shape).reshape(field.loc.ndim, -1)
@@ -288,16 +273,14 @@ def run_bench(cfg):
     Y = load_tensor(_out(cfg, "Y.txt"))
     observed = load_mask(_out(cfg, "omega.txt"))
     labels = load_mask(_out(cfg, "labels.txt"))
-    graphs = (
-        build_mode_graphs(Y, k=cfg["knn_k"], ratio=cfg["rank_ratio"])
-        if "logss" in cfg["bench_solvers"]
-        else None
-    )
+    graphs = None
+    if "logss" in cfg["bench_solvers"]:
+        graphs = build_mode_graphs(Y, **library_args(cfg, "graphs"))
 
     def scorer(name):
         def scores(Y, observed):
             S = _decompose(name, cfg, Y, observed, graphs).S
-            return score_sparse_tensor(S, h_fraction=cfg["h_fraction"]).scores
+            return score_sparse_tensor(S, **library_args(cfg, "score")).scores
         return scores
 
     solvers = [(name, scorer(name)) for name in cfg["bench_solvers"]]
@@ -346,7 +329,7 @@ def main(argv=None):
         cfg = config_for_stage(args.config, args.stage, seed_override=args.seed)
         try:
             os.makedirs(cfg["output_dir"], exist_ok=True)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise ConfigError(f"cannot create output_dir: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,7 +8,6 @@ before any work happens.
 from __future__ import annotations
 
 from .logss import LogssParams
-from .synth import SynthConfig
 
 
 class ConfigError(ValueError):
@@ -36,24 +35,25 @@ def _paths(text):
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-# key -> (caster, default); a default of REQUIRED-by-stage is handled below
+# key -> (caster, default).  Keys in ARGUMENTS have no default here: they
+# stay None unless the file sets them, and None means unset.
 _SCHEMA = {
     "output_dir": (str, None),
-    "seed": (int, SynthConfig.seed),
+    "seed": (int, None),
     "dims": (_ints, None),
     "solver": (str, "logss"),
     # synthetic data
     "synth_c": (float, None),
     "synth_l": (int, None),
     "synth_m": (float, None),
-    "synth_p": (float, SynthConfig.p),
-    "noise_mean": (float, SynthConfig.noise_mean),
-    "noise_var": (float, SynthConfig.noise_var),
+    "synth_p": (float, None),
+    "noise_mean": (float, None),
+    "noise_var": (float, None),
     "base_tensor": (str, ""),
     # graphs
-    "knn_k": (int, 10),
-    "rank_ratio": (float, 0.9),
-    # solver parameters, checked by LogssParams (unset means data-driven default)
+    "knn_k": (int, None),
+    "rank_ratio": (float, None),
+    # solver parameters, checked by LogssParams (unset: LogssParams.defaults)
     "theta": (float, None),
     "lambda": (float, None),
     "gamma": (float, None),
@@ -61,11 +61,11 @@ _SCHEMA = {
     "beta2": (float, None),
     "beta3": (float, None),
     "beta4": (float, None),
-    "max_iter": (int, LogssParams.max_iter),
-    "tol": (float, LogssParams.tol),
-    "circular_diff": (_bool, LogssParams.circular),
+    "max_iter": (int, None),
+    "tol": (float, None),
+    "circular_diff": (_bool, None),
     # scoring
-    "h_fraction": (float, 0.75),
+    "h_fraction": (float, None),
     "write_fit_stats": (_bool, False),
     # evaluation
     "k_list": (_floats, (0.5, 1.0, 2.0, 5.0)),
@@ -74,11 +74,31 @@ _SCHEMA = {
     "trips_csv": (_paths, None),
     "zone_file": (str, None),
     "year": (int, None),
-    "timestamp_column": (str, "timestamp"),
-    "zone_column": (str, "zone"),
+    "timestamp_column": (str, None),
+    "zone_column": (str, None),
     # benchmarking
     "bench_solvers": (str.split, ("logss", "loss")),
     "bench_repeats": (int, 3),
+}
+
+# library call -> {config key: argument name}.  A stage passes only the keys
+# the file sets, so every other argument keeps the default its callee states.
+ARGUMENTS = {
+    "synth": {  # SynthConfig
+        "synth_c": "c", "synth_l": "l", "synth_m": "m", "synth_p": "p", "seed": "seed",
+        "noise_mean": "noise_mean", "noise_var": "noise_var",
+    },
+    "graphs": {"knn_k": "k", "rank_ratio": "ratio"},  # build_mode_graphs
+    "solver": {  # LogssParams.defaults
+        "theta": "theta", "lambda": "lam", "gamma": "gamma",
+        "beta1": "beta1", "beta2": "beta2", "beta3": "beta3", "beta4": "beta4",
+        "max_iter": "max_iter", "tol": "tol", "circular_diff": "circular",
+    },
+    "score": {"h_fraction": "h_fraction"},  # score_sparse_tensor
+    "ingest": {  # ingest_trips
+        "trips_csv": "csv_paths", "year": "year",
+        "timestamp_column": "timestamp_column", "zone_column": "zone_column",
+    },
 }
 
 _REQUIRED = {
@@ -95,21 +115,14 @@ STAGES = tuple(_REQUIRED)
 
 _SOLVERS = ("logss", "loss", "horpca", "raw-ee")
 
-# config key -> LogssParams field
-_SOLVER_FIELDS = {
-    "theta": "theta", "lambda": "lam", "gamma": "gamma",
-    "beta1": "beta1", "beta2": "beta2", "beta3": "beta3", "beta4": "beta4",
-    "max_iter": "max_iter", "tol": "tol", "circular_diff": "circular",
-}
-
 
 def parse_config(path):
     """Parse a ``key = value`` file into a dict of the keys it sets."""
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -153,10 +166,10 @@ def config_for_stage(path, stage, seed_override=None):
         len(cfg["dims"]) != 4 or any(d < 1 for d in cfg["dims"])
     ):
         raise ConfigError(f"{path}: dims must be four positive integers")
-    for key, field in _SOLVER_FIELDS.items():
+    for key, arg in ARGUMENTS["solver"].items():
         if cfg[key] is not None:
             try:
-                LogssParams(**{field: cfg[key]})
+                LogssParams(**{arg: cfg[key]})
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from exc
     if cfg["bench_repeats"] < 2:
@@ -173,8 +186,7 @@ def config_for_stage(path, stage, seed_override=None):
     return cfg
 
 
-def solver_param_overrides(cfg):
-    """The solver parameters the config sets, keyed for LogssParams."""
-    return {
-        field: cfg[key] for key, field in _SOLVER_FIELDS.items() if cfg[key] is not None
-    }
+def library_args(cfg, call):
+    """The arguments of ``call`` (a key of ``ARGUMENTS``) that the config
+    sets, keyed by argument name."""
+    return {arg: cfg[key] for key, arg in ARGUMENTS[call].items() if cfg[key] is not None}

@@ -45,17 +45,6 @@ class ModeGraph:
         return self.eigvals[: self.rank]
 
 
-@dataclass
-class StationarityReport:
-    """Per-mode stationarity ratios."""
-
-    s_r: list[float]
-
-    def rows(self):
-        """JSON-ready rows, one per mode (1-based)."""
-        return [{"mode": n + 1, "s_r": v} for n, v in enumerate(self.s_r)]
-
-
 def build_knn_graph(X, k):
     """Symmetric k-NN similarity matrix with a self-tuning Gaussian kernel.
 
@@ -98,15 +87,12 @@ def build_knn_graph(X, k):
     neighbors = order[:, :k]
     sigma = ranked[np.arange(n), neighbors[:, -1]]
 
+    rows = np.arange(n)[:, None]
+    d = dist[rows, neighbors]
+    denom = sigma[:, None] * sigma[neighbors]
     W = np.zeros((n, n))
-    for i in range(n):
-        for j in neighbors[i]:
-            d2 = dist[i, j] ** 2
-            denom = sigma[i] * sigma[j]
-            if denom <= 0.0:
-                W[i, j] = 1.0 if dist[i, j] == 0.0 else 0.0
-            else:
-                W[i, j] = np.exp(-d2 / denom)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        W[rows, neighbors] = np.where(denom <= 0.0, d == 0.0, np.exp(-d**2 / denom))
     W = np.maximum(W, W.T)
     np.fill_diagonal(W, 0.0)
     return W
@@ -201,6 +187,7 @@ def build_mode_graphs(Y, k=10, ratio=0.9):
 
 
 def stationarity_report(Y, graphs):
-    """Stationarity diagnostic for every mode of Y."""
+    """Stationarity ratio of every mode of Y as JSON-ready rows
+    ``{"mode": n, "s_r": ratio}``, in the order of ``graphs``."""
     Y = np.asarray(Y, dtype=float)
-    return StationarityReport([stationarity(unfold(Y, g.mode), g) for g in graphs])
+    return [{"mode": g.mode, "s_r": stationarity(unfold(Y, g.mode), g)} for g in graphs]

@@ -321,28 +321,26 @@ class _GraphBlock:
         self.svd_history = []  # stays empty: this block performs no SVDs
 
     def update(self, state, params):
-        """New coefficients G and their graph energy sum_n tr(G^n' Lambda_n G^n)."""
-        G = update_graph_coeffs(state, out=state.G)
+        """Writes G and its lifts; returns the graph energy sum_n tr(G^n' Lambda_n G^n)."""
+        update_graph_coeffs(state, out=state.G)
+        _lifted_graph_terms(state)
         energy = 0.0
-        for n, (coeffs, g) in enumerate(zip(G, self.graphs), start=1):
+        for n, (coeffs, g) in enumerate(zip(state.G, self.graphs), start=1):
             sq = state.scratch[0].reshape(-1)[: coeffs.size].reshape(coeffs.shape)
             np.square(coeffs, out=sq)
             energies = sq.sum(axis=tuple(a for a in range(sq.ndim) if a != n - 1))
             energy += float(g.low_eigvals @ energies)
-        return G, energy
-
-    def lift(self, state):
-        return _lifted_graph_terms(state)
+        return energy
 
 
-def _admm(Y, observed, params, block, graphs=None):
+def _admm(Y, observed, params, block):
     """Scaled-form ADMM loop shared by every solver.
 
     ``block`` is the low-rank block (:class:`_GraphBlock`, or the SVT block
-    of the baselines): ``update(state, params)`` returns the new G and its
-    penalty term, ``lift(state)`` the consensus terms tied to L.  The L, S,
-    W, Z and dual updates, the histories and the stopping rule are common.
-    ``graphs`` sizes G in the initial state (None: full shape per mode).
+    of the baselines): ``update(state, params)`` writes ``state.G`` and the
+    consensus terms ``state.lifted`` tied to L and returns its penalty term;
+    ``block.graphs`` sizes G (None: full shape per mode).  The L, S, W, Z
+    and dual updates, the histories and the stopping rule are common.
     """
     Y = np.asarray(Y, dtype=float)
     observed = np.asarray(observed, dtype=bool)
@@ -353,24 +351,22 @@ def _admm(Y, observed, params, block, graphs=None):
     if params is None:
         params = LogssParams.defaults(Y, observed)
 
-    state = SolverState.zeros(Y, params, graphs)
+    state = SolverState.zeros(Y, params, block.graphs)
     norm_y = max(1.0, float(np.linalg.norm(Y)))
     residual_history, objective_history = [], []
     converged = False
-    lifted = state.lifted  # G starts at zero
     start = time.perf_counter()
 
     # each block overwrites its own variable, which its update never reads;
     # the returned array is kept in case a block hands back a new one
     for t in range(1, params.max_iter + 1):
-        state.L = update_low_rank(state, Y, observed, params, lifted=lifted, out=state.L)
-        state.G, penalty = block.update(state, params)
+        state.L = update_low_rank(state, Y, observed, params, state.lifted, out=state.L)
+        penalty = block.update(state, params)
         state.S = update_sparse(state, Y, observed, params, out=state.S)
         state.W = update_smooth_aux(state, params, out=state.W)
         mode_n_product(state.W, state.delta, 1, out=state.w_diff)
         state.Z = update_tv_aux(state, params, w_diff=state.w_diff, out=state.Z)
-        lifted = block.lift(state)
-        _, residuals = update_duals(state, Y, observed, lifted=lifted, w_diff=state.w_diff)
+        _, residuals = update_duals(state, Y, observed, state.lifted, state.w_diff)
 
         _check_finite(residuals, t)
         residual_history.append(residuals)
@@ -418,4 +414,4 @@ def solve(Y, observed, graphs, params=None):
     """
     if len(graphs) != np.ndim(Y):
         raise ValueError(f"need {np.ndim(Y)} mode graphs, got {len(graphs)}")
-    return _admm(Y, observed, params, _GraphBlock(graphs), graphs)
+    return _admm(Y, observed, params, _GraphBlock(graphs))

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 from conftest import break_sparse_update
 
+from stsad import cli
 from stsad.cli import _load_graphs, _read_scores_csv, _write_scores_csv, main
-from stsad.config import ConfigError, config_for_stage, parse_config, solver_param_overrides
+from stsad.config import (
+    _SCHEMA, ARGUMENTS, ConfigError, config_for_stage, library_args, parse_config,
+)
 from stsad.ingest import events_from_csv, ingest_trips, read_zone_list
 from stsad.logss import LogssParams
 
@@ -106,10 +109,10 @@ def test_bad_solver_setting_exits_1_before_reading_artifacts(tmp_path, capsys, k
 
 def test_solver_settings_override_data_driven_defaults(tmp_path):
     cfg_path, _ = base_config(tmp_path, **{"lambda": 0, "tol": 0})
-    overrides = solver_param_overrides(config_for_stage(cfg_path, "decompose"))
+    overrides = library_args(config_for_stage(cfg_path, "decompose"), "solver")
     assert overrides == {
         "lam": 0.0, "beta1": 0.2, "beta2": 0.2, "beta3": 0.2, "beta4": 0.2,
-        "max_iter": 60, "tol": 0.0, "circular": True,
+        "max_iter": 60, "tol": 0.0,
     }
     Y = np.arange(24.0).reshape(2, 3, 4, 1)
     data_driven = LogssParams.defaults(Y)
@@ -411,6 +414,65 @@ def test_config_and_graph_loading_close_their_files(tmp_path):
         _load_graphs(cfg)
         gc.collect()
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+def test_non_utf8_config_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"output_dir = caf\xe9\n")
+    assert run_stage("graphs", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {cfg}:"), err
+
+
+def test_output_dir_with_nul_byte_exits_1(tmp_path, capsys):
+    cfg_path, _ = base_config(tmp_path, output_dir=f"{tmp_path}/o\x00ut")
+    assert run_stage("synth", cfg_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output_dir:"), err
+
+
+def test_keys_naming_a_library_argument_have_no_config_default():
+    keys = [key for table in ARGUMENTS.values() for key in table]
+    assert len(keys) == len(set(keys))  # each key feeds one call
+    assert all(_SCHEMA[key][1] is None for key in keys)
+
+
+def test_only_set_keys_reach_library_calls_under_their_argument_names(
+    tmp_path, monkeypatch, capsys
+):
+    calls = {}
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = kwargs
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_mode_graphs", spy("graphs", cli.build_mode_graphs))
+    monkeypatch.setattr(cli, "score_sparse_tensor", spy("score", cli.score_sparse_tensor))
+    monkeypatch.setattr(
+        LogssParams, "defaults", staticmethod(spy("solver", LogssParams.defaults))
+    )
+    synth = dict(output_dir=tmp_path / "out", dims="8 4 6 3", synth_c=2.5, synth_l=3, synth_m=8)
+    unset = write_config(tmp_path / "unset.cfg", **synth)
+    for stage in ("synth", "graphs", "decompose", "score"):
+        assert run_stage(stage, unset) == 0
+    assert calls["graphs"] == {} and calls["score"] == {}
+    assert not {"max_iter", "tol"} & set(calls["solver"])
+
+    given = write_config(tmp_path / "set.cfg", **synth, knn_k=3, rank_ratio=0.8,
+                         h_fraction=0.6, max_iter=5, tol=1e-3)
+    for stage in ("graphs", "decompose", "score"):
+        assert run_stage(stage, given) == 0
+    assert calls["graphs"] == {"k": 3, "ratio": 0.8}
+    assert calls["score"] == {"h_fraction": 0.6}
+    assert (calls["solver"]["max_iter"], calls["solver"]["tol"]) == (5, 1e-3)
+
+    # with tol unset, the max_iter warning names the library's tol
+    capsys.readouterr()
+    unset_tol = write_config(tmp_path / "tol.cfg", **synth, max_iter=2)
+    assert run_stage("decompose", unset_tol) == 0
+    assert f"without reaching tol = {LogssParams.tol:g}" in capsys.readouterr().err
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -211,8 +211,7 @@ def test_build_mode_graphs_and_report():
         assert g.weights.shape == (size, size)
         assert 1 <= g.rank <= size - 1
         assert g.basis.shape == (size, g.rank)
-    report = stationarity_report(Y, graphs)
-    rows = report.rows()
+    rows = stationarity_report(Y, graphs)
     assert [r["mode"] for r in rows] == [1, 2, 3, 4]
     assert all(0.0 <= r["s_r"] <= 1.0 + 1e-12 for r in rows)
 
