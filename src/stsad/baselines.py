@@ -48,13 +48,14 @@ class _SvtBlock:
         self.graphs = None  # G is full shape per mode and its own lift
         self.svd_history = []
 
-    def update(self, state, params):
+    def update(self, state):
         diff = state.scratch[0]
+        tau = state.params.theta / state.params.beta4
         penalty = 0
         before = instrumentation.snapshot()["svd"]
         for n, G in enumerate(state.G, start=1):
             np.subtract(state.L, state.gamma4[n - 1], out=diff)
-            low, nuc = _svt_with_norm(unfold(diff, n), params.theta / params.beta4)
+            low, nuc = _svt_with_norm(unfold(diff, n), tau)
             np.copyto(G, fold(low, n, G.shape))
             penalty += nuc
         self.svd_history.append(instrumentation.snapshot()["svd"] - before)

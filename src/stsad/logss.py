@@ -8,9 +8,8 @@ along mode 1.  Auxiliary variables W (copy of S) and Z (mode-1 differences
 of W) decouple the two sparsity terms; scaled dual tensors enforce all
 constraints.  Every update below is the exact minimizer / proximal map of
 its block of the augmented Lagrangian, so one sweep per iteration needs no
-inner loops and no spectral decompositions.  Each writes into ``out`` when
-given (the ADMM loop passes the state's own buffer) and returns a new array
-otherwise.
+inner loops and no spectral decompositions.  Each takes only the solver
+state and overwrites its own variable in it.
 """
 
 from __future__ import annotations
@@ -107,17 +106,23 @@ class DecompositionResult:
 
 @dataclass
 class SolverState:
-    """All buffers of one ADMM run, allocated once: the updates write into
-    them, so an iteration allocates no tensor.
+    """Everything one ADMM run reads and writes, allocated once.  Each block
+    takes only the state and overwrites its own variable in it, so an
+    iteration allocates no tensor.
 
+    ``Y``, ``params`` and ``missing`` (the unobserved entries, inverted once;
+    None on full support) are fixed for the run, and ``delta``, ``w_inv``
+    (W update) and ``projectors`` (G update) are precomputed from them.
     ``G`` holds the per-mode spectral coefficients (mode-n dimension J_n),
     ``lifted`` their lifts to full shape, ``w_diff`` the mode-1 differences
-    of W, ``scratch`` two work tensors.  ``w_inv`` (W update) and
-    ``projectors`` (G update) are precomputed.  For the baselines ``graphs``
-    and ``projectors`` are None and ``G``, which is also ``lifted``, holds
+    of W, ``scratch`` two work tensors.  For the baselines ``graphs`` and
+    ``projectors`` are None and ``G``, which is also ``lifted``, holds
     full-shape per-mode low-rank tensors.
     """
 
+    Y: np.ndarray
+    params: LogssParams
+    missing: np.ndarray | None
     L: np.ndarray
     S: np.ndarray
     W: np.ndarray
@@ -136,7 +141,7 @@ class SolverState:
     projectors: list[np.ndarray] | None = None
 
     @classmethod
-    def zeros(cls, Y, params, graphs=None):
+    def zeros(cls, Y, observed, params, graphs=None):
         dims = Y.shape
         delta = build_diff_operator(dims[0], circular=params.circular)
         w_inv = np.linalg.inv(
@@ -154,6 +159,7 @@ class SolverState:
             G = lifted = [zero() for _ in dims]
             projectors = None
         return cls(
+            Y=Y, params=params, missing=None if observed.all() else ~observed,
             L=zero(), S=zero(), W=zero(), Z=zero(), G=G, gamma1=zero(), gamma2=zero(),
             gamma3=zero(), gamma4=[zero() for _ in dims], delta=delta, w_inv=w_inv,
             lifted=lifted, w_diff=zero(), scratch=(zero(), zero()), graphs=graphs,
@@ -183,32 +189,30 @@ def _lifted_graph_terms(state):
     return [mode_n_product(G, g.basis, n, out=o) for n, (G, g, o) in terms]
 
 
-def update_low_rank(state, Y, observed, params, lifted=None, out=None):
+def update_low_rank(state):
     """Exact minimizer of the L block.
 
     On the support the data-fit and the N graph-consensus penalties mix; off
     the support only the graph terms act, giving the plain average of the
     lifted contributions.
     """
-    N = Y.ndim
-    if lifted is None:
-        lifted = _lifted_graph_terms(state)
+    p = state.params
+    N = state.Y.ndim
     T2, work = state.scratch
-    np.copyto(T2, lifted[0])
-    for term in lifted[1:] + state.gamma4:
+    np.copyto(T2, state.lifted[0])
+    for term in state.lifted[1:] + state.gamma4:
         T2 += term
-    out = np.subtract(Y, state.S, out=out)  # T1 = Y - S + gamma1
-    out += state.gamma1
-    out *= params.beta1
-    out += np.multiply(T2, params.beta4, out=work)
-    out /= params.beta1 + N * params.beta4
-    if not observed.all():
+    L = np.subtract(state.Y, state.S, out=state.L)  # T1 = Y - S + gamma1
+    L += state.gamma1
+    L *= p.beta1
+    L += np.multiply(T2, p.beta4, out=work)
+    L /= p.beta1 + N * p.beta4
+    if state.missing is not None:
         T2 /= N
-        np.copyto(out, T2, where=~observed)
-    return out
+        np.copyto(L, T2, where=state.missing)
 
 
-def update_graph_coeffs(state, out=None):
+def update_graph_coeffs(state):
     """Per-mode spectral coefficient updates.
 
     Each mode solves an independent ridge problem in the truncated eigenbasis;
@@ -216,93 +220,86 @@ def update_graph_coeffs(state, out=None):
     projected unfolding (``state.projectors``).
     """
     diff = state.scratch[0]
-    out = out or [None] * len(state.projectors)
-    G = []
-    for n, (P, o) in enumerate(zip(state.projectors, out), start=1):
+    for n, (P, G) in enumerate(zip(state.projectors, state.G), start=1):
         np.subtract(state.L, state.gamma4[n - 1], out=diff)
-        G.append(mode_n_product(diff, P, n, out=o))
-    return G
+        mode_n_product(diff, P, n, out=G)
 
 
-def update_sparse(state, Y, observed, params, out=None):
+def update_sparse(state):
     """Proximal update of S (exact on both the support and its complement)."""
+    p = state.params
     T3, T4 = state.scratch
-    np.subtract(Y, state.L, out=T3)  # T3 = Y - L + gamma1
+    np.subtract(state.Y, state.L, out=T3)  # T3 = Y - L + gamma1
     T3 += state.gamma1
-    T3 *= params.beta1
+    T3 *= p.beta1
     np.add(state.W, state.gamma3, out=T4)  # T4 = W + gamma3
-    out = np.multiply(T4, params.beta3, out=out)
-    T3 += out
-    soft_threshold(T3, params.lam, out=out)
-    out /= params.beta1 + params.beta3
-    if not observed.all():
-        off = soft_threshold(T4, params.lam / params.beta3, out=T3)
-        np.copyto(out, off, where=~observed)
-    return out
+    S = np.multiply(T4, p.beta3, out=state.S)
+    T3 += S
+    soft_threshold(T3, p.lam, out=S)
+    S /= p.beta1 + p.beta3
+    if state.missing is not None:
+        off = soft_threshold(T4, p.lam / p.beta3, out=T3)
+        np.copyto(S, off, where=state.missing)
 
 
-def update_smooth_aux(state, params, out=None):
+def update_smooth_aux(state):
     """Exact solve of the W block via the precomputed mode-1 inverse."""
+    p = state.params
     rhs, z_sum = state.scratch
     np.subtract(state.S, state.gamma3, out=rhs)
-    rhs *= params.beta3
+    rhs *= p.beta3
     np.add(state.gamma2, state.Z, out=z_sum)
-    out = mode_n_product(z_sum, state.delta.T, 1, out=out)
-    out *= params.beta2
-    rhs += out
-    return mode_n_product(rhs, state.w_inv, 1, out=out)
+    W = mode_n_product(z_sum, state.delta.T, 1, out=state.W)
+    W *= p.beta2
+    rhs += W
+    mode_n_product(rhs, state.w_inv, 1, out=W)
 
 
-def update_tv_aux(state, params, w_diff=None, out=None):
-    """Shrinkage update of the mode-1 difference variable Z."""
-    if w_diff is None:
-        w_diff = mode_n_product(state.W, state.delta, 1)
-    arg = np.subtract(w_diff, state.gamma2, out=state.scratch[0])
-    return soft_threshold(arg, params.gamma / params.beta2, out=out)
+def update_tv_aux(state):
+    """Shrinkage update of the mode-1 difference variable Z; also writes the
+    differences of W to ``state.w_diff``."""
+    mode_n_product(state.W, state.delta, 1, out=state.w_diff)
+    arg = np.subtract(state.w_diff, state.gamma2, out=state.scratch[0])
+    soft_threshold(arg, state.params.gamma / state.params.beta2, out=state.Z)
 
 
-def update_duals(state, Y, observed, lifted=None, w_diff=None):
+def update_duals(state):
     """Dual ascent on all constraints, in place on the state's duals.
 
-    Returns the updated dual tensors together with the primal residual norms
-    used both for the stopping rule and the diagnostics.
+    Returns the primal residual norms used both for the stopping rule and
+    the diagnostics.
     """
-    if lifted is None:
-        lifted = _lifted_graph_terms(state)
-    if w_diff is None:
-        w_diff = mode_n_product(state.W, state.delta, 1)
     # each residual is written to r, subtracted from its dual, then measured
     r = state.scratch[0]
     np.add(state.L, state.S, out=r)
-    r -= Y
-    if not observed.all():
-        np.copyto(r, 0.0, where=~observed)
+    r -= state.Y
+    if state.missing is not None:
+        np.copyto(r, 0.0, where=state.missing)
     state.gamma1 -= r
     norms = [float(np.linalg.norm(r))]
-    constraints = [(state.gamma2, w_diff, state.Z), (state.gamma3, state.S, state.W)]
-    constraints += [(dual, state.L, lift) for dual, lift in zip(state.gamma4, lifted)]
+    constraints = [(state.gamma2, state.w_diff, state.Z), (state.gamma3, state.S, state.W)]
+    constraints += [(dual, state.L, lift) for dual, lift in zip(state.gamma4, state.lifted)]
     for dual, a, b in constraints:  # residual a - b
         dual -= np.subtract(a, b, out=r)
         norms.append(float(np.linalg.norm(r)))
     residuals = dict(zip(("r_data", "r_tv", "r_sw"), norms))
     residuals["r_graph_max"] = max(norms[3:])
-    duals = {k: getattr(state, k) for k in ("gamma1", "gamma2", "gamma3", "gamma4")}
-    return duals, residuals
+    return residuals
 
 
-def objective_value(S, low_rank_penalty, params, delta, work=None):
+def objective_value(state, low_rank_penalty):
     """Objective value at the current primal iterates.
 
     ``low_rank_penalty`` is the low-rank block's own term as returned by its
     update (graph energy of G for LOGSS, summed nuclear norms for the
     baselines); recorded for diagnostics only, since ADMM is not monotone.
-    ``work``, a tensor of S's shape, spares the two temporaries.
     """
-    work = np.abs(S, out=work)
+    p = state.params
+    work = np.abs(state.S, out=state.scratch[0])
     sparse = float(work.sum())
-    mode_n_product(S, delta, 1, out=work)
+    mode_n_product(state.S, state.delta, 1, out=work)
     tv = float(np.abs(work, out=work).sum())
-    return params.theta * low_rank_penalty + params.lam * sparse + params.gamma * tv
+    return p.theta * low_rank_penalty + p.lam * sparse + p.gamma * tv
 
 
 def _check_finite(residuals, iteration):
@@ -320,9 +317,9 @@ class _GraphBlock:
         self.graphs = graphs
         self.svd_history = []  # stays empty: this block performs no SVDs
 
-    def update(self, state, params):
+    def update(self, state):
         """Writes G and its lifts; returns the graph energy sum_n tr(G^n' Lambda_n G^n)."""
-        update_graph_coeffs(state, out=state.G)
+        update_graph_coeffs(state)
         _lifted_graph_terms(state)
         energy = 0.0
         for n, (coeffs, g) in enumerate(zip(state.G, self.graphs), start=1):
@@ -337,7 +334,7 @@ def _admm(Y, observed, params, block):
     """Scaled-form ADMM loop shared by every solver.
 
     ``block`` is the low-rank block (:class:`_GraphBlock`, or the SVT block
-    of the baselines): ``update(state, params)`` writes ``state.G`` and the
+    of the baselines): ``update(state)`` writes ``state.G`` and the
     consensus terms ``state.lifted`` tied to L and returns its penalty term;
     ``block.graphs`` sizes G (None: full shape per mode).  The L, S, W, Z
     and dual updates, the histories and the stopping rule are common.
@@ -351,28 +348,23 @@ def _admm(Y, observed, params, block):
     if params is None:
         params = LogssParams.defaults(Y, observed)
 
-    state = SolverState.zeros(Y, params, block.graphs)
+    state = SolverState.zeros(Y, observed, params, block.graphs)
     norm_y = max(1.0, float(np.linalg.norm(Y)))
     residual_history, objective_history = [], []
     converged = False
     start = time.perf_counter()
 
-    # each block overwrites its own variable, which its update never reads;
-    # the returned array is kept in case a block hands back a new one
     for t in range(1, params.max_iter + 1):
-        state.L = update_low_rank(state, Y, observed, params, state.lifted, out=state.L)
-        penalty = block.update(state, params)
-        state.S = update_sparse(state, Y, observed, params, out=state.S)
-        state.W = update_smooth_aux(state, params, out=state.W)
-        mode_n_product(state.W, state.delta, 1, out=state.w_diff)
-        state.Z = update_tv_aux(state, params, w_diff=state.w_diff, out=state.Z)
-        _, residuals = update_duals(state, Y, observed, state.lifted, state.w_diff)
+        update_low_rank(state)
+        penalty = block.update(state)
+        update_sparse(state)
+        update_smooth_aux(state)
+        update_tv_aux(state)
+        residuals = update_duals(state)
 
         _check_finite(residuals, t)
         residual_history.append(residuals)
-        objective_history.append(
-            objective_value(state.S, penalty, params, state.delta, work=state.scratch[0])
-        )
+        objective_history.append(objective_value(state, penalty))
         if max(residuals.values()) / norm_y < params.tol:
             converged = True
             break

@@ -83,9 +83,10 @@ def univariate_mcd(x, h):
 def score_sparse_tensor(S, h_fraction=0.75):
     """Score every element of an order-4 tensor along its mode-3 fiber.
 
-    The subset size is ``max(2, floor(h_fraction * I3))``.  A fiber with
-    degenerate scale scores 0 where the value equals the robust location and
-    ``LARGE_SCORE`` elsewhere, keeping all scores finite and sortable.
+    The subset size is ``max(2, floor(h_fraction * I3))``, h_fraction in
+    (0, 1].  A fiber with degenerate scale scores 0 where the value equals
+    the robust location and ``LARGE_SCORE`` elsewhere, keeping all scores
+    finite and sortable.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 4:
@@ -93,6 +94,8 @@ def score_sparse_tensor(S, h_fraction=0.75):
     i3 = S.shape[2]
     if i3 < 4:
         raise ValueError(f"mode-3 length must be at least 4, got {i3}")
+    if not 0 < h_fraction <= 1:  # NaN fails too
+        raise ValueError(f"h_fraction must be in (0, 1], got {h_fraction}")
     h = max(2, math.floor(h_fraction * i3))
 
     fibers = np.moveaxis(S, 2, -1)          # (I1, I2, I4, I3)

@@ -178,7 +178,8 @@ def synthesize(config):
     """Full pipeline: base pattern, noise, anomalies, missing fibers.
 
     Returns (Y, observed, GroundTruth, manifest) where the manifest records
-    the configuration and injected intervals for reproducibility.
+    the configuration and injected intervals for reproducibility.  Raises
+    ValueError if Y overflows to a non-finite value.
     """
     noise_seed, anomaly_seed, missing_seed = np.random.SeedSequence(
         config.seed
@@ -191,6 +192,8 @@ def synthesize(config):
         noisy, config.c, config.l, config.m, np.random.default_rng(anomaly_seed)
     )
     Y, observed = apply_missing(Y, config.p, np.random.default_rng(missing_seed))
+    if not np.isfinite(Y).all():
+        raise ValueError("synth tensor not finite: c, noise_mean or noise_var too large")
     truth.observed = observed
     manifest = {
         "dims": list(config.base.shape),

@@ -32,10 +32,15 @@ def stub_graphs(dims, ranks, seed=0):
     return graphs
 
 
-def random_state(dims, params, graphs, seed=0):
-    """SolverState filled with random iterates (for single-update oracles)."""
+def random_state(dims, params, graphs, seed=0, Y=None, observed=None):
+    """SolverState filled with random iterates (for single-update oracles).
+
+    Y defaults to zeros and observed to full support.
+    """
     rng = np.random.default_rng(seed)
-    state = SolverState.zeros(np.zeros(dims), params, graphs)
+    Y = np.zeros(dims) if Y is None else Y
+    observed = np.ones(dims, dtype=bool) if observed is None else observed
+    state = SolverState.zeros(Y, observed, params, graphs)
     state.L = rng.normal(size=dims)
     state.S = rng.normal(size=dims)
     state.W = rng.normal(size=dims)
@@ -69,12 +74,13 @@ def spike_instance(dims=(12, 6, 8, 5), spike=50.0, seed=0):
 
 
 def break_sparse_update(monkeypatch, iteration):
-    """Make the solvers' S update return inf at one iteration of the next run."""
+    """Make the solvers' S update write inf at one iteration of the next run."""
     real = logss.update_sparse
     calls = itertools.count(1)
 
-    def patched(*args, **kwargs):
-        S = real(*args, **kwargs)
-        return np.full_like(S, np.inf) if next(calls) == iteration else S
+    def patched(state):
+        real(state)
+        if next(calls) == iteration:
+            state.S[...] = np.inf
 
     monkeypatch.setattr(logss, "update_sparse", patched)

@@ -131,6 +131,25 @@ def test_non_finite_synth_setting_exits_1(tmp_path, capsys, key, value):
     assert not (out / "Y.txt").exists()
 
 
+@pytest.mark.parametrize("key", ["noise_mean", "synth_c"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_non_finite_synth_result_exits_1(tmp_path, capsys, key):
+    cfg_path, out = base_config(tmp_path, **{key: "1e308"})
+    assert run_stage("synth", cfg_path) == 1
+    assert "tensor not finite: c, noise_mean or noise_var" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1.5", "0", "-0.25"])
+def test_bad_h_fraction_exits_1(tmp_path, capsys, value):
+    cfg_path, out = base_config(tmp_path, h_fraction=value)
+    assert run_stage("synth", cfg_path) == 0
+    (out / "S.txt").write_bytes((out / "Y.txt").read_bytes())
+    assert run_stage("score", cfg_path) == 1
+    assert "error: h_fraction must be in (0, 1]" in capsys.readouterr().err
+    assert not (out / "scores.csv").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "1.5"])
 def test_bad_rank_ratio_exits_1(tmp_path, capsys, value):
     cfg_path, out = base_config(tmp_path, rank_ratio=value)
@@ -297,12 +316,12 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     cfg_path, out = base_config(tmp_path)
     for stage in ("synth", "graphs", "decompose", "score", "evaluate"):
         assert run_stage(stage, cfg_path) == 0, stage
-    auc = json.load(open(out / "auc.json"))
+    auc = json.loads((out / "auc.json").read_text())
     assert auc["method"] == "logss"
     assert 0.0 <= auc["auc"] <= 1.0
     assert (out / "roc.csv").exists()
     assert (out / "stationarity.json").exists()
-    diag = [json.loads(line) for line in open(out / "diagnostics.jsonl")]
+    diag = [json.loads(line) for line in (out / "diagnostics.jsonl").read_text().splitlines()]
     assert diag and diag[0]["iter"] == 1
 
 
@@ -336,7 +355,7 @@ def test_decompose_all_solvers_produce_artifacts(tmp_path):
         cfg_path2, _ = base_config(tmp_path, max_iter=10, solver=solver)
         assert run_stage("decompose", cfg_path2) == 0, solver
         assert (out / "S.txt").exists()
-        meta = json.load(open(out / "decompose.json"))
+        meta = json.loads((out / "decompose.json").read_text())
         assert meta["solver"] == solver
     # raw-ee passthrough: S equals Y
     from stsad.tensor import load_tensor
@@ -606,7 +625,7 @@ def test_synth_from_user_template(tmp_path):
     save_tensor(path, template)
     cfg_path, out = base_config(tmp_path, base_tensor=path)
     assert run_stage("synth", cfg_path) == 0
-    manifest = json.load(open(out / "synth_manifest.json"))
+    manifest = json.loads((out / "synth_manifest.json").read_text())
     assert manifest["dims"] == [8, 4, 6, 3]
 
     wrong = builtin_template((8, 4, 6, 2))
@@ -620,7 +639,7 @@ def test_bench_stage(tmp_path):
     )
     assert run_stage("synth", cfg_path) == 0
     assert run_stage("bench", cfg_path) == 0
-    rows = json.load(open(out / "bench.json"))
+    rows = json.loads((out / "bench.json").read_text())
     assert [r["method"] for r in rows] == ["raw-ee", "horpca"]
     for row in rows:
         assert row["failures"] == 0
@@ -636,7 +655,7 @@ def test_bench_reports_why_a_repeat_failed(tmp_path, capsys, monkeypatch):
     assert run_stage("synth", cfg_path) == 0
     break_sparse_update(monkeypatch, 3)
     assert run_stage("bench", cfg_path) == 0
-    [row] = json.load(open(out / "bench.json"))
+    [row] = json.loads((out / "bench.json").read_text())
     assert row["failures"] == 1
     assert len(row["errors"]) == 1
     assert row["errors"][0].startswith("NumericalError: non-finite")

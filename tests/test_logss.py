@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import os
 import subprocess
@@ -9,14 +10,14 @@ import pytest
 from conftest import break_sparse_update, random_state, spike_instance, stub_graphs
 
 import stsad
-from stsad import instrumentation
+from stsad import baselines, instrumentation, logss
 from stsad.baselines import _svt_with_norm, solve_loss
 from stsad.logss import (
     LogssParams,
     NumericalError,
     SolverState,
+    _lifted_graph_terms,
     build_diff_operator,
-    objective_value,
     solve,
     update_duals,
     update_graph_coeffs,
@@ -92,22 +93,23 @@ def test_update_low_rank_zero_case():
     params = make_params()
     graphs = stub_graphs(DIMS, RANKS)
     Y = np.random.default_rng(1).normal(size=DIMS)
-    state = SolverState.zeros(Y, params, graphs)
+    state = SolverState.zeros(Y, np.ones(DIMS, dtype=bool), params, graphs)
     state.S = Y.copy()
-    L = update_low_rank(state, Y, np.ones(DIMS, dtype=bool), params)
-    assert np.allclose(L, 0.0)
+    update_low_rank(state)
+    assert np.allclose(state.L, 0.0)
 
 
 def test_update_low_rank_unobserved_average():
     params = make_params()
     graphs = stub_graphs(DIMS, RANKS)
     Y = np.zeros(DIMS)
-    state = SolverState.zeros(Y, params, graphs)
+    state = SolverState.zeros(Y, np.zeros(DIMS, dtype=bool), params, graphs)
     rng = np.random.default_rng(2)
     state.G[0] = rng.normal(size=state.G[0].shape)
     lifted = mode_n_product(state.G[0], graphs[0].basis, 1)
-    L = update_low_rank(state, Y, np.zeros(DIMS, dtype=bool), params)
-    assert np.allclose(L, lifted / 4.0)
+    _lifted_graph_terms(state)
+    update_low_rank(state)
+    assert np.allclose(state.L, lifted / 4.0)
 
 
 def l_block_gradient(L, state, Y, observed, params, graphs):
@@ -121,12 +123,13 @@ def l_block_gradient(L, state, Y, observed, params, graphs):
 def test_update_low_rank_zeroes_gradient():
     params = make_params()
     graphs = stub_graphs(DIMS, RANKS, seed=3)
-    state = random_state(DIMS, params, graphs, seed=4)
     rng = np.random.default_rng(5)
     Y = rng.normal(size=DIMS)
     observed = rng.random(DIMS) < 0.8
-    L = update_low_rank(state, Y, observed, params)
-    g = l_block_gradient(L, state, Y, observed, params, graphs)
+    state = random_state(DIMS, params, graphs, seed=4, Y=Y, observed=observed)
+    _lifted_graph_terms(state)
+    update_low_rank(state)
+    g = l_block_gradient(state.L, state, Y, observed, params, graphs)
     assert np.abs(g).max() <= 1e-8
 
 
@@ -134,10 +137,10 @@ def test_update_graph_coeffs_theta_zero():
     params = make_params(theta=0.0)
     graphs = stub_graphs(DIMS, RANKS, seed=6)
     state = random_state(DIMS, params, graphs, seed=7)
-    G = update_graph_coeffs(state)
+    update_graph_coeffs(state)
     for n, graph in enumerate(graphs, start=1):
         expected = mode_n_product(state.L - state.gamma4[n - 1], graph.basis.T, n)
-        assert np.allclose(G[n - 1], expected)
+        assert np.allclose(state.G[n - 1], expected)
 
 
 def test_update_graph_coeffs_zero_frequencies():
@@ -146,10 +149,10 @@ def test_update_graph_coeffs_zero_frequencies():
     for g in graphs:
         g.eigvals[:] = 0.0
     state = random_state(DIMS, params, graphs, seed=9)
-    G = update_graph_coeffs(state)
+    update_graph_coeffs(state)
     for n, graph in enumerate(graphs, start=1):
         expected = mode_n_product(state.L - state.gamma4[n - 1], graph.basis.T, n)
-        assert np.allclose(G[n - 1], expected)
+        assert np.allclose(state.G[n - 1], expected)
 
 
 def test_update_graph_coeffs_scalar_scaling():
@@ -160,10 +163,10 @@ def test_update_graph_coeffs_scalar_scaling():
     for g in graphs:
         g.eigvals[:] = 2.0
     state = random_state(DIMS, params, graphs, seed=11)
-    G = update_graph_coeffs(state)
+    update_graph_coeffs(state)
     for n, graph in enumerate(graphs, start=1):
         projected = mode_n_product(state.L - state.gamma4[n - 1], graph.basis.T, n)
-        assert np.allclose(G[n - 1], projected / 5.0)
+        assert np.allclose(state.G[n - 1], projected / 5.0)
 
 
 def g_block_gradient(G, state, params, graphs, n):
@@ -180,19 +183,20 @@ def test_update_graph_coeffs_zeroes_gradient():
     params = make_params()
     graphs = stub_graphs(DIMS, RANKS, seed=12)
     state = random_state(DIMS, params, graphs, seed=13)
-    G = update_graph_coeffs(state)
+    update_graph_coeffs(state)
     for n in range(1, 5):
-        assert np.abs(g_block_gradient(G, state, params, graphs, n)).max() <= 1e-8
+        assert np.abs(g_block_gradient(state.G, state, params, graphs, n)).max() <= 1e-8
 
 
 def test_update_sparse_no_threshold():
     params = make_params(lam=0.0)
     graphs = stub_graphs(DIMS, RANKS, seed=14)
-    state = random_state(DIMS, params, graphs, seed=15)
     rng = np.random.default_rng(16)
     Y = rng.normal(size=DIMS)
     observed = rng.random(DIMS) < 0.5
-    S = update_sparse(state, Y, observed, params)
+    state = random_state(DIMS, params, graphs, seed=15, Y=Y, observed=observed)
+    update_sparse(state)
+    S = state.S
     T3 = Y - state.L + state.gamma1
     T4 = state.W + state.gamma3
     on = (params.beta1 * T3 + params.beta3 * T4) / (params.beta1 + params.beta3)
@@ -203,8 +207,8 @@ def test_update_sparse_no_threshold():
 def test_update_sparse_full_shrinkage():
     params = make_params()
     graphs = stub_graphs(DIMS, RANKS, seed=17)
-    state = random_state(DIMS, params, graphs, seed=18)
     Y = np.random.default_rng(19).normal(size=DIMS)
+    state = random_state(DIMS, params, graphs, seed=18, Y=Y)
     T3 = Y - state.L + state.gamma1
     T4 = state.W + state.gamma3
     lam = float(
@@ -214,10 +218,11 @@ def test_update_sparse_full_shrinkage():
         )
     ) + 1.0
     big = make_params(lam=lam)
-    S = update_sparse(state, Y, np.ones(DIMS, dtype=bool), big)
-    assert np.allclose(S, 0.0)
-    S = update_sparse(state, Y, np.zeros(DIMS, dtype=bool), big)
-    assert np.allclose(S, 0.0)
+    for observed in (np.ones(DIMS, dtype=bool), np.zeros(DIMS, dtype=bool)):
+        # the same random iterates, under the larger lam
+        state = random_state(DIMS, big, graphs, seed=18, Y=Y, observed=observed)
+        update_sparse(state)
+        assert np.allclose(state.S, 0.0)
 
 
 def test_update_sparse_matches_grid_prox():
@@ -228,12 +233,13 @@ def test_update_sparse_matches_grid_prox():
         lam, b1, b3 = rng.uniform(0.1, 2, size=3)
         params = make_params(lam=lam, beta1=b1, beta3=b3)
         graphs = stub_graphs((2, 2, 4, 2), (1, 1, 1, 1), seed=21)
-        state = SolverState.zeros(np.zeros((2, 2, 4, 2)), params, graphs)
         Y = np.full((2, 2, 4, 2), t3)  # with L = gamma1 = 0: T3 = t3
-        state.W = np.full((2, 2, 4, 2), t4)  # with gamma3 = 0: T4 = t4
         for observed in (True, False):
             mask = np.full((2, 2, 4, 2), observed)
-            S = update_sparse(state, Y, mask, params)
+            state = SolverState.zeros(Y, mask, params, graphs)
+            state.W = np.full((2, 2, 4, 2), t4)  # with gamma3 = 0: T4 = t4
+            update_sparse(state)
+            S = state.S
             if observed:
                 obj = lam * np.abs(grid) + b1 / 2 * (grid - t3) ** 2 + b3 / 2 * (grid - t4) ** 2
             else:
@@ -250,14 +256,15 @@ def test_update_smooth_aux_decoupled_limit():
     state.w_inv = np.linalg.inv(
         params.beta3 * np.eye(DIMS[0]) + params.beta2 * state.delta.T @ state.delta
     )
-    W = update_smooth_aux(state, params)
+    update_smooth_aux(state)
+    W = state.W
     assert np.allclose(W, state.S - state.gamma3, atol=1e-9)
 
 
 def test_w_inv_is_inverse_of_penalty_matrix():
     params = make_params()
     graphs = stub_graphs(DIMS, RANKS, seed=50)
-    state = SolverState.zeros(np.zeros(DIMS), params, graphs)
+    state = SolverState.zeros(np.zeros(DIMS), np.ones(DIMS, dtype=bool), params, graphs)
     system = params.beta3 * np.eye(DIMS[0]) + params.beta2 * state.delta.T @ state.delta
     assert np.abs(state.w_inv @ system - np.eye(DIMS[0])).max() <= 1e-10
 
@@ -269,7 +276,8 @@ def test_update_smooth_aux_hand_inverse():
     state = random_state(dims, params, graphs, seed=25)
     w_inv_hand = np.array([[3.0, 2.0], [2.0, 3.0]]) / 5.0
     assert np.allclose(state.w_inv, w_inv_hand)
-    W = update_smooth_aux(state, params)
+    update_smooth_aux(state)
+    W = state.W
     rhs = unfold(state.S - state.gamma3, 1) + state.delta.T @ unfold(
         state.gamma2 + state.Z, 1
     )
@@ -280,7 +288,8 @@ def test_update_smooth_aux_zeroes_gradient():
     params = make_params()
     graphs = stub_graphs(DIMS, RANKS, seed=26)
     state = random_state(DIMS, params, graphs, seed=27)
-    W = update_smooth_aux(state, params)
+    update_smooth_aux(state)
+    W = state.W
     W1 = unfold(W, 1)
     g = params.beta2 * state.delta.T @ (
         state.delta @ W1 - unfold(state.Z + state.gamma2, 1)
@@ -292,14 +301,17 @@ def test_update_tv_aux():
     params = make_params(gamma=0.0)
     graphs = stub_graphs(DIMS, RANKS, seed=28)
     state = random_state(DIMS, params, graphs, seed=29)
-    Z = update_tv_aux(state, params)
-    assert np.allclose(Z, mode_n_product(state.W, state.delta, 1) - state.gamma2)
+    update_tv_aux(state)
+    w_diff = mode_n_product(state.W, state.delta, 1)
+    assert np.allclose(state.Z, w_diff - state.gamma2)
+    assert np.array_equal(state.w_diff, w_diff)
 
     # constant along mode 1: circular differences vanish
+    state = random_state(DIMS, make_params(gamma=2.0), graphs, seed=29)
     state.W = np.ones(DIMS) * 3.7
     state.gamma2 = np.zeros(DIMS)
-    Z = update_tv_aux(state, make_params(gamma=2.0))
-    assert np.allclose(Z, 0.0)
+    update_tv_aux(state)
+    assert np.allclose(state.Z, 0.0)
 
 
 def test_update_tv_aux_matches_grid_prox():
@@ -313,6 +325,12 @@ def test_update_tv_aux_matches_grid_prox():
         assert abs(prox - grid[np.argmin(obj)]) <= 1e-3 + 1e-12
 
 
+def refresh_consensus_terms(state):
+    # what the loop's G and Z blocks leave in the state for the dual update
+    _lifted_graph_terms(state)
+    mode_n_product(state.W, state.delta, 1, out=state.w_diff)
+
+
 def test_update_duals_fixed_point_and_residuals():
     params = make_params()
     graphs = stub_graphs(DIMS, RANKS, seed=31)
@@ -321,7 +339,7 @@ def test_update_duals_fixed_point_and_residuals():
     observed = rng.random(DIMS) < 0.7
 
     # a state satisfying every constraint exactly: duals stay put
-    state = SolverState.zeros(Y, params, graphs)
+    state = SolverState.zeros(Y, observed, params, graphs)
     state.G = [
         mode_n_product(Y, g.basis.T, n) for n, g in enumerate(graphs, start=1)
     ]
@@ -339,22 +357,24 @@ def test_update_duals_fixed_point_and_residuals():
         "gamma2": state.gamma2.copy(),
         "gamma3": state.gamma3.copy(),
     }
-    duals, residuals = update_duals(state, Y, observed)
+    refresh_consensus_terms(state)
+    residuals = update_duals(state)
     assert max(residuals.values()) <= 1e-10
     for key, val in before.items():
-        assert np.allclose(duals[key], val, atol=1e-10)
+        assert np.allclose(getattr(state, key), val, atol=1e-10)
 
     # all-zero state: first dual step absorbs the observed data
-    zero = SolverState.zeros(Y, params, graphs)
-    duals, residuals = update_duals(zero, Y, observed)
-    assert np.allclose(duals["gamma1"], project_support(Y, observed))
+    zero = SolverState.zeros(Y, observed, params, graphs)
+    residuals = update_duals(zero)
+    assert np.allclose(zero.gamma1, project_support(Y, observed))
     assert residuals["r_data"] == pytest.approx(
         np.linalg.norm(project_support(Y, observed))
     )
 
     # random state: reported norms match independent recomputation
-    state = random_state(DIMS, params, graphs, seed=33)
-    duals, residuals = update_duals(state, Y, observed)
+    state = random_state(DIMS, params, graphs, seed=33, Y=Y, observed=observed)
+    refresh_consensus_terms(state)
+    residuals = update_duals(state)
     assert residuals["r_data"] == pytest.approx(
         np.linalg.norm(project_support(state.L + state.S - Y, observed))
     )
@@ -414,39 +434,60 @@ def test_solve_rejects_bad_inputs():
 
 
 def reference_admm(Y, observed, params, graphs=None):
-    """The solvers' iteration composed from the allocating block updates.
+    """The solvers' iteration written out as plain array expressions.
 
     ``graphs`` None runs the LOSS low-rank block (per-mode SVT).
     """
-    state = SolverState.zeros(Y, params, graphs)
-    lifted = [np.zeros(Y.shape) for _ in Y.shape]
+    p, N = params, Y.ndim
+    delta = build_diff_operator(Y.shape[0], circular=p.circular)
+    w_inv = np.linalg.inv(p.beta3 * np.eye(Y.shape[0]) + p.beta2 * delta.T @ delta)
+    S = W = Z = gamma1 = gamma2 = gamma3 = np.zeros(Y.shape)
+    gamma4 = lifted = [np.zeros(Y.shape)] * N
+    if graphs is not None:
+        weight = 2.0 * p.theta / p.beta4
+        projectors = [(1.0 / (weight * g.low_eigvals + 1.0))[:, None] * g.basis.T
+                      for g in graphs]
     history, objectives = [], []
-    for _ in range(params.max_iter):
-        state.L = update_low_rank(state, Y, observed, params, lifted=lifted)
+    for _ in range(p.max_iter):
+        T2 = lifted[0]
+        for term in lifted[1:] + gamma4:
+            T2 = T2 + term
+        L = (p.beta1 * (Y - S + gamma1) + p.beta4 * T2) / (p.beta1 + N * p.beta4)
+        L = np.where(observed, L, T2 / N)
         if graphs is None:
             updated = [
-                _svt_with_norm(unfold(state.L - state.gamma4[n - 1], n),
-                               params.theta / params.beta4)
-                for n in range(1, Y.ndim + 1)
+                _svt_with_norm(unfold(L - gamma4[n - 1], n), p.theta / p.beta4)
+                for n in range(1, N + 1)
             ]
-            state.G = [fold(low, n, Y.shape) for n, (low, _) in enumerate(updated, start=1)]
+            lifted = [fold(low, n, Y.shape) for n, (low, _) in enumerate(updated, start=1)]
             penalty = sum(nuc for _, nuc in updated)
         else:
-            state.G = update_graph_coeffs(state)
+            G = [mode_n_product(L - gamma4[n - 1], P, n)
+                 for n, P in enumerate(projectors, start=1)]
             penalty = sum(
-                float(g.low_eigvals @ (G**2).sum(axis=tuple(a for a in range(G.ndim) if a != n - 1)))
-                for n, (G, g) in enumerate(zip(state.G, graphs), start=1)
+                float(g.low_eigvals @ (Gn**2).sum(axis=tuple(a for a in range(N) if a != n - 1)))
+                for n, (Gn, g) in enumerate(zip(G, graphs), start=1)
             )
-        state.S = update_sparse(state, Y, observed, params)
-        state.W = update_smooth_aux(state, params)
-        state.Z = update_tv_aux(state, params)
-        lifted = state.G if graphs is None else [
-            mode_n_product(G, g.basis, n) for n, (G, g) in enumerate(zip(state.G, graphs), start=1)
-        ]
-        _, residuals = update_duals(state, Y, observed, lifted=lifted)
+            lifted = [mode_n_product(Gn, g.basis, n)
+                      for n, (Gn, g) in enumerate(zip(G, graphs), start=1)]
+        T3, T4 = Y - L + gamma1, W + gamma3
+        S = soft_threshold(p.beta1 * T3 + p.beta3 * T4, p.lam) / (p.beta1 + p.beta3)
+        S = np.where(observed, S, soft_threshold(T4, p.lam / p.beta3))
+        z_term = p.beta2 * mode_n_product(gamma2 + Z, delta.T, 1)
+        W = mode_n_product(p.beta3 * (S - gamma3) + z_term, w_inv, 1)
+        w_diff = mode_n_product(W, delta, 1)
+        Z = soft_threshold(w_diff - gamma2, p.gamma / p.beta2)
+        r_data, r_tv, r_sw = np.where(observed, L + S - Y, 0.0), w_diff - Z, S - W
+        r_graph = [L - lift for lift in lifted]
+        gamma1, gamma2, gamma3 = gamma1 - r_data, gamma2 - r_tv, gamma3 - r_sw
+        gamma4 = [dual - r for dual, r in zip(gamma4, r_graph)]
+        norms = [float(np.linalg.norm(r)) for r in [r_data, r_tv, r_sw] + r_graph]
+        residuals = dict(zip(("r_data", "r_tv", "r_sw"), norms))
+        residuals["r_graph_max"] = max(norms[3:])
         history.append(residuals)
-        objectives.append(objective_value(state.S, penalty, params, state.delta))
-    return state.L, state.S, history, objectives
+        tv = float(np.abs(mode_n_product(S, delta, 1)).sum())
+        objectives.append(p.theta * penalty + p.lam * float(np.abs(S).sum()) + p.gamma * tv)
+    return L, S, history, objectives
 
 
 @pytest.mark.parametrize("solver", ["logss", "loss"])
@@ -481,6 +522,47 @@ def test_back_to_back_solves_share_no_memory():
             assert not np.shares_memory(a, b)
     assert not np.shares_memory(first.L, first.S)
     assert np.array_equal(first.L, second.L) and np.array_equal(first.S, second.S)
+
+
+BLOCKS = (
+    "update_low_rank", "update_graph_coeffs", "_lifted_graph_terms", "update_sparse",
+    "update_smooth_aux", "update_tv_aux", "update_duals", "objective_value", "_check_finite",
+)
+
+
+@pytest.mark.parametrize("solver", ["logss", "loss"])
+def test_each_block_is_called_once_per_iteration_by_its_module_name(monkeypatch, solver):
+    # a tracer times each block by wrapping its module-level name; a block
+    # inlined or called under another name would silently time as zero
+    calls = collections.Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in BLOCKS:
+        count(logss, name)
+    count(baselines, "_svt_with_norm")
+    graphs = stub_graphs(DIMS, RANKS, seed=74)
+    Y = np.random.default_rng(75).normal(size=DIMS)
+    observed = np.random.default_rng(76).random(DIMS) < 0.8
+    params = make_params(max_iter=5, tol=0.0)
+    per_iteration = dict.fromkeys(BLOCKS, 1)
+    if solver == "logss":
+        solve(Y, observed, graphs, params)
+        per_iteration["_svt_with_norm"] = 0
+    else:
+        solve_loss(Y, observed, params)
+        per_iteration.update(update_graph_coeffs=0, _lifted_graph_terms=0,
+                             _svt_with_norm=len(DIMS))
+    assert {name: calls[name] for name in per_iteration} == {
+        name: 5 * k for name, k in per_iteration.items()
+    }
 
 
 def spike_params(Y, observed, **kw):

@@ -12,7 +12,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -22,7 +22,7 @@ from stsad.evaluation import LabeledScores, roc_auc
 from stsad.graphs import build_mode_graphs
 from stsad.logss import LogssParams, solve
 from stsad.scoring import score_sparse_tensor, top_k_mask
-from stsad.tensor import fold, mode_n_product, save_mask, unfold
+from stsad.tensor import fold, load_tensor, mode_n_product, save_mask, save_tensor, unfold
 
 SETTINGS = settings(
     derandomize=True, database=None, max_examples=40, deadline=None,
@@ -161,6 +161,43 @@ def test_fuzzed_config_is_bad_input_never_a_crash(stage, out, body):
         with open(path, "wb") as fh:
             fh.write(f"output_dir = {tmp}/a/{out}\n".encode() + body)
         assert main([stage, "--config", path]) in (0, 1)
+
+
+def run_with_config(stage, tmp, lines):
+    path = f"{tmp}/fuzz.cfg"
+    with open(path, "w") as fh:
+        fh.write("\n".join([f"output_dir = {tmp}"] + lines) + "\n")
+    return main([stage, "--config", path])
+
+
+# any float, huge, infinite and NaN included, or an ordinary one
+settings_values = st.floats() | st.floats(0, 100)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(c=settings_values, l=st.integers(-1, 5), m=settings_values, p=settings_values,
+       mean=settings_values, var=settings_values)
+@example(c=2.5, l=3, m=5.0, p=0.0, mean=1e308, var=0.5)  # overflows the noise
+@example(c=1e308, l=3, m=5.0, p=0.0, mean=1.0, var=0.5)  # overflows an anomaly
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fuzzed_synth_settings_exit_0_or_1_and_write_only_finite_data(c, l, m, p, mean, var):
+    with tempfile.TemporaryDirectory() as tmp:
+        code = run_with_config("synth", tmp, [
+            "dims = 4 2 4 2", f"synth_c = {c!r}", f"synth_l = {l}", f"synth_m = {m!r}",
+            f"synth_p = {p!r}", f"noise_mean = {mean!r}", f"noise_var = {var!r}",
+        ])
+        assert code in (0, 1)
+        if code == 0:
+            assert np.isfinite(load_tensor(f"{tmp}/Y.txt")).all()
+
+
+@settings(SETTINGS, max_examples=40)
+@given(h=st.floats() | st.floats(0, 1))
+@example(h=math.inf)
+def test_fuzzed_h_fraction_is_bad_input_never_a_crash(h):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_tensor(f"{tmp}/S.txt", np.random.default_rng(0).normal(size=(3, 2, 6, 2)))
+        assert run_with_config("score", tmp, [f"h_fraction = {h!r}"]) in (0, 1)
 
 
 numbers = st.one_of(

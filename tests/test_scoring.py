@@ -124,6 +124,12 @@ def test_score_input_validation():
         score_sparse_tensor(np.zeros((3, 3, 3, 3)))
 
 
+@pytest.mark.parametrize("h_fraction", [0.0, -0.5, 1.5, np.nan, np.inf, -np.inf])
+def test_score_rejects_h_fraction_outside_unit_interval(h_fraction):
+    with pytest.raises(ValueError, match=r"^h_fraction must be in \(0, 1\]"):
+        score_sparse_tensor(np.zeros((3, 2, 8, 2)), h_fraction=h_fraction)
+
+
 def test_scores_shift_and_scale_equivariant():
     rng = np.random.default_rng(4)
     S = rng.normal(size=(3, 2, 8, 2))

@@ -161,6 +161,16 @@ def test_synth_config_rejects_non_finite(name, value):
         SynthConfig(**kw)
 
 
+@pytest.mark.parametrize("name", ["c", "noise_mean"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_synthesize_rejects_a_non_finite_tensor(name):
+    # each setting is finite, but the generated values overflow
+    kw = dict(base=builtin_template(DIMS), c=2.5, l=3, m=5.0)
+    kw[name] = 1e308
+    with pytest.raises(ValueError, match="tensor not finite: c, noise_mean or noise_var"):
+        synthesize(SynthConfig(**kw))
+
+
 def test_synthesize_deterministic_and_consistent():
     cfg = SynthConfig(base=builtin_template(DIMS), c=2.0, l=3, m=8.0, p=20.0, seed=42)
     Y1, obs1, truth1, man1 = synthesize(cfg)
