@@ -7,7 +7,6 @@ robust per-fiber estimator, and evaluates detections against ground truth.
 
 from .baselines import solve_horpca, solve_loss, svt
 from .evaluation import (
-    EventList,
     LabeledScores,
     benchmark_timing,
     detection_at_k,

@@ -37,29 +37,23 @@ def _svt_with_norm(M, tau):
     return (U * s) @ Vt, float(s.sum())
 
 
-class _SvtBlock:
+def _svt_block(state):
     """LOSS low-rank block: one full-shape tensor per mode, updated by SVT.
 
     Its penalty is the sum of the nuclear norms, which fall out of the
     thresholding, so the objective costs no extra SVDs.
     """
-
-    def __init__(self):
-        self.graphs = None  # G is full shape per mode and its own lift
-        self.svd_history = []
-
-    def update(self, state):
-        diff = state.scratch[0]
-        tau = state.params.theta / state.params.beta4
-        penalty = 0
-        before = instrumentation.snapshot()["svd"]
-        for n, G in enumerate(state.G, start=1):
-            np.subtract(state.L, state.gamma4[n - 1], out=diff)
-            low, nuc = _svt_with_norm(unfold(diff, n), tau)
-            np.copyto(G, fold(low, n, G.shape))
-            penalty += nuc
-        self.svd_history.append(instrumentation.snapshot()["svd"] - before)
-        return penalty
+    diff = state.scratch[0]
+    tau = state.params.theta / state.params.beta4
+    penalty = 0
+    before = instrumentation.snapshot()["svd"]
+    for n, G in enumerate(state.G, start=1):
+        np.subtract(state.L, state.gamma4[n - 1], out=diff)
+        low, nuc = _svt_with_norm(unfold(diff, n), tau)
+        np.copyto(G, fold(low, n, G.shape))
+        penalty += nuc
+    state.svd_history.append(instrumentation.snapshot()["svd"] - before)
+    return penalty
 
 
 def solve_loss(Y, observed, params=None):
@@ -71,7 +65,7 @@ def solve_loss(Y, observed, params=None):
     solver's, so that accuracy differences isolate the low-rank surrogate.
     Diagnostics additionally record the SVD count per iteration.
     """
-    return _admm(Y, observed, params, _SvtBlock())
+    return _admm(Y, observed, params, _svt_block)
 
 
 def solve_horpca(Y, observed, params=None):

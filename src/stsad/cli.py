@@ -172,8 +172,13 @@ def run_graphs(cfg):
 
 def _load_graphs(cfg):
     _require(cfg, "graphs.json")
-    with open(_out(cfg, "graphs.json")) as fh:
+    path = _out(cfg, "graphs.json")
+    with open(path) as fh:
         meta = json.load(fh)
+    # type() is int: JSON true and false load as bool, an int subclass
+    ints = lambda e: {type(e.get("mode")), type(e.get("rank"))} == {int}
+    if not (isinstance(meta, list) and all(isinstance(e, dict) and ints(e) for e in meta)):
+        raise ValueError(f"{path}: not a list of objects with integer mode and rank")
     graphs = []
     for entry in meta:
         files = {name: _graph_file(entry["mode"], name) for name in _GRAPH_ARRAYS}
@@ -223,10 +228,9 @@ def run_decompose(cfg):
         f"{result.wall_time:.2f}s wall"
     )
     if not result.converged:
-        tol = logss.LogssParams(**library_args(cfg, "solver")).tol
         print(
-            f"warning: decompose[{solver}] stopped at max_iter after "
-            f"{result.iterations} iterations without reaching tol = {tol:g}",
+            f"warning: decompose[{solver}] stopped at max_iter after {result.iterations} "
+            f"iterations without reaching tol = {result.params.tol:g}",
             file=sys.stderr,
         )
 
@@ -273,6 +277,9 @@ def run_bench(cfg):
     Y = load_tensor(_out(cfg, "Y.txt"))
     observed = load_mask(_out(cfg, "omega.txt"))
     labels = load_mask(_out(cfg, "labels.txt"))
+    if not Y.shape == observed.shape == labels.shape:
+        raise ValueError(f"dims differ: Y.txt {Y.shape}, omega.txt {observed.shape}, "
+                         f"labels.txt {labels.shape}")
     graphs = None
     if "logss" in cfg["bench_solvers"]:
         graphs = build_mode_graphs(Y, **library_args(cfg, "graphs"))

@@ -34,26 +34,14 @@ class LabeledScores:
         return int(self.labels.size - self.labels.sum())
 
 
-@dataclass
-class EventList:
-    """Named events resolved to sets of element index tuples."""
-
-    events: list[tuple[str, set]]
-
-    def validate(self, dims):
-        for name, indices in self.events:
-            for idx in indices:
-                if len(idx) != len(dims) or any(
-                    not 0 <= i < d for i, d in zip(idx, dims)
-                ):
-                    raise ValueError(f"event {name!r}: index {idx} out of bounds {dims}")
-
-
 def labeled_scores(scores, labels, observed=None):
     """Flatten scores/labels into a :class:`LabeledScores`, optionally
-    restricted to the observed support."""
+    restricted to the observed support; all of them must have one shape."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
+    shapes = [np.shape(a) for a in (scores, labels, observed) if a is not None]
+    if len(set(shapes)) > 1:
+        raise ValueError(f"scores, labels and mask must have one shape, got {shapes}")
     if observed is not None:
         keep = np.asarray(observed, dtype=bool)
         return LabeledScores(scores[keep], labels[keep])
@@ -106,19 +94,23 @@ def roc_points(ls):
 def detection_at_k(scores, events, k_list):
     """Number of events hit by the top-K score mask, for each K percent.
 
-    An event is detected when any of its element indices falls inside the
+    ``events`` is a list of (name, set of element index tuples) pairs.  An
+    event is detected when any of its element indices falls inside the
     mask; counts are non-decreasing in K because the masks are nested.
     """
-    if not events.events:
+    if not events:
         raise ValueError("event list is empty")
     arr = scores.scores if hasattr(scores, "scores") else np.asarray(scores)
-    events.validate(arr.shape)
+    for name, indices in events:
+        for idx in indices:
+            if len(idx) != arr.ndim or any(not 0 <= i < d for i, d in zip(idx, arr.shape)):
+                raise ValueError(f"event {name!r}: index {idx} out of bounds {arr.shape}")
     counts = {}
     for k in k_list:
         mask = top_k_mask(arr, k)
         counts[k] = sum(
             1
-            for _, indices in events.events
+            for _, indices in events
             if any(mask[idx] for idx in indices)
         )
     return counts

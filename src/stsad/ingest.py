@@ -8,8 +8,6 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .evaluation import EventList
-
 HOURS, DAYS, WEEKS = 24, 7, 52
 
 
@@ -22,6 +20,19 @@ def read_zone_list(path):
     if len(set(zones)) != len(zones):
         raise ValueError(f"{path}: duplicate zone ids")
     return zones
+
+
+def _rows(path, columns):
+    """The records of the CSV file at ``path`` as ("file:line", record)
+    pairs, once its header is checked to name every one of ``columns``."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        fields = reader.fieldnames or []
+        for col in columns:
+            if col not in fields:
+                raise ValueError(f"{path}: missing column {col!r} in header")
+        for record in reader:
+            yield f"{path}:{reader.line_num}", record
 
 
 def _parse_timestamp(text, where):
@@ -52,26 +63,19 @@ def ingest_trips(csv_paths, zone_list, year, timestamp_column="timestamp",
     Y = np.zeros((HOURS, DAYS, WEEKS, len(zone_list)))
     counted = dropped_zone = dropped_week = 0
     for path in csv_paths:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            for col in (timestamp_column, zone_column):
-                if col not in fields:
-                    raise ValueError(f"{path}: missing column {col!r} in header")
-            for record in reader:
-                where = f"{path}:{reader.line_num}"
-                dt = _parse_timestamp(record[timestamp_column], where)
-                zone = (record[zone_column] or "").strip()
-                if zone not in zone_index:
-                    dropped_zone += 1
-                    continue
-                cell = _cell(dt, year)
-                if cell is None:
-                    dropped_week += 1
-                    continue
-                hour, day, week = cell
-                Y[hour, day, week, zone_index[zone]] += 1
-                counted += 1
+        for where, record in _rows(path, (timestamp_column, zone_column)):
+            dt = _parse_timestamp(record[timestamp_column], where)
+            zone = (record[zone_column] or "").strip()
+            if zone not in zone_index:
+                dropped_zone += 1
+                continue
+            cell = _cell(dt, year)
+            if cell is None:
+                dropped_week += 1
+                continue
+            hour, day, week = cell
+            Y[hour, day, week, zone_index[zone]] += 1
+            counted += 1
     if counted == 0:
         raise ValueError("no records ingested: check zones, year and columns")
     summary = {
@@ -83,42 +87,36 @@ def ingest_trips(csv_paths, zone_list, year, timestamp_column="timestamp",
 
 
 def events_from_csv(path, zone_list, year):
-    """Event list from rows ``zone,start_datetime,end_datetime``.
+    """Events from rows ``zone,start_datetime,end_datetime``, as a list of
+    (name, set of element index tuples) pairs.
 
     Each event maps to the set of tensor cells touched by any full hour from
     the start (floored to the hour) through the end, inclusive.
     """
     zone_index = {z: i for i, z in enumerate(zone_list)}
     events = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        for col in ("zone", "start_datetime", "end_datetime"):
-            if col not in fields:
-                raise ValueError(f"{path}: missing column {col!r} in header")
-        for record in reader:
-            where = f"{path}:{reader.line_num}"
-            zone = (record["zone"] or "").strip()
-            if zone not in zone_index:
-                raise ValueError(f"{where}: unknown zone {zone!r}")
-            start = _parse_timestamp(record["start_datetime"], where)
-            end = _parse_timestamp(record["end_datetime"], where)
-            if (start.tzinfo is None) != (end.tzinfo is None):
-                raise ValueError(
-                    f"{where}: start and end must both have a UTC offset or neither"
-                )
-            if end < start:
-                raise ValueError(f"{where}: event ends before it starts")
-            indices = set()
-            t = start.replace(minute=0, second=0, microsecond=0)
-            while t <= end:
-                cell = _cell(t, year)
-                if cell is not None:
-                    hour, day, week = cell
-                    indices.add((hour, day, week, zone_index[zone]))
-                t += timedelta(hours=1)
-            name = f"{zone} {record['start_datetime']}"
-            events.append((name, indices))
+    for where, record in _rows(path, ("zone", "start_datetime", "end_datetime")):
+        zone = (record["zone"] or "").strip()
+        if zone not in zone_index:
+            raise ValueError(f"{where}: unknown zone {zone!r}")
+        start = _parse_timestamp(record["start_datetime"], where)
+        end = _parse_timestamp(record["end_datetime"], where)
+        if (start.tzinfo is None) != (end.tzinfo is None):
+            raise ValueError(
+                f"{where}: start and end must both have a UTC offset or neither"
+            )
+        if end < start:
+            raise ValueError(f"{where}: event ends before it starts")
+        indices = set()
+        t = start.replace(minute=0, second=0, microsecond=0)
+        while t <= end:
+            cell = _cell(t, year)
+            if cell is not None:
+                hour, day, week = cell
+                indices.add((hour, day, week, zone_index[zone]))
+            t += timedelta(hours=1)
+        name = f"{zone} {record['start_datetime']}"
+        events.append((name, indices))
     if not events:
         raise ValueError(f"{path}: no events found")
-    return EventList(events)
+    return events

@@ -63,6 +63,8 @@ class LogssParams:
         """Data-driven defaults: lam = gamma = 1/sqrt(max dim), all betas
         1/(5 * std of the observed entries).  Keyword overrides win."""
         Y = np.asarray(Y, dtype=float)
+        if observed is not None and np.shape(observed) != Y.shape:
+            raise ValueError("mask shape does not match tensor shape")
         values = Y if observed is None else Y[np.asarray(observed, dtype=bool)]
         scale = float(np.std(values))
         beta = 1.0 / (5.0 * scale) if scale > 0 else 1.0
@@ -90,6 +92,7 @@ class DecompositionResult:
     wall_time: float
     svd_history: list[int] = field(default_factory=list)
     converged: bool = False
+    params: LogssParams | None = None  # as the run used them
 
     def diagnostics_rows(self):
         """One JSON-ready dict per iteration."""
@@ -117,7 +120,8 @@ class SolverState:
     ``lifted`` their lifts to full shape, ``w_diff`` the mode-1 differences
     of W, ``scratch`` two work tensors.  For the baselines ``graphs`` and
     ``projectors`` are None and ``G``, which is also ``lifted``, holds
-    full-shape per-mode low-rank tensors.
+    full-shape per-mode low-rank tensors; their block appends its SVD count
+    per iteration to ``svd_history``.
     """
 
     Y: np.ndarray
@@ -139,6 +143,7 @@ class SolverState:
     scratch: tuple[np.ndarray, np.ndarray]
     graphs: list | None = None
     projectors: list[np.ndarray] | None = None
+    svd_history: list[int] = field(default_factory=list)
 
     @classmethod
     def zeros(cls, Y, observed, params, graphs=None):
@@ -310,34 +315,27 @@ def _check_finite(residuals, iteration):
             raise NumericalError(f"non-finite {name} at iteration {iteration}")
 
 
-class _GraphBlock:
-    """LOGSS low-rank block: ridge projections onto the graph eigenbases."""
-
-    def __init__(self, graphs):
-        self.graphs = graphs
-        self.svd_history = []  # stays empty: this block performs no SVDs
-
-    def update(self, state):
-        """Writes G and its lifts; returns the graph energy sum_n tr(G^n' Lambda_n G^n)."""
-        update_graph_coeffs(state)
-        _lifted_graph_terms(state)
-        energy = 0.0
-        for n, (coeffs, g) in enumerate(zip(state.G, self.graphs), start=1):
-            sq = state.scratch[0].reshape(-1)[: coeffs.size].reshape(coeffs.shape)
-            np.square(coeffs, out=sq)
-            energies = sq.sum(axis=tuple(a for a in range(sq.ndim) if a != n - 1))
-            energy += float(g.low_eigvals @ energies)
-        return energy
+def _graph_block(state):
+    """LOGSS low-rank block: ridge projections onto the graph eigenbases.  Writes
+    G and its lifts; returns the graph energy sum_n tr(G^n' Lambda_n G^n)."""
+    update_graph_coeffs(state)
+    _lifted_graph_terms(state)
+    energy = 0.0
+    for n, (coeffs, g) in enumerate(zip(state.G, state.graphs), start=1):
+        sq = state.scratch[0].reshape(-1)[: coeffs.size].reshape(coeffs.shape)
+        np.square(coeffs, out=sq)
+        energies = sq.sum(axis=tuple(a for a in range(sq.ndim) if a != n - 1))
+        energy += float(g.low_eigvals @ energies)
+    return energy
 
 
-def _admm(Y, observed, params, block):
+def _admm(Y, observed, params, low_rank_block, graphs=None):
     """Scaled-form ADMM loop shared by every solver.
 
-    ``block`` is the low-rank block (:class:`_GraphBlock`, or the SVT block
-    of the baselines): ``update(state)`` writes ``state.G`` and the
-    consensus terms ``state.lifted`` tied to L and returns its penalty term;
-    ``block.graphs`` sizes G (None: full shape per mode).  The L, S, W, Z
-    and dual updates, the histories and the stopping rule are common.
+    ``low_rank_block(state)`` (:func:`_graph_block`, or the baselines' SVT
+    block) writes ``state.G`` and the consensus terms ``state.lifted`` tied
+    to L and returns its penalty term; ``graphs`` sizes G (None: full shape
+    per mode).  All other blocks, the histories and the stopping rule are common.
     """
     Y = np.asarray(Y, dtype=float)
     observed = np.asarray(observed, dtype=bool)
@@ -348,7 +346,7 @@ def _admm(Y, observed, params, block):
     if params is None:
         params = LogssParams.defaults(Y, observed)
 
-    state = SolverState.zeros(Y, observed, params, block.graphs)
+    state = SolverState.zeros(Y, observed, params, graphs)
     norm_y = max(1.0, float(np.linalg.norm(Y)))
     residual_history, objective_history = [], []
     converged = False
@@ -356,7 +354,7 @@ def _admm(Y, observed, params, block):
 
     for t in range(1, params.max_iter + 1):
         update_low_rank(state)
-        penalty = block.update(state)
+        penalty = low_rank_block(state)
         update_sparse(state)
         update_smooth_aux(state)
         update_tv_aux(state)
@@ -376,8 +374,9 @@ def _admm(Y, observed, params, block):
         residual_history=residual_history,
         objective_history=objective_history,
         wall_time=time.perf_counter() - start,
-        svd_history=block.svd_history,
+        svd_history=state.svd_history,
         converged=converged,
+        params=params,
     )
 
 
@@ -406,4 +405,8 @@ def solve(Y, observed, graphs, params=None):
     """
     if len(graphs) != np.ndim(Y):
         raise ValueError(f"need {np.ndim(Y)} mode graphs, got {len(graphs)}")
-    return _admm(Y, observed, params, _GraphBlock(graphs))
+    for n, (size, g) in enumerate(zip(np.shape(Y), graphs), start=1):
+        if g.basis.shape != (size, g.rank):
+            raise ValueError(f"mode {n} graph: eigenbasis {g.basis.shape} is not "
+                             f"(mode size, rank) {(size, g.rank)}")
+    return _admm(Y, observed, params, _graph_block, graphs)

@@ -185,12 +185,14 @@ def synthesize(config):
         config.seed
     ).spawn(3)
     base = generate_base(config.base)
-    noisy = inject_noise(
-        base, np.random.default_rng(noise_seed), config.noise_mean, config.noise_var
-    )
-    Y, truth = inject_anomalies(
-        noisy, config.c, config.l, config.m, np.random.default_rng(anomaly_seed)
-    )
+    # an overflow is reported by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        noisy = inject_noise(
+            base, np.random.default_rng(noise_seed), config.noise_mean, config.noise_var
+        )
+        Y, truth = inject_anomalies(
+            noisy, config.c, config.l, config.m, np.random.default_rng(anomaly_seed)
+        )
     Y, observed = apply_missing(Y, config.p, np.random.default_rng(missing_seed))
     if not np.isfinite(Y).all():
         raise ValueError("synth tensor not finite: c, noise_mean or noise_var too large")

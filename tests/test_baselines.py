@@ -139,6 +139,14 @@ def test_horpca_equals_loss_with_gamma_zero():
     assert np.array_equal(horpca.S, reference.S)
 
 
+def test_baseline_results_carry_the_params_the_run_used():
+    Y = np.random.default_rng(5).normal(size=(4, 3, 5, 2))
+    observed = np.ones(Y.shape, dtype=bool)
+    params = baseline_params(Y, observed, max_iter=2, tol=0.0)
+    assert solve_loss(Y, observed, params).params is params
+    assert solve_horpca(Y, observed, params).params == dataclasses.replace(params, gamma=0.0)
+
+
 def test_horpca_zero_data_and_spike():
     Y = np.zeros((4, 3, 5, 2))
     observed = np.ones(Y.shape, dtype=bool)

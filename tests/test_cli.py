@@ -131,13 +131,28 @@ def test_non_finite_synth_setting_exits_1(tmp_path, capsys, key, value):
     assert not (out / "Y.txt").exists()
 
 
+SYNTH_OVERFLOW = "error: synth tensor not finite: c, noise_mean or noise_var too large\n"
+
+
 @pytest.mark.parametrize("key", ["noise_mean", "synth_c"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_non_finite_synth_result_exits_1(tmp_path, capsys, key):
     cfg_path, out = base_config(tmp_path, **{key: "1e308"})
     assert run_stage("synth", cfg_path) == 1
-    assert "tensor not finite: c, noise_mean or noise_var" in capsys.readouterr().err
+    assert capsys.readouterr().err == SYNTH_OVERFLOW
     assert not any(out.iterdir())
+
+
+def test_synth_overflow_writes_one_stderr_line(tmp_path):
+    # a process of its own: in-process, pytest would collect numpy's warnings
+    import stsad
+
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(stsad.__file__)))
+    cfg_path, _ = base_config(tmp_path, noise_mean="1e308")
+    proc = subprocess.run(
+        [sys.executable, "-m", "stsad.cli", "synth", "--config", cfg_path],
+        env=dict(os.environ, PYTHONPATH=src_dir), capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (1, SYNTH_OVERFLOW)
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "1.5", "0", "-0.25"])
@@ -279,8 +294,8 @@ def test_events_from_csv(tmp_path):
         "7,2018-03-06 14:00:00,2018-03-06 16:00:00\n"
     )
     events = events_from_csv(str(path), zones, 2018)
-    assert len(events.events) == 1
-    _, indices = events.events[0]
+    assert len(events) == 1
+    _, indices = events[0]
     assert indices == {(14, 1, 9, 1), (15, 1, 9, 1), (16, 1, 9, 1)}
     path.write_text(
         "zone,start_datetime,end_datetime\n"
@@ -614,6 +629,64 @@ def test_importing_the_cli_loads_no_scipy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_input_files_whose_dims_disagree_exit_1(tmp_path, capsys):
+    from stsad.tensor import save_mask
+
+    cfg_path, out = base_config(tmp_path, max_iter=3, bench_solvers="logss raw-ee",
+                                bench_repeats=2)
+    for stage in ("synth", "graphs", "decompose", "score"):
+        assert run_stage(stage, cfg_path) == 0, stage
+    capsys.readouterr()
+    omega = (out / "omega.txt").read_bytes()
+    save_mask(out / "omega.txt", np.ones((8, 4, 6, 2), dtype=bool))
+    expected = {
+        "decompose": "error: mask shape does not match tensor shape\n",
+        "evaluate": "error: scores, labels and mask must have one shape, "
+                    "got [(8, 4, 6, 3), (8, 4, 6, 3), (8, 4, 6, 2)]\n",
+        "bench": "error: dims differ: Y.txt (8, 4, 6, 3), omega.txt (8, 4, 6, 2), "
+                 "labels.txt (8, 4, 6, 3)\n",
+    }
+    for stage, err in expected.items():
+        assert run_stage(stage, cfg_path) == 1, stage
+        assert capsys.readouterr().err == err
+    (out / "omega.txt").write_bytes(omega)
+    save_mask(out / "labels.txt", np.ones((8, 4, 6, 2), dtype=bool))
+    assert run_stage("bench", cfg_path) == 1
+    assert "labels.txt (8, 4, 6, 2)" in capsys.readouterr().err
+    assert not (out / "bench.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    '[{"mode": 1}]', '{"mode": 1}', '[{"mode": true, "rank": 1}]',
+    '[{"mode": 1, "rank": 2.0}]', '["mode"]', "null",
+])
+def test_malformed_graphs_json_exits_1(tmp_path, capsys, text):
+    cfg_path, out = base_config(tmp_path)
+    for stage in ("synth", "graphs"):
+        assert run_stage(stage, cfg_path) == 0, stage
+    (out / "graphs.json").write_text(text)
+    capsys.readouterr()
+    assert run_stage("decompose", cfg_path) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'graphs.json'}: not a list of objects with integer mode and rank\n"
+    )
+    assert not (out / "S.txt").exists()
+
+
+def test_graphs_json_rank_that_does_not_fit_exits_1(tmp_path, capsys):
+    cfg_path, out = base_config(tmp_path)
+    for stage in ("synth", "graphs"):
+        assert run_stage(stage, cfg_path) == 0, stage
+    meta = json.loads((out / "graphs.json").read_text())
+    meta[1]["rank"] = 10**15  # G of this rank would not fit any address space
+    (out / "graphs.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run_stage("decompose", cfg_path) == 1
+    assert capsys.readouterr().err == (
+        f"error: mode 2 graph: eigenbasis (4, 4) is not (mode size, rank) (4, {10**15})\n"
+    )
 
 
 def test_synth_from_user_template(tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from stsad.evaluation import (
-    EventList,
     LabeledScores,
     benchmark_timing,
     detection_at_k,
@@ -88,15 +87,25 @@ def test_roc_points_shape():
     assert (np.diff(fpr) >= 0).all() and (np.diff(tpr) >= 0).all()
 
 
+def test_labeled_scores_rejects_shapes_that_differ():
+    scores = np.arange(6.0).reshape(2, 3)
+    labels = np.array([[0, 1, 0], [1, 0, 1]])
+    observed = np.ones((2, 3), dtype=bool)
+    # a reshaped array of the same size would otherwise pair the wrong elements
+    for args in [(labels.reshape(3, 2),), (labels[:, :2],), (labels, observed.reshape(3, 2)),
+                 (labels, observed[:1])]:
+        with pytest.raises(ValueError, match="scores, labels and mask must have one shape"):
+            labeled_scores(scores, *args)
+    assert labeled_scores(scores, labels, observed).n_pos == 3
+
+
 def make_scores(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
 
 
 def test_detection_all_at_full_k():
     scores = make_scores((3, 2, 4, 2))
-    events = EventList(
-        [("a", {(0, 0, 0, 0)}), ("b", {(1, 1, 2, 1), (2, 0, 3, 0)})]
-    )
+    events = [("a", {(0, 0, 0, 0)}), ("b", {(1, 1, 2, 1), (2, 0, 3, 0)})]
     counts = detection_at_k(scores, events, [100.0])
     assert counts[100.0] == 2
 
@@ -104,7 +113,7 @@ def test_detection_all_at_full_k():
 def test_detection_argmax_event_always_found():
     scores = make_scores((3, 2, 4, 2), seed=4)
     top = np.unravel_index(np.argmax(scores), scores.shape)
-    events = EventList([("top", {top})])
+    events = [("top", {top})]
     counts = detection_at_k(scores, events, [100.0 / scores.size, 1.0, 10.0, 100.0])
     assert all(v == 1 for v in counts.values())
 
@@ -119,7 +128,7 @@ def test_detection_monotone_in_k():
         }
         events.append((f"e{e}", cells))
     k_list = [0.5, 2.0, 5.0, 20.0, 80.0]
-    counts = detection_at_k(scores, EventList(events), k_list)
+    counts = detection_at_k(scores, events, k_list)
     values = [counts[k] for k in k_list]
     assert values == sorted(values)
 
@@ -127,9 +136,9 @@ def test_detection_monotone_in_k():
 def test_detection_validates_indices():
     scores = make_scores((2, 2, 2, 2))
     with pytest.raises(ValueError):
-        detection_at_k(scores, EventList([("bad", {(5, 0, 0, 0)})]), [10.0])
+        detection_at_k(scores, [("bad", {(5, 0, 0, 0)})], [10.0])
     with pytest.raises(ValueError):
-        detection_at_k(scores, EventList([]), [10.0])
+        detection_at_k(scores, [], [10.0])
 
 
 def bench_instance(seed=0):

@@ -433,6 +433,37 @@ def test_solve_rejects_bad_inputs():
         solve(bad, np.ones(DIMS, dtype=bool), graphs, make_params())
 
 
+def test_params_defaults_reject_a_mask_of_another_shape():
+    # the defaults index Y with the mask before any solver checks its shape
+    with pytest.raises(ValueError, match="mask shape does not match tensor shape"):
+        LogssParams.defaults(np.zeros(DIMS), np.ones(DIMS[:3] + (1,), dtype=bool))
+
+
+def test_solve_rejects_graphs_that_do_not_fit_the_tensor():
+    graphs = stub_graphs(DIMS, RANKS, seed=35)
+    Y = np.zeros(DIMS)
+    observed = np.ones(DIMS, dtype=bool)
+    too_high = [dataclasses.replace(graphs[0], rank=DIMS[0] + 1)] + graphs[1:]
+    negative = [dataclasses.replace(graphs[0], rank=-1)] + graphs[1:]
+    swapped = [graphs[1], graphs[0]] + graphs[2:]
+    for bad in (too_high, negative, swapped):
+        with pytest.raises(ValueError, match=r"^mode 1 graph: eigenbasis \(\d+, -?\d+\) is not \(mode size, rank\) \(4, "):
+            solve(Y, observed, bad, make_params())
+
+
+def test_result_carries_the_params_the_run_used():
+    graphs = stub_graphs(DIMS, RANKS, seed=36)
+    Y = np.random.default_rng(37).normal(size=DIMS)
+    observed = np.ones(DIMS, dtype=bool)
+    params = make_params(max_iter=3, tol=0.0)
+    result = solve(Y, observed, graphs, params)
+    assert result.params is params
+    assert result.svd_history == []
+    assert "svd_count" not in result.diagnostics_rows()[0]
+    defaults = LogssParams.defaults(Y, observed, max_iter=3)
+    assert solve(Y, observed, graphs, defaults).params == defaults
+
+
 def reference_admm(Y, observed, params, graphs=None):
     """The solvers' iteration written out as plain array expressions.
 

@@ -3,8 +3,10 @@
 Examples are derandomized and bounded, so the suite stays deterministic.
 """
 
+import json
 import math
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -179,7 +181,6 @@ settings_values = st.floats() | st.floats(0, 100)
        mean=settings_values, var=settings_values)
 @example(c=2.5, l=3, m=5.0, p=0.0, mean=1e308, var=0.5)  # overflows the noise
 @example(c=1e308, l=3, m=5.0, p=0.0, mean=1.0, var=0.5)  # overflows an anomaly
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fuzzed_synth_settings_exit_0_or_1_and_write_only_finite_data(c, l, m, p, mean, var):
     with tempfile.TemporaryDirectory() as tmp:
         code = run_with_config("synth", tmp, [
@@ -234,3 +235,52 @@ def test_fuzzed_artifacts_are_bad_input_never_a_crash(tensor, scores):
         with open(f"{tmp}/scores.csv", "wb") as fh:
             fh.write(scores)
         assert main(["evaluate", "--config", path]) in (0, 1)
+
+
+@pytest.fixture(scope="module")
+def tiny_chain(tmp_path_factory):
+    """Output directory of a valid chain at dims 8 4 6 3, through score."""
+    out = str(tmp_path_factory.mktemp("chain"))
+    for stage in ("synth", "graphs", "decompose", "score"):
+        assert run_with_config(stage, out, CHAIN_SETTINGS) == 0, stage
+    os.remove(f"{out}/fuzz.cfg")
+    return out
+
+
+CHAIN_SETTINGS = ["dims = 8 4 6 3", "synth_c = 2.5", "synth_l = 3", "synth_m = 8",
+                  "knn_k = 5", "max_iter = 3", "bench_solvers = logss raw-ee",
+                  "bench_repeats = 2"]
+mask_cases = st.tuples(st.sampled_from(["omega.txt", "labels.txt"]),
+                       st.lists(st.integers(1, 9), min_size=1, max_size=5).map(tuple))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(chars, max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["mode", "rank"]) | st.text(chars, max_size=3), inner,
+                      max_size=3),
+    max_leaves=10,
+)
+# entries that load, with modes out of order or missing and ranks that may not fit
+graph_lists = st.lists(
+    st.fixed_dictionaries({"mode": st.integers(0, 5), "rank": st.integers(-2, 9) | st.integers()}),
+    max_size=5,
+)
+graph_cases = st.tuples(st.just("graphs.json"), (json_values | graph_lists).map(json.dumps))
+
+
+@settings(SETTINGS, max_examples=40)
+@given(case=mask_cases | graph_cases)
+@example(case=("omega.txt", (8, 4, 6, 2)))  # a mask of other dims than Y
+@example(case=("labels.txt", (8, 4, 6, 2)))  # labels of other dims than Y
+@example(case=("graphs.json", '[{"mode": 1}]'))  # an entry without a rank
+@example(case=("graphs.json", '{"mode": 1}'))  # an object, not a list
+def test_inconsistent_inputs_are_bad_input_never_a_crash(tiny_chain, case):
+    name, content = case
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(tiny_chain, tmp, dirs_exist_ok=True)
+        if name == "graphs.json":
+            with open(f"{tmp}/{name}", "w") as fh:
+                fh.write(content)
+        else:  # a checkerboard, so labels of the right dims hold both classes
+            save_mask(f"{tmp}/{name}", np.indices(content).sum(axis=0) % 2 == 0)
+        for stage in ("decompose", "evaluate", "bench"):
+            assert run_with_config(stage, tmp, CHAIN_SETTINGS) in (0, 1), stage

@@ -162,7 +162,6 @@ def test_synth_config_rejects_non_finite(name, value):
 
 
 @pytest.mark.parametrize("name", ["c", "noise_mean"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_synthesize_rejects_a_non_finite_tensor(name):
     # each setting is finite, but the generated values overflow
     kw = dict(base=builtin_template(DIMS), c=2.5, l=3, m=5.0)
