@@ -11,11 +11,9 @@ point is timing).
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from .graphs import ModeGraph, build_mode_graphs, stationarity_report
 from .ingest import events_from_csv, ingest_trips, read_zone_list
 from .scoring import score_sparse_tensor
 from .synth import SynthConfig, builtin_template, synthesize
-from .tensor import load_mask, load_tensor, save_mask, save_tensor
+from .tensor import _read_table, load_mask, load_tensor, save_mask, save_tensor
 
 
 def _out(cfg, name):
@@ -61,63 +59,34 @@ def _write_csv(path, header, row_format, columns):
         fh.write("".join(rows))
 
 
+def _write_index_csv(path, header, *arrays):
+    """One row per element of the same-shaped ``arrays``: its index, in C
+    order, then its value in each array."""
+    index = np.indices(arrays[0].shape).reshape(arrays[0].ndim, -1)
+    row_format = ",".join(["{}"] * len(index) + ["{:.17g}"] * len(arrays))
+    _write_csv(path, header, row_format, [*index, *(a.ravel() for a in arrays)])
+
+
 _SCORES_HEADER = "i1,i2,i3,i4,score"
 
 
 def _write_scores_csv(path, scores):
-    index = np.indices(scores.shape).reshape(scores.ndim, -1)  # C order, as ravel
-    _write_csv(path, _SCORES_HEADER, "{},{},{},{},{:.17g}", [*index, scores.ravel()])
-
-
-def _score_table(lines, dims):
-    """``scores.csv`` body lines (any iterable of str, such as the open file
-    after its header) as an (n, 5) float table.
-
-    Raises ValueError unless every non-empty line has five numeric fields:
-    integer-valued indices inside ``dims`` that no other line repeats, and a
-    finite score.  Every prefix of a valid body is valid.
-    """
-    with warnings.catch_warnings():
-        # a body without rows is reported by the coverage check
-        warnings.simplefilter("ignore", UserWarning)
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    if table.size == 0:
-        return np.empty((0, 5))
-    if table.shape[1] != 5:
-        raise ValueError("rows must have five fields")
-    index = table[:, :4]
-    if not ((index == np.floor(index)) & (index >= 0) & (index < dims)).all():
-        raise ValueError("index not an integer inside the tensor")
-    flat = np.ravel_multi_index(tuple(index.astype(np.intp).T), dims)
-    if np.bincount(flat).max() > 1:
-        raise ValueError("element listed twice")
-    if not np.isfinite(table[:, 4]).all():
-        raise ValueError("score not finite")
-    return table
+    _write_index_csv(path, _SCORES_HEADER, scores)
 
 
 def _read_scores_csv(path, dims):
+    def index_ok(table):  # integers inside the tensor, no element twice
+        index = table[:, :4]
+        if not ((index == np.floor(index)) & (index >= 0) & (index < dims)).all():
+            return False
+        flat = np.ravel_multi_index(tuple(index.astype(np.intp).T), dims)
+        return np.bincount(flat).max() == 1
+
     with open(path, newline="") as fh:
         header = fh.readline()
         if header.rstrip("\r\n") != _SCORES_HEADER:
             raise ValueError(f"{path}:1: header {header!r} is not {_SCORES_HEADER}")
-        try:
-            table = _score_table(fh, dims)
-        except ValueError as exc:
-            # the first bad line ends the shortest body prefix that fails;
-            # numbered as csv does, header = line 1
-            fh.seek(0)
-            lines = fh.readlines()[1:]
-
-            def fails(k):
-                try:
-                    _score_table(lines[:k], dims)
-                except ValueError:
-                    return True
-                return False
-
-            line = bisect.bisect_left(range(len(lines) + 1), True, key=fails) + 1
-            raise ValueError(f"{path}:{line}: bad row") from exc
+        table = _read_table(fh, path, 5, ",", index_ok)
     scores = np.full(dims, np.nan)
     scores[tuple(table[:, :4].astype(np.intp).T)] = table[:, 4]
     if np.isnan(scores).any():
@@ -241,13 +210,8 @@ def run_score(cfg):
     field = score_sparse_tensor(S, **library_args(cfg, "score"))
     _write_scores_csv(_out(cfg, "scores.csv"), field.scores)
     if cfg["write_fit_stats"]:
-        index = np.indices(field.loc.shape).reshape(field.loc.ndim, -1)
-        _write_csv(
-            _out(cfg, "fit_stats.csv"),
-            "i1,i2,i4,loc,scale",
-            "{},{},{},{:.17g},{:.17g}",
-            [*index, field.loc.ravel(), field.scale.ravel()],
-        )
+        _write_index_csv(_out(cfg, "fit_stats.csv"), "i1,i2,i4,loc,scale",
+                         field.loc, field.scale)
     print(f"score: wrote scores for {S.shape}")
 
 

@@ -66,6 +66,8 @@ class LogssParams:
         if observed is not None and np.shape(observed) != Y.shape:
             raise ValueError("mask shape does not match tensor shape")
         values = Y if observed is None else Y[np.asarray(observed, dtype=bool)]
+        if values.size == 0:
+            raise ValueError("no observed entries")
         scale = float(np.std(values))
         beta = 1.0 / (5.0 * scale) if scale > 0 else 1.0
         lam = 1.0 / math.sqrt(max(Y.shape))
@@ -409,4 +411,6 @@ def solve(Y, observed, graphs, params=None):
         if g.basis.shape != (size, g.rank):
             raise ValueError(f"mode {n} graph: eigenbasis {g.basis.shape} is not "
                              f"(mode size, rank) {(size, g.rank)}")
+        if g.mode != n:
+            raise ValueError(f"mode {n} graph: built for mode {g.mode}")
     return _admm(Y, observed, params, _graph_block, graphs)

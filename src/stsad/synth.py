@@ -118,6 +118,18 @@ def inject_noise(T, seed, mean=1.0, var=0.5):
     return T * draws
 
 
+def _fibers(shape, percent, name, rng):
+    """``ceil(percent %)`` of the mode-1 fibers of ``shape``, drawn without
+    replacement, as index tuples over modes 2..N."""
+    if not 0 <= percent <= 100:  # NaN fails too
+        raise ValueError(f"{name} must be a percentage in [0, 100], got {percent}")
+    fiber_dims = shape[1:]
+    total = math.prod(fiber_dims)
+    count = math.ceil(percent / 100.0 * total)
+    chosen = rng.choice(total, size=count, replace=False) if count else []
+    return [np.unravel_index(flat, fiber_dims) for flat in chosen]
+
+
 def inject_anomalies(T, c, l, m, seed):
     """Add interval anomalies to m% of the mode-1 (day) fibers.
 
@@ -127,27 +139,19 @@ def inject_anomalies(T, c, l, m, seed):
     """
     T = np.asarray(T, dtype=float).copy()
     i1 = T.shape[0]
-    fiber_dims = T.shape[1:]
-    total = math.prod(fiber_dims)
     if not 1 <= l <= i1:
         raise ValueError(f"l must be in [1, {i1}], got {l}")
-    count = math.ceil(m / 100.0 * total)
-    if count > total:
-        raise ValueError(f"cannot select {count} distinct fibers out of {total}")
     rng = _rng(seed)
     mask = np.zeros(T.shape, dtype=bool)
     intervals = []
-    if count:
-        chosen = rng.choice(total, size=count, replace=False)
-        for flat in chosen:
-            fiber = np.unravel_index(flat, fiber_dims)
-            start = int(rng.integers(0, i1 - l + 1))
-            sign = 1 if rng.integers(0, 2) else -1
-            idx = (slice(start, start + l),) + fiber
-            shift = sign * c * T[idx].mean()
-            T[idx] += shift
-            mask[idx] = True
-            intervals.append((tuple(int(f) for f in fiber), start, int(l), sign))
+    for fiber in _fibers(T.shape, m, "m", rng):
+        start = int(rng.integers(0, i1 - l + 1))
+        sign = 1 if rng.integers(0, 2) else -1
+        idx = (slice(start, start + l),) + fiber
+        shift = sign * c * T[idx].mean()
+        T[idx] += shift
+        mask[idx] = True
+        intervals.append((tuple(int(f) for f in fiber), start, int(l), sign))
     truth = GroundTruth(
         anomaly_mask=mask,
         observed=np.ones(T.shape, dtype=bool),
@@ -159,18 +163,11 @@ def inject_anomalies(T, c, l, m, seed):
 def apply_missing(T, P, seed):
     """Blank out P% of the mode-1 fibers; returns the tensor and its support."""
     T = np.asarray(T, dtype=float).copy()
-    if not 0 <= P <= 100:
-        raise ValueError(f"P must be a percentage in [0, 100], got {P}")
-    fiber_dims = T.shape[1:]
-    total = math.prod(fiber_dims)
-    count = math.ceil(P / 100.0 * total)
     observed = np.ones(T.shape, dtype=bool)
-    if count:
-        chosen = _rng(seed).choice(total, size=count, replace=False)
-        for flat in chosen:
-            idx = (slice(None),) + np.unravel_index(flat, fiber_dims)
-            T[idx] = 0.0
-            observed[idx] = False
+    for fiber in _fibers(T.shape, P, "P", _rng(seed)):
+        idx = (slice(None),) + fiber
+        T[idx] = 0.0
+        observed[idx] = False
     return T, observed
 
 

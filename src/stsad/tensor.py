@@ -5,13 +5,15 @@ Tensors are plain numpy arrays of any order >= 2.  Mode indices are 1-based
 throughout (mode 1 is the first axis).  The mode-n unfolding arranges the
 remaining modes cyclically, n+1, ..., N, 1, ..., n-1, with the first of that
 list varying fastest along the columns.  On disk a tensor is stored as a
-header line ``dims: I1 I2 ... IN`` followed by one value per element with the
-first index varying fastest.
+header line ``dims: I1 I2 ... IN`` followed by one value per line, one line per
+element, with the first index varying fastest.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import warnings
 
 import numpy as np
 
@@ -156,21 +158,47 @@ def _read_header(fh, path):
     return dims
 
 
+def _read_table(fh, path, width, delimiter=None, check=lambda rows: True):
+    """The body of the open text file ``fh``, after its one header line, as
+    an (n, ``width``) table of finite floats that passes ``check(table)``.
+
+    Otherwise raises ValueError naming ``path:line`` (header = line 1) of the
+    first bad line; ``check`` must pass on every prefix of a body it passes.
+    """
+    def table(lines):  # None if a line is bad
+        with warnings.catch_warnings():
+            # an empty body is reported by the caller's count or coverage check
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                rows = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+            except ValueError:
+                return None
+        if rows.size == 0:
+            return np.empty((0, width))
+        good = rows.shape[1] == width and np.isfinite(rows).all()
+        return rows if good and check(rows) else None
+
+    rows = table(fh)
+    if rows is None:
+        # the first bad line ends the shortest body prefix that fails
+        fh.seek(0)
+        lines = fh.readlines()[1:]
+        fails = lambda k: table(lines[:k]) is None
+        line = bisect.bisect_left(range(len(lines) + 1), True, key=fails) + 1
+        raise ValueError(f"{path}:{line}: bad row")
+    return rows
+
+
 def load_tensor(path):
     """Read a tensor written by :func:`save_tensor`."""
     with open(path) as fh:
         dims = _read_header(fh, path)
-        try:
-            values = np.array(fh.read().split(), dtype=float)
-        except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric payload") from exc
+        values = _read_table(fh, path, 1)
     if values.size != math.prod(dims):
         raise ValueError(
             f"{path}: header dims {dims} require {math.prod(dims)} values, "
             f"found {values.size}"
         )
-    if not np.isfinite(values).all():
-        raise ValueError(f"{path}: payload contains non-finite values")
     return values.reshape(dims, order="F")
 
 

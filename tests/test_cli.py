@@ -689,6 +689,68 @@ def test_graphs_json_rank_that_does_not_fit_exits_1(tmp_path, capsys):
     )
 
 
+def test_graph_listed_for_the_wrong_mode_exits_1(tmp_path, capsys):
+    cfg_path, out = base_config(tmp_path, dims="6 6 6 6")
+    for stage in ("synth", "graphs"):
+        assert run_stage(stage, cfg_path) == 0, stage
+    meta = json.loads((out / "graphs.json").read_text())
+    meta[0] = meta[1]  # mode 2 twice, with one rank; mode 1 not at all
+    (out / "graphs.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run_stage("decompose", cfg_path) == 1
+    assert capsys.readouterr().err == "error: mode 1 graph: built for mode 2\n"
+    assert not (out / "S.txt").exists()
+
+
+def test_empty_support_exits_1_with_one_stderr_line(tmp_path):
+    # a process of its own: in-process, pytest would collect numpy's warnings
+    import stsad
+    from stsad.tensor import save_mask
+
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(stsad.__file__)))
+    cfg_path, out = base_config(tmp_path, bench_solvers="logss", bench_repeats=2)
+    for stage in ("synth", "graphs"):
+        assert run_stage(stage, cfg_path) == 0, stage
+    save_mask(out / "omega.txt", np.zeros((8, 4, 6, 3), dtype=bool))
+
+    def run(stage):
+        return subprocess.run(
+            [sys.executable, "-m", "stsad.cli", stage, "--config", cfg_path],
+            env=dict(os.environ, PYTHONPATH=src_dir), capture_output=True, text=True,
+        )
+
+    proc = run("decompose")
+    assert (proc.returncode, proc.stderr) == (1, "error: no observed entries\n")
+    assert not (out / "S.txt").exists()
+    proc = run("bench")
+    assert proc.returncode == 0, proc.stderr
+    [row] = json.loads((out / "bench.json").read_text())
+    assert row["errors"] == ["ValueError: no observed entries"] * 2
+
+
+@pytest.mark.parametrize("bad", ["x", "nan", "inf", "1 2"])
+def test_a_bad_line_of_any_numeric_file_is_named(tmp_path, capsys, bad):
+    from stsad.synth import builtin_template
+    from stsad.tensor import save_tensor
+
+    base = tmp_path / "base.txt"
+    save_tensor(base, builtin_template((8, 4, 6, 3)))
+    cfg_path, out = base_config(tmp_path, base_tensor=base, max_iter=3)
+    for stage in ("synth", "graphs", "decompose", "score"):
+        assert run_stage(stage, cfg_path) == 0, stage
+    capsys.readouterr()
+    for stage, path in [("graphs", out / "Y.txt"), ("decompose", out / "omega.txt"),
+                        ("evaluate", out / "labels.txt"), ("score", out / "S.txt"),
+                        ("decompose", out / "mode1_eigvecs.txt"), ("synth", base)]:
+        text = path.read_bytes()
+        lines = text.split(b"\n")
+        lines[4] = bad.encode()
+        path.write_bytes(b"\n".join(lines))
+        assert run_stage(stage, cfg_path) == 1, (stage, path)
+        assert capsys.readouterr().err == f"error: {path}:5: bad row\n"
+        path.write_bytes(text)
+
+
 def test_synth_from_user_template(tmp_path):
     from stsad.synth import builtin_template
     from stsad.tensor import save_tensor

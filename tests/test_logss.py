@@ -439,6 +439,12 @@ def test_params_defaults_reject_a_mask_of_another_shape():
         LogssParams.defaults(np.zeros(DIMS), np.ones(DIMS[:3] + (1,), dtype=bool))
 
 
+def test_params_defaults_reject_an_empty_support():
+    # the std of no entries is NaN, with a numpy warning
+    with pytest.raises(ValueError, match="^no observed entries$"):
+        LogssParams.defaults(np.zeros(DIMS), np.zeros(DIMS, dtype=bool))
+
+
 def test_solve_rejects_graphs_that_do_not_fit_the_tensor():
     graphs = stub_graphs(DIMS, RANKS, seed=35)
     Y = np.zeros(DIMS)
@@ -449,6 +455,12 @@ def test_solve_rejects_graphs_that_do_not_fit_the_tensor():
     for bad in (too_high, negative, swapped):
         with pytest.raises(ValueError, match=r"^mode 1 graph: eigenbasis \(\d+, -?\d+\) is not \(mode size, rank\) \(4, "):
             solve(Y, observed, bad, make_params())
+    # equal-sized modes: the swapped graphs fit in shape, but not in mode
+    dims = (4, 4, 5, 2)
+    graphs = stub_graphs(dims, RANKS, seed=35)
+    swapped = [graphs[1], graphs[0]] + graphs[2:]
+    with pytest.raises(ValueError, match=r"^mode 1 graph: built for mode 2$"):
+        solve(np.zeros(dims), np.ones(dims, dtype=bool), swapped, make_params())
 
 
 def test_result_carries_the_params_the_run_used():

@@ -3,9 +3,12 @@
 Examples are derandomized and bounded, so the suite stays deterministic.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import shutil
 import tempfile
 
@@ -24,7 +27,9 @@ from stsad.evaluation import LabeledScores, roc_auc
 from stsad.graphs import build_mode_graphs
 from stsad.logss import LogssParams, solve
 from stsad.scoring import score_sparse_tensor, top_k_mask
-from stsad.tensor import fold, load_tensor, mode_n_product, save_mask, save_tensor, unfold
+from stsad.tensor import (
+    fold, load_mask, load_tensor, mode_n_product, save_mask, save_tensor, unfold,
+)
 
 SETTINGS = settings(
     derandomize=True, database=None, max_examples=40, deadline=None,
@@ -284,3 +289,30 @@ def test_inconsistent_inputs_are_bad_input_never_a_crash(tiny_chain, case):
             save_mask(f"{tmp}/{name}", np.indices(content).sum(axis=0) % 2 == 0)
         for stage in ("decompose", "evaluate", "bench"):
             assert run_with_config(stage, tmp, CHAIN_SETTINGS) in (0, 1), stage
+
+
+@SETTINGS
+@given(name=st.sampled_from(["tensor.txt", "mask.txt"]), T=tensors, pick=st.integers(0, 255),
+       bad=st.sampled_from(["x", "nan", "inf", "1 2"]))
+# through the CLI: the graphs stage reads Y.txt
+@example(name="Y.txt", T=np.ones((8, 4, 6, 3)), pick=3, bad="x")
+def test_every_numeric_file_names_its_bad_line(name, T, pick, bad):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/{name}"
+        if name == "mask.txt":
+            save_mask(path, T > 0)
+        else:
+            save_tensor(path, T)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        line = 2 + pick % (len(lines) - 1)  # a body line; the header is line 1
+        lines[line - 1] = bad
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        if name == "Y.txt":
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert run_with_config("graphs", tmp, []) == 1
+            assert err.getvalue() == f"error: {path}:{line}: bad row\n"
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: "):
+                (load_mask if name == "mask.txt" else load_tensor)(path)

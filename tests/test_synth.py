@@ -106,6 +106,13 @@ def test_inject_anomalies_shift_is_c_times_interval_mean():
         inject_anomalies(T, c=c, l=99, m=10.0, seed=0)
 
 
+@pytest.mark.parametrize("m", [-5.0, math.nan, 150.0])
+def test_inject_anomalies_rejects_m_outside_a_percentage(m):
+    T = np.ones(DIMS)
+    with pytest.raises(ValueError, match=rf"^m must be a percentage in \[0, 100\], got {m}$"):
+        inject_anomalies(T, c=2.0, l=3, m=m, seed=0)
+
+
 def test_anomalous_fraction_matches_formula():
     T = np.random.default_rng(10).uniform(1, 2, size=(10, 5, 6, 4))
     m, l = 15.0, 4
