@@ -128,13 +128,14 @@ def run_graphs(cfg):
     _require(cfg, "Y.txt")
     Y = load_tensor(_out(cfg, "Y.txt"))
     graphs = build_mode_graphs(Y, **library_args(cfg, "graphs"))
+    stationarity = stationarity_report(Y, graphs)
     meta = []
     for g in graphs:
         for name in _GRAPH_ARRAYS:
             save_tensor(_out(cfg, _graph_file(g.mode, name)), getattr(g, name))
         meta.append({"mode": g.mode, "rank": g.rank, "size": int(g.weights.shape[0])})
     _write_json(_out(cfg, "graphs.json"), meta)
-    _write_json(_out(cfg, "stationarity.json"), stationarity_report(Y, graphs))
+    _write_json(_out(cfg, "stationarity.json"), stationarity)
     ranks = ", ".join(f"mode {m['mode']}: J={m['rank']}" for m in meta)
     print(f"graphs: {ranks}")
 
@@ -218,17 +219,20 @@ def run_score(cfg):
 def run_evaluate(cfg):
     _require(cfg, "scores.csv", "labels.txt", "omega.txt")
     labels = load_mask(_out(cfg, "labels.txt"))
+    if labels.ndim != 4:  # scores.csv indexes four modes
+        raise ValueError(f"{_out(cfg, 'labels.txt')}: dims {labels.shape} are not four modes")
     observed = load_mask(_out(cfg, "omega.txt"))
     scores = _read_scores_csv(_out(cfg, "scores.csv"), labels.shape)
     ls = labeled_scores(scores, labels, observed)
     auc = roc_auc(ls)
-    _write_json(_out(cfg, "auc.json"), {"method": cfg["solver"], "auc": auc})
     fpr, tpr = roc_points(ls)
-    _write_csv(_out(cfg, "roc.csv"), "fpr,tpr", "{:.17g},{:.17g}", [fpr, tpr])
     if cfg["events_csv"]:
         zones = read_zone_list(cfg["zone_file"])
         events = events_from_csv(cfg["events_csv"], zones, cfg["year"])
         counts = detection_at_k(scores, events, cfg["k_list"])
+    _write_json(_out(cfg, "auc.json"), {"method": cfg["solver"], "auc": auc})
+    _write_csv(_out(cfg, "roc.csv"), "fpr,tpr", "{:.17g},{:.17g}", [fpr, tpr])
+    if cfg["events_csv"]:
         _write_json(
             _out(cfg, "detection.json"),
             [{"k_percent": k, "detected": v} for k, v in counts.items()],

@@ -35,71 +35,44 @@ def _paths(text):
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-# key -> (caster, default).  Keys in ARGUMENTS have no default here: they
-# stay None unless the file sets them, and None means unset.
-_SCHEMA = {
-    "output_dir": (str, None),
-    "seed": (int, None),
-    "dims": (_ints, None),
-    "solver": (str, "logss"),
-    # synthetic data
-    "synth_c": (float, None),
-    "synth_l": (int, None),
-    "synth_m": (float, None),
-    "synth_p": (float, None),
-    "noise_mean": (float, None),
-    "noise_var": (float, None),
-    "base_tensor": (str, ""),
-    # graphs
-    "knn_k": (int, None),
-    "rank_ratio": (float, None),
-    # solver parameters, checked by LogssParams (unset: LogssParams.defaults)
-    "theta": (float, None),
-    "lambda": (float, None),
-    "gamma": (float, None),
-    "beta1": (float, None),
-    "beta2": (float, None),
-    "beta3": (float, None),
-    "beta4": (float, None),
-    "max_iter": (int, None),
-    "tol": (float, None),
-    "circular_diff": (_bool, None),
-    # scoring
-    "h_fraction": (float, None),
-    "write_fit_stats": (_bool, False),
-    # evaluation
-    "k_list": (_floats, (0.5, 1.0, 2.0, 5.0)),
-    "events_csv": (str, ""),
-    # ingestion
-    "trips_csv": (_paths, None),
-    "zone_file": (str, None),
-    "year": (int, None),
-    "timestamp_column": (str, None),
-    "zone_column": (str, None),
-    # benchmarking
-    "bench_solvers": (str.split, ("logss", "loss")),
-    "bench_repeats": (int, 3),
-}
-
-# library call -> {config key: argument name}.  A stage passes only the keys
-# the file sets, so every other argument keeps the default its callee states.
+# library call -> {config key: (caster, argument name)}.  A stage passes only
+# the keys the file sets, so every other argument keeps the default its
+# callee states.
 ARGUMENTS = {
     "synth": {  # SynthConfig
-        "synth_c": "c", "synth_l": "l", "synth_m": "m", "synth_p": "p", "seed": "seed",
-        "noise_mean": "noise_mean", "noise_var": "noise_var",
+        "synth_c": (float, "c"), "synth_l": (int, "l"), "synth_m": (float, "m"),
+        "synth_p": (float, "p"), "seed": (int, "seed"),
+        "noise_mean": (float, "noise_mean"), "noise_var": (float, "noise_var"),
     },
-    "graphs": {"knn_k": "k", "rank_ratio": "ratio"},  # build_mode_graphs
+    "graphs": {"knn_k": (int, "k"), "rank_ratio": (float, "ratio")},  # build_mode_graphs
     "solver": {  # LogssParams.defaults
-        "theta": "theta", "lambda": "lam", "gamma": "gamma",
-        "beta1": "beta1", "beta2": "beta2", "beta3": "beta3", "beta4": "beta4",
-        "max_iter": "max_iter", "tol": "tol", "circular_diff": "circular",
+        "theta": (float, "theta"), "lambda": (float, "lam"), "gamma": (float, "gamma"),
+        "beta1": (float, "beta1"), "beta2": (float, "beta2"),
+        "beta3": (float, "beta3"), "beta4": (float, "beta4"),
+        "max_iter": (int, "max_iter"), "tol": (float, "tol"),
+        "circular_diff": (_bool, "circular"),
     },
-    "score": {"h_fraction": "h_fraction"},  # score_sparse_tensor
+    "score": {"h_fraction": (float, "h_fraction")},  # score_sparse_tensor
     "ingest": {  # ingest_trips
-        "trips_csv": "csv_paths", "year": "year",
-        "timestamp_column": "timestamp_column", "zone_column": "zone_column",
+        "trips_csv": (_paths, "csv_paths"), "year": (int, "year"),
+        "timestamp_column": (str, "timestamp_column"), "zone_column": (str, "zone_column"),
     },
 }
+
+# key -> (caster, default) for the keys the CLI reads itself, then every key
+# of ARGUMENTS with no default here: None means unset.
+_SCHEMA = {
+    "output_dir": (str, None),
+    "dims": (_ints, None),
+    "solver": (str, "logss"),
+    "base_tensor": (str, ""),
+    "write_fit_stats": (_bool, False),
+    "k_list": (_floats, (0.5, 1.0, 2.0, 5.0)),
+    "events_csv": (str, ""),
+    "zone_file": (str, None),
+    "bench_solvers": (str.split, ("logss", "loss")),
+    "bench_repeats": (int, 3),
+} | {key: (caster, None) for table in ARGUMENTS.values() for key, (caster, _) in table.items()}
 
 _REQUIRED = {
     "synth": ("dims", "synth_c", "synth_l", "synth_m"),
@@ -166,7 +139,7 @@ def config_for_stage(path, stage, seed_override=None):
         len(cfg["dims"]) != 4 or any(d < 1 for d in cfg["dims"])
     ):
         raise ConfigError(f"{path}: dims must be four positive integers")
-    for key, arg in ARGUMENTS["solver"].items():
+    for key, (_, arg) in ARGUMENTS["solver"].items():
         if cfg[key] is not None:
             try:
                 LogssParams(**{arg: cfg[key]})
@@ -180,6 +153,8 @@ def config_for_stage(path, stage, seed_override=None):
             raise ConfigError(
                 f"{path}: events_csv requires keys: {', '.join(needed)}"
             )
+    if not cfg["bench_solvers"]:
+        raise ConfigError(f"{path}: bench_solvers names no solver")
     unknown = [s for s in cfg["bench_solvers"] if s not in _SOLVERS]
     if unknown:
         raise ConfigError(f"{path}: unknown bench solvers: {', '.join(unknown)}")
@@ -189,4 +164,6 @@ def config_for_stage(path, stage, seed_override=None):
 def library_args(cfg, call):
     """The arguments of ``call`` (a key of ``ARGUMENTS``) that the config
     sets, keyed by argument name."""
-    return {arg: cfg[key] for key, arg in ARGUMENTS[call].items() if cfg[key] is not None}
+    return {
+        arg: cfg[key] for key, (_, arg) in ARGUMENTS[call].items() if cfg[key] is not None
+    }

@@ -72,7 +72,6 @@ class LogssParams:
         beta = 1.0 / (5.0 * scale) if scale > 0 else 1.0
         lam = 1.0 / math.sqrt(max(Y.shape))
         params = {
-            "theta": 1.0,
             "lam": lam,
             "gamma": lam,
             "beta1": beta,

@@ -19,6 +19,7 @@ from stsad.config import (
 )
 from stsad.ingest import events_from_csv, ingest_trips, read_zone_list
 from stsad.logss import LogssParams
+from stsad.tensor import save_mask, save_tensor
 
 
 def write_config(path, **kv):
@@ -88,6 +89,9 @@ def test_config_validates_values(tmp_path):
     cfg.write_text("output_dir = x\ndims = 3 3\n")
     with pytest.raises(ConfigError, match="dims"):
         config_for_stage(cfg, "synth") if False else config_for_stage(cfg, "graphs")
+    cfg.write_text("output_dir = x\nbench_solvers =\n")
+    with pytest.raises(ConfigError, match="bench_solvers names no solver"):
+        config_for_stage(cfg, "bench")
 
 
 @pytest.mark.parametrize(
@@ -318,6 +322,48 @@ def test_evaluate_rejects_event_mixing_offsets(tmp_path, capsys):
         assert run_stage(stage, cfg_path) == 0, stage
     assert run_stage("evaluate", cfg_path) == 1
     assert f"{events}:2: start and end must both have a UTC offset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "k_list, zone, message",
+    [("0 150", "A", "K percent must be in (0, 100], got 0.0"),
+     ("1 5", "Z", "events.csv:2: unknown zone 'Z'")],
+)
+def test_evaluate_that_exits_1_writes_no_artifact(tmp_path, capsys, k_list, zone, message):
+    events = tmp_path / "events.csv"
+    events.write_text(
+        f"zone,start_datetime,end_datetime\n{zone},2020-01-06 10:00,2020-01-06 12:00\n"
+    )
+    zones = zone_file(tmp_path, zones=("A", "B", "C"))
+    cfg_path, out = base_config(tmp_path, dims="24 7 4 3", solver="raw-ee",
+                                events_csv=events, zone_file=zones, year=2020,
+                                k_list=k_list)
+    for stage in ("synth", "decompose", "score"):
+        assert run_stage(stage, cfg_path) == 0, stage
+    assert run_stage("evaluate", cfg_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not {"auc.json", "roc.csv", "detection.json"} & set(os.listdir(out))
+
+
+def test_graphs_that_exits_1_writes_no_artifact(tmp_path, capsys):
+    cfg_path, out = base_config(tmp_path)
+    out.mkdir()
+    save_tensor(str(out / "Y.txt"), np.ones((6, 4, 5, 3)))
+    assert run_stage("graphs", cfg_path) == 1
+    assert "zero covariance" in capsys.readouterr().err
+    assert os.listdir(out) == ["Y.txt"]
+
+
+def test_evaluate_rejects_labels_that_are_not_four_modes(tmp_path, capsys):
+    cfg_path, out = base_config(tmp_path)
+    out.mkdir()
+    save_mask(str(out / "labels.txt"), np.zeros((4, 3, 5), dtype=bool))
+    save_mask(str(out / "omega.txt"), np.ones((4, 3, 5), dtype=bool))
+    (out / "scores.csv").write_text("i1,i2,i3,i4,score\r\n")
+    assert run_stage("evaluate", cfg_path) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out / 'labels.txt'}: dims (4, 3, 5) are not four modes\n"
 
 
 def run_stage(stage, cfg_path, **kw):

@@ -1,0 +1,30 @@
+"""The README's examples run as printed."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+from stsad.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _block(lang, after):
+    """The first ```lang block that follows the text ``after``."""
+    match = re.search(r"```" + lang + r"\n(.*?)```", README[README.index(after):], re.S)
+    return match.group(1)
+
+
+def test_readme_examples_run(tmp_path):
+    text = _block("ini", "A minimal config for the synthetic path")
+    text, n = re.subn(r"(?m)^output_dir = .*$", f"output_dir = {tmp_path / 'out'}", text)
+    assert n == 1
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(text)
+    assert main(["synth", "--config", str(cfg)]) == 0
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        exec(_block("python", "## Library quickstart"), {})
+    assert 0.5 < float(stdout.getvalue()) <= 1.0
