@@ -52,6 +52,6 @@ print(f"AUC of scoring the raw tensor:  {roc_auc(baseline):.3f}")
 
 print("\ntop-K detection (fraction of anomalous hours inside the mask):")
 for k in (0.5, 1.0, 2.0, 5.0):
-    mask = top_k_mask(field, k)
+    mask = top_k_mask(field.scores, k)
     hits = (mask & truth.anomaly_mask).sum()
     print(f"  K = {k:4.1f}%: {hits:4d} / {truth.anomaly_mask.sum()} anomalous hours")

@@ -31,11 +31,11 @@ def _out(cfg, name):
     return os.path.join(cfg["output_dir"], name)
 
 
-def _require(cfg, *names):
-    for name in names:
-        path = _out(cfg, name)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"missing upstream artifact: {path}")
+def _input(cfg, name):
+    path = _out(cfg, name)
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"missing upstream artifact: {path}")
+    return path
 
 
 def _write_json(path, obj):
@@ -125,8 +125,7 @@ def _graph_file(mode, name):
 
 
 def run_graphs(cfg):
-    _require(cfg, "Y.txt")
-    Y = load_tensor(_out(cfg, "Y.txt"))
+    Y = load_tensor(_input(cfg, "Y.txt"))
     graphs = build_mode_graphs(Y, **library_args(cfg, "graphs"))
     stationarity = stationarity_report(Y, graphs)
     meta = []
@@ -141,8 +140,7 @@ def run_graphs(cfg):
 
 
 def _load_graphs(cfg):
-    _require(cfg, "graphs.json")
-    path = _out(cfg, "graphs.json")
+    path = _input(cfg, "graphs.json")
     with open(path) as fh:
         meta = json.load(fh)
     # type() is int: JSON true and false load as bool, an int subclass
@@ -151,23 +149,23 @@ def _load_graphs(cfg):
         raise ValueError(f"{path}: not a list of objects with integer mode and rank")
     graphs = []
     for entry in meta:
-        files = {name: _graph_file(entry["mode"], name) for name in _GRAPH_ARRAYS}
-        _require(cfg, *files.values())
-        arrays = {name: load_tensor(_out(cfg, f)) for name, f in files.items()}
+        arrays = {name: load_tensor(_input(cfg, _graph_file(entry["mode"], name)))
+                  for name in _GRAPH_ARRAYS}
         graphs.append(ModeGraph(mode=entry["mode"], rank=entry["rank"], **arrays))
     return graphs
 
 
 def _decompose(solver, cfg, Y, observed, graphs):
     """Run one solver on (Y, observed); ``graphs`` is needed by logss only."""
+    # resolved for every solver, so raw-ee checks the support against Y too
+    params = logss.LogssParams.defaults(Y, observed, **library_args(cfg, "solver"))
     if solver == "raw-ee":
         # passthrough: downstream stages score the raw tensor
         return logss.DecompositionResult(
             L=np.zeros(Y.shape), S=Y, iterations=0,
             residual_history=[], objective_history=[], wall_time=0.0,
-            converged=True,
+            converged=True, params=params,
         )
-    params = logss.LogssParams.defaults(Y, observed, **library_args(cfg, "solver"))
     if solver == "logss":
         return logss.solve(Y, observed, graphs, params)
     run = baselines.solve_loss if solver == "loss" else baselines.solve_horpca
@@ -175,9 +173,8 @@ def _decompose(solver, cfg, Y, observed, graphs):
 
 
 def run_decompose(cfg):
-    _require(cfg, "Y.txt", "omega.txt")
-    Y = load_tensor(_out(cfg, "Y.txt"))
-    observed = load_mask(_out(cfg, "omega.txt"))
+    Y = load_tensor(_input(cfg, "Y.txt"))
+    observed = load_mask(_input(cfg, "omega.txt"))
     solver = cfg["solver"]
     graphs = _load_graphs(cfg) if solver == "logss" else None
     result = _decompose(solver, cfg, Y, observed, graphs)
@@ -206,8 +203,7 @@ def run_decompose(cfg):
 
 
 def run_score(cfg):
-    _require(cfg, "S.txt")
-    S = load_tensor(_out(cfg, "S.txt"))
+    S = load_tensor(_input(cfg, "S.txt"))
     field = score_sparse_tensor(S, **library_args(cfg, "score"))
     _write_scores_csv(_out(cfg, "scores.csv"), field.scores)
     if cfg["write_fit_stats"]:
@@ -217,12 +213,12 @@ def run_score(cfg):
 
 
 def run_evaluate(cfg):
-    _require(cfg, "scores.csv", "labels.txt", "omega.txt")
-    labels = load_mask(_out(cfg, "labels.txt"))
+    labels_path = _input(cfg, "labels.txt")
+    labels = load_mask(labels_path)
     if labels.ndim != 4:  # scores.csv indexes four modes
-        raise ValueError(f"{_out(cfg, 'labels.txt')}: dims {labels.shape} are not four modes")
-    observed = load_mask(_out(cfg, "omega.txt"))
-    scores = _read_scores_csv(_out(cfg, "scores.csv"), labels.shape)
+        raise ValueError(f"{labels_path}: dims {labels.shape} are not four modes")
+    observed = load_mask(_input(cfg, "omega.txt"))
+    scores = _read_scores_csv(_input(cfg, "scores.csv"), labels.shape)
     ls = labeled_scores(scores, labels, observed)
     auc = roc_auc(ls)
     fpr, tpr = roc_points(ls)
@@ -241,10 +237,9 @@ def run_evaluate(cfg):
 
 
 def run_bench(cfg):
-    _require(cfg, "Y.txt", "omega.txt", "labels.txt")
-    Y = load_tensor(_out(cfg, "Y.txt"))
-    observed = load_mask(_out(cfg, "omega.txt"))
-    labels = load_mask(_out(cfg, "labels.txt"))
+    Y = load_tensor(_input(cfg, "Y.txt"))
+    observed = load_mask(_input(cfg, "omega.txt"))
+    labels = load_mask(_input(cfg, "labels.txt"))
     if not Y.shape == observed.shape == labels.shape:
         raise ValueError(f"dims differ: Y.txt {Y.shape}, omega.txt {observed.shape}, "
                          f"labels.txt {labels.shape}")
@@ -293,7 +288,7 @@ def main(argv=None):
     for stage in STAGES:
         p = sub.add_parser(stage)
         p.add_argument("--config", required=True, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", type=int, default=None, help="override seed (synth only)")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -100,14 +100,16 @@ def detection_at_k(scores, events, k_list):
     """
     if not events:
         raise ValueError("event list is empty")
-    arr = scores.scores if hasattr(scores, "scores") else np.asarray(scores)
+    if not k_list:
+        raise ValueError("K list is empty")
+    shape = np.shape(scores)
     for name, indices in events:
         for idx in indices:
-            if len(idx) != arr.ndim or any(not 0 <= i < d for i, d in zip(idx, arr.shape)):
-                raise ValueError(f"event {name!r}: index {idx} out of bounds {arr.shape}")
+            if len(idx) != len(shape) or any(not 0 <= i < d for i, d in zip(idx, shape)):
+                raise ValueError(f"event {name!r}: index {idx} out of bounds {shape}")
     counts = {}
     for k in k_list:
-        mask = top_k_mask(arr, k)
+        mask = top_k_mask(scores, k)
         counts[k] = sum(
             1
             for _, indices in events
@@ -138,8 +140,7 @@ def benchmark_timing(solvers, instance, repeats):
                 errors.append(f"{type(exc).__name__}: {exc}")
                 continue
             times.append(time.perf_counter() - start)
-            arr = scores.scores if hasattr(scores, "scores") else scores
-            aucs.append(roc_auc(labeled_scores(arr, labels, observed)))
+            aucs.append(roc_auc(labeled_scores(scores, labels, observed)))
         def stats(v):
             if not v:
                 return None, None

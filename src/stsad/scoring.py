@@ -124,12 +124,12 @@ def top_k_mask(scores, k_percent):
     Ties at the cutoff are broken by lexicographic index order, so the mask
     is deterministic and its size exact.
     """
-    arr = scores.scores if isinstance(scores, FiberScoreField) else np.asarray(scores)
+    scores = np.asarray(scores)
     if not 0 < k_percent <= 100:
         raise ValueError(f"K percent must be in (0, 100], got {k_percent}")
-    count = math.ceil(k_percent / 100.0 * arr.size)
-    flat = arr.ravel()                      # C order == lexicographic indices
+    count = math.ceil(k_percent / 100.0 * scores.size)
+    flat = scores.ravel()                   # C order == lexicographic indices
     order = np.argsort(-flat, kind="stable")
-    mask = np.zeros(arr.size, dtype=bool)
+    mask = np.zeros(scores.size, dtype=bool)
     mask[order[:count]] = True
-    return mask.reshape(arr.shape)
+    return mask.reshape(scores.shape)

@@ -9,7 +9,7 @@ out to simulate missing data.  Everything is deterministic given the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,15 +64,14 @@ class SynthConfig:
 
 @dataclass
 class GroundTruth:
-    """Element-level anomaly labels, the observation mask, and the injected
-    intervals as (fiber (i2, i3, i4), start, length, sign) tuples.
+    """Element-level anomaly labels and the injected intervals as
+    (fiber (i2, i3, i4), start, length, sign) tuples.
 
     Anomalies may land on fibers that are later blanked out; evaluation is
     restricted to observed elements.
     """
 
     anomaly_mask: np.ndarray
-    observed: np.ndarray
     injected_intervals: list[tuple] = field(default_factory=list)
 
 
@@ -152,12 +151,7 @@ def inject_anomalies(T, c, l, m, seed):
         T[idx] += shift
         mask[idx] = True
         intervals.append((tuple(int(f) for f in fiber), start, int(l), sign))
-    truth = GroundTruth(
-        anomaly_mask=mask,
-        observed=np.ones(T.shape, dtype=bool),
-        injected_intervals=intervals,
-    )
-    return T, truth
+    return T, GroundTruth(anomaly_mask=mask, injected_intervals=intervals)
 
 
 def apply_missing(T, P, seed):
@@ -175,8 +169,9 @@ def synthesize(config):
     """Full pipeline: base pattern, noise, anomalies, missing fibers.
 
     Returns (Y, observed, GroundTruth, manifest) where the manifest records
-    the configuration and injected intervals for reproducibility.  Raises
-    ValueError if Y overflows to a non-finite value.
+    every setting of the config, the dims of its template and the injected
+    intervals for reproducibility.  Raises ValueError if Y overflows to a
+    non-finite value.
     """
     noise_seed, anomaly_seed, missing_seed = np.random.SeedSequence(
         config.seed
@@ -193,16 +188,10 @@ def synthesize(config):
     Y, observed = apply_missing(Y, config.p, np.random.default_rng(missing_seed))
     if not np.isfinite(Y).all():
         raise ValueError("synth tensor not finite: c, noise_mean or noise_var too large")
-    truth.observed = observed
     manifest = {
+        # every setting but the template (field 0), which dims stands in for
+        **{f.name: getattr(config, f.name) for f in fields(config)[1:]},
         "dims": list(config.base.shape),
-        "c": config.c,
-        "l": config.l,
-        "m": config.m,
-        "p": config.p,
-        "seed": config.seed,
-        "noise_mean": config.noise_mean,
-        "noise_var": config.noise_var,
         "injected_intervals": [
             {"fiber": list(f), "start": s, "length": ln, "sign": sg}
             for f, s, ln, sg in truth.injected_intervals

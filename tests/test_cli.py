@@ -327,7 +327,8 @@ def test_evaluate_rejects_event_mixing_offsets(tmp_path, capsys):
 @pytest.mark.parametrize(
     "k_list, zone, message",
     [("0 150", "A", "K percent must be in (0, 100], got 0.0"),
-     ("1 5", "Z", "events.csv:2: unknown zone 'Z'")],
+     ("1 5", "Z", "events.csv:2: unknown zone 'Z'"),
+     ("", "A", "K list is empty")],
 )
 def test_evaluate_that_exits_1_writes_no_artifact(tmp_path, capsys, k_list, zone, message):
     events = tmp_path / "events.csv"
@@ -392,6 +393,23 @@ def test_evaluate_without_scores_names_missing_file(tmp_path, capsys):
     assert run_stage("evaluate", cfg_path) == 1
     err = capsys.readouterr().err
     assert "scores.csv" in err
+
+
+@pytest.mark.parametrize("stage, name", [
+    ("graphs", "Y.txt"), ("decompose", "omega.txt"), ("decompose", "graphs.json"),
+    ("decompose", "mode3_eigvecs.txt"), ("score", "S.txt"), ("evaluate", "labels.txt"),
+    ("bench", "labels.txt"),
+])
+def test_every_stage_names_a_missing_input(tmp_path, capsys, stage, name):
+    cfg_path, out = base_config(tmp_path, max_iter=3, bench_repeats=2)
+    for upstream in ("synth", "graphs", "decompose", "score"):
+        assert run_stage(upstream, cfg_path) == 0, upstream
+    (out / name).unlink()
+    before = set(os.listdir(out))
+    capsys.readouterr()
+    assert run_stage(stage, cfg_path) == 1
+    assert capsys.readouterr().err == f"error: missing upstream artifact: {out / name}\n"
+    assert set(os.listdir(out)) == before
 
 
 def test_decompose_rerun_is_byte_identical(tmp_path):
@@ -697,6 +715,17 @@ def test_input_files_whose_dims_disagree_exit_1(tmp_path, capsys):
     for stage, err in expected.items():
         assert run_stage(stage, cfg_path) == 1, stage
         assert capsys.readouterr().err == err
+    raw_ee = tmp_path / "raw-ee.cfg"
+    raw_ee.write_text(
+        (tmp_path / "pipeline.cfg").read_text().replace("solver = logss", "solver = raw-ee")
+    )
+    S = (out / "S.txt").read_bytes()
+    assert run_stage("decompose", str(raw_ee)) == 1
+    assert capsys.readouterr().err == expected["decompose"]
+    save_mask(out / "omega.txt", np.zeros((8, 4, 6, 3), dtype=bool))
+    assert run_stage("decompose", str(raw_ee)) == 1
+    assert capsys.readouterr().err == "error: no observed entries\n"
+    assert (out / "S.txt").read_bytes() == S
     (out / "omega.txt").write_bytes(omega)
     save_mask(out / "labels.txt", np.ones((8, 4, 6, 2), dtype=bool))
     assert run_stage("bench", cfg_path) == 1

@@ -139,6 +139,8 @@ def test_detection_validates_indices():
         detection_at_k(scores, [("bad", {(5, 0, 0, 0)})], [10.0])
     with pytest.raises(ValueError):
         detection_at_k(scores, [], [10.0])
+    with pytest.raises(ValueError, match="K list is empty"):
+        detection_at_k(scores, [("a", {(0, 0, 0, 0)})], [])
 
 
 def bench_instance(seed=0):

@@ -180,8 +180,8 @@ def test_top_k_mask_accepts_field_and_validates():
         loc=np.zeros((2, 2, 2)),
         scale=np.ones((2, 2, 2)),
     )
-    assert top_k_mask(field, 50.0).sum() == 8
+    assert top_k_mask(field.scores, 50.0).sum() == 8
     with pytest.raises(ValueError):
-        top_k_mask(field, 0.0)
+        top_k_mask(field.scores, 0.0)
     with pytest.raises(ValueError):
-        top_k_mask(field, 101.0)
+        top_k_mask(field.scores, 101.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -190,3 +191,15 @@ def test_synthesize_deterministic_and_consistent():
     assert truth1.anomaly_mask.shape == Y1.shape
     assert man1["injected_intervals"]
     assert (Y1[~obs1] == 0.0).all()
+
+
+def test_manifest_lists_every_synth_setting():
+    cfg = SynthConfig(base=builtin_template(DIMS), c=2.0, l=3, m=8.0, p=20.0, seed=42,
+                      noise_mean=1.5, noise_var=0.25)
+    _, _, truth, manifest = synthesize(cfg)
+    settings = {f.name for f in fields(SynthConfig)} - {"base"}
+    assert set(manifest) == settings | {"dims", "injected_intervals"}
+    for name in settings:
+        assert manifest[name] == getattr(cfg, name), name
+    assert manifest["dims"] == list(DIMS)
+    assert len(manifest["injected_intervals"]) == len(truth.injected_intervals)
