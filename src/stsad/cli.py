@@ -11,6 +11,7 @@ point is timing).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -50,21 +51,34 @@ def _write_jsonl(path, rows):
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _write_csv(path, header, row_format, columns):
-    """Write the ``header`` line and one ``row_format`` row per entry of the
-    1-D ``columns``, ending lines with ``\\r\\n`` as ``csv.writer`` does."""
-    rows = map((row_format + "\r\n").format, *(c.tolist() for c in columns))
+def _format_rows(row_format, columns):
+    """One ``%``-style ``row_format`` line per entry of the equal-length lists
+    ``columns``, ended by ``\\r\\n`` as ``csv.writer`` does.  One %-format
+    over one flat argument list, as in save_tensor."""
+    n, width = len(columns[0]), len(columns)
+    args = [None] * (n * width)
+    for k, column in enumerate(columns):
+        args[k::width] = column
+    return ((row_format + "\r\n") * n) % tuple(args)
+
+
+def _write_csv(path, header, chunks):
+    """Write the ``header`` line, then the text ``chunks``."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
-        fh.write("".join(rows))
+        fh.writelines(chunks)
 
 
 def _write_index_csv(path, header, *arrays):
     """One row per element of the same-shaped ``arrays``: its index, in C
-    order, then its value in each array."""
-    index = np.indices(arrays[0].shape).reshape(arrays[0].ndim, -1)
-    row_format = ",".join(["{}"] * len(index) + ["{:.17g}"] * len(arrays))
-    _write_csv(path, header, row_format, [*index, *(a.ravel() for a in arrays)])
+    order, then its value in each array.  The text is built one mode-1 slab
+    at a time, which bounds its memory."""
+    pieces = [[f"{i}," for i in range(d)] for d in arrays[0].shape[1:]]
+    rest = list(map("".join, itertools.product(*pieces)))  # modes 2..N of a slab
+    values = ",".join(["%.17g"] * len(arrays))
+    slabs = (_format_rows(f"{i},%s{values}", [rest, *(a[i].ravel().tolist() for a in arrays)])
+             for i in range(arrays[0].shape[0]))
+    _write_csv(path, header, slabs)
 
 
 _SCORES_HEADER = "i1,i2,i3,i4,score"
@@ -227,7 +241,8 @@ def run_evaluate(cfg):
         events = events_from_csv(cfg["events_csv"], zones, cfg["year"])
         counts = detection_at_k(scores, events, cfg["k_list"])
     _write_json(_out(cfg, "auc.json"), {"method": cfg["solver"], "auc": auc})
-    _write_csv(_out(cfg, "roc.csv"), "fpr,tpr", "{:.17g},{:.17g}", [fpr, tpr])
+    _write_csv(_out(cfg, "roc.csv"), "fpr,tpr",
+               [_format_rows("%.17g,%.17g", [fpr.tolist(), tpr.tolist()])])
     if cfg["events_csv"]:
         _write_json(
             _out(cfg, "detection.json"),

@@ -410,6 +410,8 @@ def solve(Y, observed, graphs, params=None):
         if g.basis.shape != (size, g.rank):
             raise ValueError(f"mode {n} graph: eigenbasis {g.basis.shape} is not "
                              f"(mode size, rank) {(size, g.rank)}")
+        if not 1 <= g.rank <= size:
+            raise ValueError(f"mode {n} graph: rank {g.rank} is not in [1, {size}]")
         if g.mode != n:
             raise ValueError(f"mode {n} graph: built for mode {g.mode}")
     return _admm(Y, observed, params, _graph_block, graphs)

@@ -134,12 +134,16 @@ def soft_threshold(tensor, phi, out=None):
     return np.copysign(out, tensor, out=out)
 
 
+def _header(shape):
+    return "dims: " + " ".join(str(d) for d in shape) + "\n"
+
+
 def save_tensor(path, tensor):
     """Write a tensor in the text format (17 significant digits, exact round trip)."""
     tensor = np.asarray(tensor, dtype=float)
     values = tensor.ravel(order="F")
     with open(path, "w") as fh:
-        fh.write("dims: " + " ".join(str(d) for d in tensor.shape) + "\n")
+        fh.write(_header(tensor.shape))
         # one %-format over all values: the same text as "{:.17g}", and
         # about twice as fast as formatting value by value
         fh.write(("%.17g\n" * values.size) % tuple(values.tolist()))
@@ -205,13 +209,26 @@ def load_tensor(path):
 def save_mask(path, mask):
     """Write a boolean mask in the tensor text format with 0/1 values."""
     mask = np.asarray(mask, dtype=bool)
-    with open(path, "w") as fh:
-        fh.write("dims: " + " ".join(str(d) for d in mask.shape) + "\n")
-        fh.write("".join([("0\n", "1\n")[v] for v in mask.ravel(order="F").tolist()]))
+    lines = np.full((mask.size, 2), ord("\n"), dtype=np.uint8)  # "0\n" or "1\n"
+    lines[:, 0] = mask.ravel(order="F") + ord("0")
+    with open(path, "wb") as fh:
+        fh.write(_header(mask.shape).encode())
+        fh.write(lines.tobytes())
 
 
 def load_mask(path):
     """Read a 0/1 mask written by :func:`save_mask` as a boolean array."""
+    with open(path, "rb") as fh:
+        header, body = fh.readline(), np.frombuffer(fh.read(), dtype=np.uint8)
+    words = header[len(b"dims:"):].split()
+    dims = tuple(int(w) for w in words) if all(w.isdigit() for w in words) else ()
+    # the file save_mask writes, "0\n" or "1\n" per element, decodes as bytes
+    if (min(dims, default=0) > 0 and header == _header(dims).encode()
+            and body.size == 2 * math.prod(dims) and (body[1::2] == ord("\n")).all()):
+        bits = body[0::2] - ord("0")
+        if (bits <= 1).all():
+            return bits.astype(bool).reshape(dims, order="F")
+    # any other spelling of 0 and 1 (1.0, 1e0, \r\n line ends) is read as text
     arr = load_tensor(path)
     if not np.isin(arr, (0.0, 1.0)).all():
         raise ValueError(f"{path}: mask values must be 0 or 1")

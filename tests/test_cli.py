@@ -639,15 +639,18 @@ def csv_writer_bytes(header, rows):
 
 
 def test_scores_csv_matches_csv_writer_and_round_trips(tmp_path):
-    scores = np.array([-0.0, 5e-324, 1e300, 0.1, 3.0, -42.0, 1.0 / 3.0, 7.0]).reshape(2, 1, 2, 2)
+    golden = np.array([-0.0, 5e-324, 1e300, 0.1, 3.0, -42.0, 1.0 / 3.0, 7.0]).reshape(2, 1, 2, 2)
+    # two modes of 10 or more entries: indices of two digits
+    wide = np.random.default_rng(5).normal(size=(12, 1, 2, 11))
     path = tmp_path / "scores.csv"
-    _write_scores_csv(str(path), scores)
-    expected = csv_writer_bytes(
-        ["i1", "i2", "i3", "i4", "score"],
-        ([*idx, f"{scores[idx]:.17g}"] for idx in np.ndindex(scores.shape)),
-    )
-    assert path.read_bytes() == expected
-    assert _read_scores_csv(str(path), scores.shape).tobytes() == scores.tobytes()
+    for scores in (golden, wide):
+        _write_scores_csv(str(path), scores)
+        expected = csv_writer_bytes(
+            ["i1", "i2", "i3", "i4", "score"],
+            ([*idx, f"{scores[idx]:.17g}"] for idx in np.ndindex(scores.shape)),
+        )
+        assert path.read_bytes() == expected
+        assert _read_scores_csv(str(path), scores.shape).tobytes() == scores.tobytes()
 
 
 def test_score_and_evaluate_csv_files_match_csv_writer(tmp_path):
@@ -755,13 +758,17 @@ def test_graphs_json_rank_that_does_not_fit_exits_1(tmp_path, capsys):
     for stage in ("synth", "graphs"):
         assert run_stage(stage, cfg_path) == 0, stage
     meta = json.loads((out / "graphs.json").read_text())
-    meta[1]["rank"] = 10**15  # G of this rank would not fit any address space
-    (out / "graphs.json").write_text(json.dumps(meta))
-    capsys.readouterr()
-    assert run_stage("decompose", cfg_path) == 1
-    assert capsys.readouterr().err == (
-        f"error: mode 2 graph: eigenbasis (4, 4) is not (mode size, rank) (4, {10**15})\n"
-    )
+    for rank, message in [
+        # G of this rank would not fit any address space
+        (10**15, f"eigenbasis (4, 4) is not (mode size, rank) (4, {10**15})"),
+        (0, "rank 0 is not in [1, 4]"),  # an empty eigenbasis fits its shape check
+    ]:
+        meta[1]["rank"] = rank
+        (out / "graphs.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert run_stage("decompose", cfg_path) == 1, rank
+        assert capsys.readouterr().err == f"error: mode 2 graph: {message}\n"
+        assert not (out / "S.txt").exists()
 
 
 def test_graph_listed_for_the_wrong_mode_exits_1(tmp_path, capsys):

@@ -232,6 +232,31 @@ def test_tensor_and_mask_files_match_per_value_writer(tmp_path):
     assert (tmp_path / "m.txt").read_bytes() == expected.encode()
 
 
+def test_masks_that_save_mask_did_not_write_still_load(tmp_path):
+    mask = np.array([[True, False, False], [True, True, False]])
+    save_mask(tmp_path / "m.txt", mask)
+    canonical = (tmp_path / "m.txt").read_text()
+
+    def spelled(zero, one, end="\n"):
+        return "dims: 2 3" + end + "".join((one if v else zero) + end
+                                           for v in mask.ravel(order="F"))
+
+    other = tmp_path / "other.txt"
+    for text in [
+        spelled("0.0", "1.0"), spelled("0e0", "1e0"), spelled(" 0", " 1"),
+        spelled("+0", "+1"),
+        spelled("%.18e" % 0, "%.18e" % 1),  # numpy savetxt's default format
+        spelled("0", "1", end="\r\n"),
+        canonical[:-1],  # no final newline
+    ]:
+        other.write_bytes(text.encode())
+        got = load_mask(other)
+        assert got.dtype == bool and np.array_equal(got, mask), text
+    other.write_bytes(canonical.replace("1\n", "2\n", 1).encode())
+    with pytest.raises(ValueError, match="0 or 1"):
+        load_mask(other)
+
+
 def test_tensor_file_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 4\n1.0\n")
