@@ -15,8 +15,8 @@ import dataclasses
 import numpy as np
 
 from . import instrumentation
-from .logss import LogssParams, _admm
-from .tensor import fold, unfold
+from .logss import LogssParams, _admm, _in_parts, _mode_parts
+from .tensor import fold
 
 __all__ = ["svt", "solve_loss", "solve_horpca"]
 
@@ -27,14 +27,15 @@ def svt(M, tau):
     return out
 
 
-def _svt_with_norm(M, tau):
-    # returns the thresholded matrix and its nuclear norm (a free byproduct)
+def _svt_with_norm(M, tau, out=None):
+    # returns the thresholded matrix, into out if given, and its nuclear norm
+    # (a free byproduct)
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     instrumentation.record("svd")
     U, s, Vt = np.linalg.svd(np.asarray(M, dtype=float), full_matrices=False)
     s = np.maximum(s - tau, 0.0)
-    return (U * s) @ Vt, float(s.sum())
+    return np.matmul(U * s, Vt, out=out), float(s.sum())
 
 
 def _svt_block(state):
@@ -43,17 +44,26 @@ def _svt_block(state):
     Its penalty is the sum of the nuclear norms, which fall out of the
     thresholding, so the objective costs no extra SVDs.
     """
-    diff = state.scratch[0]
     tau = state.params.theta / state.params.beta4
-    penalty = 0
+
+    def part(modes, work):
+        nuclear = {}
+        for n in modes:
+            G = state.G[n - 1]
+            # L - gamma4 written straight into its mode-n unfolding: no copy
+            diff = work.reshape(-1).reshape((G.shape[n - 1], -1), order="F")
+            np.subtract(state.L, state.gamma4[n - 1], out=fold(diff, n, G.shape))
+            # the SVD copies diff, so the result may overwrite it
+            low, nuclear[n] = _svt_with_norm(diff, tau, out=work.reshape(diff.shape))
+            np.copyto(G, fold(low, n, G.shape))
+        return nuclear
+
     before = instrumentation.snapshot()["svd"]
-    for n, G in enumerate(state.G, start=1):
-        np.subtract(state.L, state.gamma4[n - 1], out=diff)
-        low, nuc = _svt_with_norm(unfold(diff, n), tau)
-        np.copyto(G, fold(low, n, G.shape))
-        penalty += nuc
+    nuclear = {}
+    for share in _in_parts(part, _mode_parts(state)):
+        nuclear.update(share)
     state.svd_history.append(instrumentation.snapshot()["svd"] - before)
-    return penalty
+    return sum(nuclear[n] for n in range(1, len(state.G) + 1))
 
 
 def solve_loss(Y, observed, params=None):

@@ -7,11 +7,15 @@ happens (graph construction vs. solver iterations).
 
 from __future__ import annotations
 
+import threading
+
 _counts = {"svd": 0, "eig": 0}
+_lock = threading.Lock()  # a solver's worker thread records SVDs too
 
 
 def record(kind):
-    _counts[kind] += 1
+    with _lock:
+        _counts[kind] += 1
 
 
 def snapshot():

@@ -10,11 +10,20 @@ constraints.  Every update below is the exact minimizer / proximal map of
 its block of the augmented Lagrangian, so one sweep per iteration needs no
 inner loops and no spectral decompositions.  Each takes only the solver
 state and overwrites its own variable in it.
+
+A block runs as one part, or, on a tensor of at least ``_TWO_PARTS_MIN``
+elements when the process may use two CPUs, as two parts, one of them on a
+worker thread (:func:`_in_parts`).  The parts split the work so that L, S
+and the objective keep the bits of one part; only the residual norms, which
+add per-part sums of squares, may differ in their last digits.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -119,7 +128,8 @@ class SolverState:
     (W update) and ``projectors`` (G update) are precomputed from them.
     ``G`` holds the per-mode spectral coefficients (mode-n dimension J_n),
     ``lifted`` their lifts to full shape, ``w_diff`` the mode-1 differences
-    of W, ``scratch`` two work tensors.  For the baselines ``graphs`` and
+    of W, ``scratch`` two work tensors, ``parts`` the number of parts each
+    block runs as (1 or 2, see :func:`_in_parts`).  For the baselines ``graphs`` and
     ``projectors`` are None and ``G``, which is also ``lifted``, holds
     full-shape per-mode low-rank tensors; their block appends its SVD count
     per iteration to ``svd_history``.
@@ -145,10 +155,14 @@ class SolverState:
     graphs: list | None = None
     projectors: list[np.ndarray] | None = None
     svd_history: list[int] = field(default_factory=list)
+    parts: int = 1
 
     @classmethod
     def zeros(cls, Y, observed, params, graphs=None):
         dims = Y.shape
+        parts = 2 if Y.size >= _TWO_PARTS_MIN and _usable_cpus() >= 2 else 1
+        if parts == 2:  # parts view every tensor through its C-order layout
+            Y, observed = np.ascontiguousarray(Y), np.ascontiguousarray(observed)
         delta = build_diff_operator(dims[0], circular=params.circular)
         w_inv = np.linalg.inv(
             params.beta3 * np.eye(dims[0]) + params.beta2 * delta.T @ delta
@@ -169,7 +183,7 @@ class SolverState:
             L=zero(), S=zero(), W=zero(), Z=zero(), G=G, gamma1=zero(), gamma2=zero(),
             gamma3=zero(), gamma4=[zero() for _ in dims], delta=delta, w_inv=w_inv,
             lifted=lifted, w_diff=zero(), scratch=(zero(), zero()), graphs=graphs,
-            projectors=projectors,
+            projectors=projectors, parts=parts,
         )
 
 
@@ -189,10 +203,124 @@ def build_diff_operator(I1, circular=True):
     return delta
 
 
+# Smallest tensor (in elements) whose blocks run as two parts.  On 2 vCPUs
+# with BLAS on one thread, LOGSS with two parts lost up to 104,832 elements
+# and won from 122,304 on; a hand-off to the worker costs 35-60 us.
+_TWO_PARTS_MIN = 1 << 17
+
+_worker = None  # the one-thread executor of second parts, made on first use
+_worker_lock = threading.Lock()
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _forget_worker():
+    # a forked child has no worker thread, only the parent's executor object,
+    # which would queue work that never runs
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _in_parts(work, parts):
+    """``[work(*args) for args in parts]`` for one or two parts.  A second
+    part runs on the worker thread, under the caller's context (so its
+    ``np.errstate``), while the caller runs the first; if the worker has not
+    started it by then (its CPU is busy), the caller runs it too.  Returns, or
+    raises the first part's exception before the second's, only once both
+    are done."""
+    if len(parts) == 1:
+        return [work(*parts[0])]
+    global _worker
+    with _worker_lock:  # solves may run in several threads
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor  # 13 ms to import
+
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stsad")
+    second = _worker.submit(contextvars.copy_context().run, work, *parts[1])
+    try:
+        first = work(*parts[0])
+    finally:
+        if not second.cancel():
+            second.exception()  # waits: no part may outlive its block
+    return [first, work(*parts[1]) if second.cancelled() else second.result()]
+
+
+def _whole(tensor):
+    return tensor
+
+
+def _mode1_product(tensor, matrix, out):
+    return mode_n_product(tensor, matrix, 1, out=out)
+
+
+def _matmul(unfolding, matrix, out):
+    return np.matmul(matrix, unfolding, out=out)
+
+
+def _flat_parts(state):
+    """``(view,)`` per part of an elementwise block: the whole tensor, or the
+    two contiguous halves of its flat index, split where numpy's pairwise
+    sum splits it, so per-part sums add up to the whole sum bit for bit."""
+    if state.parts == 1:
+        return [(_whole,)]
+    n = state.Y.size
+    h = n // 2 - n // 2 % 8
+    return [(lambda a, s=s: a.reshape(-1)[s],) for s in (slice(0, h), slice(h, n))]
+
+
+def _column_parts(state):
+    """``(view, mode-1 product)`` per part of a block with mode-1 products:
+    the whole tensor, or two column halves of its mode-1 unfolding, split on
+    a multiple of 64 columns, where a product by halves has the bits of the
+    whole one (an unaligned split changed some by 1 ulp)."""
+    whole = [(_whole, _mode1_product)]
+    if state.parts == 1:
+        return whole
+    rows = state.Y.shape[0]
+    cols = state.Y.size // rows
+    c = round(cols / 128) * 64
+    # OpenBLAS rounds the last cols % 8 columns of a product of at most 10**6
+    # multiply-adds (a small-matrix kernel) differently from a larger one's
+    small = lambda k: rows * rows * k <= 10**6
+    if not 0 < c < cols or cols % 8 and small(cols - c) != small(cols):
+        return whole
+    return [(lambda a, s=s: a.reshape(rows, cols)[:, s], _matmul)
+            for s in (slice(0, c), slice(c, cols))]
+
+
+def _mode_parts(state):
+    """``(modes, work tensor)`` per part of a per-mode block: every mode with
+    ``scratch[0]``, or the modes shared out largest first (by the extent of
+    ``state.G`` along the mode) and each part with its own scratch tensor.
+    A mode is never split: a split inside a mode's product changed its bits."""
+    modes = range(1, state.Y.ndim + 1)
+    if state.parts == 1:
+        return [(modes, state.scratch[0])]
+    shares, loads = ([], []), [0, 0]
+    for n in sorted(modes, key=lambda n: -state.G[n - 1].shape[n - 1]):
+        k = loads.index(min(loads))
+        shares[k].append(n)
+        loads[k] += state.G[n - 1].shape[n - 1]
+    return [(sorted(share), work) for share, work in zip(shares, state.scratch)]
+
+
 def _lifted_graph_terms(state):
     # G^n lifted back to full shape, G^n x_n P_hat_n, into state.lifted
-    terms = enumerate(zip(state.G, state.graphs, state.lifted), start=1)
-    return [mode_n_product(G, g.basis, n, out=o) for n, (G, g, o) in terms]
+    def part(modes, _):
+        for n in modes:
+            basis = state.graphs[n - 1].basis
+            mode_n_product(state.G[n - 1], basis, n, out=state.lifted[n - 1])
+
+    _in_parts(part, _mode_parts(state))
 
 
 def update_low_rank(state):
@@ -204,18 +332,22 @@ def update_low_rank(state):
     """
     p = state.params
     N = state.Y.ndim
-    T2, work = state.scratch
-    np.copyto(T2, state.lifted[0])
-    for term in state.lifted[1:] + state.gamma4:
-        T2 += term
-    L = np.subtract(state.Y, state.S, out=state.L)  # T1 = Y - S + gamma1
-    L += state.gamma1
-    L *= p.beta1
-    L += np.multiply(T2, p.beta4, out=work)
-    L /= p.beta1 + N * p.beta4
-    if state.missing is not None:
-        T2 /= N
-        np.copyto(L, T2, where=state.missing)
+
+    def part(v):
+        T2, work = map(v, state.scratch)
+        np.copyto(T2, v(state.lifted[0]))
+        for term in state.lifted[1:] + state.gamma4:
+            T2 += v(term)
+        L = np.subtract(v(state.Y), v(state.S), out=v(state.L))  # T1 = Y - S + gamma1
+        L += v(state.gamma1)
+        L *= p.beta1
+        L += np.multiply(T2, p.beta4, out=work)
+        L /= p.beta1 + N * p.beta4
+        if state.missing is not None:
+            T2 /= N
+            np.copyto(L, T2, where=v(state.missing))
+
+    _in_parts(part, _flat_parts(state))
 
 
 def update_graph_coeffs(state):
@@ -225,48 +357,63 @@ def update_graph_coeffs(state):
     the matrix inverse is diagonal, so it is applied as a row scaling of the
     projected unfolding (``state.projectors``).
     """
-    diff = state.scratch[0]
-    for n, (P, G) in enumerate(zip(state.projectors, state.G), start=1):
-        np.subtract(state.L, state.gamma4[n - 1], out=diff)
-        mode_n_product(diff, P, n, out=G)
+    def part(modes, diff):
+        for n in modes:
+            np.subtract(state.L, state.gamma4[n - 1], out=diff)
+            mode_n_product(diff, state.projectors[n - 1], n, out=state.G[n - 1])
+
+    _in_parts(part, _mode_parts(state))
 
 
 def update_sparse(state):
     """Proximal update of S (exact on both the support and its complement)."""
     p = state.params
-    T3, T4 = state.scratch
-    np.subtract(state.Y, state.L, out=T3)  # T3 = Y - L + gamma1
-    T3 += state.gamma1
-    T3 *= p.beta1
-    np.add(state.W, state.gamma3, out=T4)  # T4 = W + gamma3
-    S = np.multiply(T4, p.beta3, out=state.S)
-    T3 += S
-    soft_threshold(T3, p.lam, out=S)
-    S /= p.beta1 + p.beta3
-    if state.missing is not None:
-        off = soft_threshold(T4, p.lam / p.beta3, out=T3)
-        np.copyto(S, off, where=state.missing)
+
+    def part(v):
+        T3, T4 = map(v, state.scratch)
+        np.subtract(v(state.Y), v(state.L), out=T3)  # T3 = Y - L + gamma1
+        T3 += v(state.gamma1)
+        T3 *= p.beta1
+        np.add(v(state.W), v(state.gamma3), out=T4)  # T4 = W + gamma3
+        S = np.multiply(T4, p.beta3, out=v(state.S))
+        T3 += S
+        soft_threshold(T3, p.lam, out=S)
+        S /= p.beta1 + p.beta3
+        if state.missing is not None:
+            off = soft_threshold(T4, p.lam / p.beta3, out=T3)
+            np.copyto(S, off, where=v(state.missing))
+
+    _in_parts(part, _flat_parts(state))
 
 
 def update_smooth_aux(state):
     """Exact solve of the W block via the precomputed mode-1 inverse."""
     p = state.params
-    rhs, z_sum = state.scratch
-    np.subtract(state.S, state.gamma3, out=rhs)
-    rhs *= p.beta3
-    np.add(state.gamma2, state.Z, out=z_sum)
-    W = mode_n_product(z_sum, state.delta.T, 1, out=state.W)
-    W *= p.beta2
-    rhs += W
-    mode_n_product(rhs, state.w_inv, 1, out=W)
+
+    def part(v, product):
+        rhs, z_sum = map(v, state.scratch)
+        np.subtract(v(state.S), v(state.gamma3), out=rhs)
+        rhs *= p.beta3
+        np.add(v(state.gamma2), v(state.Z), out=z_sum)
+        W = product(z_sum, state.delta.T, v(state.W))
+        W *= p.beta2
+        rhs += W
+        product(rhs, state.w_inv, W)
+
+    _in_parts(part, _column_parts(state))
 
 
 def update_tv_aux(state):
     """Shrinkage update of the mode-1 difference variable Z; also writes the
     differences of W to ``state.w_diff``."""
-    mode_n_product(state.W, state.delta, 1, out=state.w_diff)
-    arg = np.subtract(state.w_diff, state.gamma2, out=state.scratch[0])
-    soft_threshold(arg, state.params.gamma / state.params.beta2, out=state.Z)
+    p = state.params
+
+    def part(v, product):
+        w_diff = product(v(state.W), state.delta, v(state.w_diff))
+        arg = np.subtract(w_diff, v(state.gamma2), out=v(state.scratch[0]))
+        soft_threshold(arg, p.gamma / p.beta2, out=v(state.Z))
+
+    _in_parts(part, _column_parts(state))
 
 
 def update_duals(state):
@@ -275,19 +422,28 @@ def update_duals(state):
     Returns the primal residual norms used both for the stopping rule and
     the diagnostics.
     """
-    # each residual is written to r, subtracted from its dual, then measured
-    r = state.scratch[0]
-    np.add(state.L, state.S, out=r)
-    r -= state.Y
-    if state.missing is not None:
-        np.copyto(r, 0.0, where=state.missing)
-    state.gamma1 -= r
-    norms = [float(np.linalg.norm(r))]
     constraints = [(state.gamma2, state.w_diff, state.Z), (state.gamma3, state.S, state.W)]
     constraints += [(dual, state.L, lift) for dual, lift in zip(state.gamma4, state.lifted)]
-    for dual, a, b in constraints:  # residual a - b
-        dual -= np.subtract(a, b, out=r)
-        norms.append(float(np.linalg.norm(r)))
+
+    def part(v):
+        # each residual is written to r, subtracted from its dual, then its
+        # sum of squares is taken
+        r = v(state.scratch[0])
+        np.add(v(state.L), v(state.S), out=r)
+        r -= v(state.Y)
+        if state.missing is not None:
+            np.copyto(r, 0.0, where=v(state.missing))
+        gamma1 = v(state.gamma1)
+        gamma1 -= r
+        squares = [float(np.vdot(r, r))]
+        for dual, a, b in constraints:  # residual a - b
+            dual = v(dual)
+            dual -= np.subtract(v(a), v(b), out=r)
+            squares.append(float(np.vdot(r, r)))
+        return squares
+
+    # sqrt(r.r) is np.linalg.norm(r) bit for bit; two parts add their sums
+    norms = [math.sqrt(sum(sq)) for sq in zip(*_in_parts(part, _flat_parts(state)))]
     residuals = dict(zip(("r_data", "r_tv", "r_sw"), norms))
     residuals["r_graph_max"] = max(norms[3:])
     return residuals
@@ -301,10 +457,17 @@ def objective_value(state, low_rank_penalty):
     baselines); recorded for diagnostics only, since ADMM is not monotone.
     """
     p = state.params
-    work = np.abs(state.S, out=state.scratch[0])
-    sparse = float(work.sum())
-    mode_n_product(state.S, state.delta, 1, out=work)
-    tv = float(np.abs(work, out=work).sum())
+    abs_s, abs_tv = state.scratch
+
+    def tv_part(v, product):
+        tv = product(v(state.S), state.delta, v(abs_tv))
+        np.abs(tv, out=tv)
+
+    def sums_part(v):
+        return float(np.abs(v(state.S), out=v(abs_s)).sum()), float(v(abs_tv).sum())
+
+    _in_parts(tv_part, _column_parts(state))
+    sparse, tv = map(sum, zip(*_in_parts(sums_part, _flat_parts(state))))
     return p.theta * low_rank_penalty + p.lam * sparse + p.gamma * tv
 
 

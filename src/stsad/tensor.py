@@ -162,6 +162,10 @@ def _read_header(fh, path):
     return dims
 
 
+# lines per np.loadtxt call while a bad line is looked for
+_CHUNK = 4096
+
+
 def _read_table(fh, path, width, delimiter=None, check=lambda rows: True):
     """The body of the open text file ``fh``, after its one header line, as
     an (n, ``width``) table of finite floats that passes ``check(table)``.
@@ -169,28 +173,64 @@ def _read_table(fh, path, width, delimiter=None, check=lambda rows: True):
     Otherwise raises ValueError naming ``path:line`` (header = line 1) of the
     first bad line; ``check`` must pass on every prefix of a body it passes.
     """
-    def table(lines):  # None if a line is bad
+    def parse(lines):  # None if np.loadtxt rejects a line
         with warnings.catch_warnings():
             # an empty body is reported by the caller's count or coverage check
             warnings.simplefilter("ignore", UserWarning)
             try:
-                rows = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+                return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
             except ValueError:
                 return None
-        if rows.size == 0:
-            return np.empty((0, width))
-        good = rows.shape[1] == width and np.isfinite(rows).all()
-        return rows if good and check(rows) else None
 
-    rows = table(fh)
-    if rows is None:
-        # the first bad line ends the shortest body prefix that fails
-        fh.seek(0)
-        lines = fh.readlines()[1:]
-        fails = lambda k: table(lines[:k]) is None
-        line = bisect.bisect_left(range(len(lines) + 1), True, key=fails) + 1
-        raise ValueError(f"{path}:{line}: bad row")
-    return rows
+    def good(rows):
+        return rows.size == 0 or (
+            rows.shape[1] == width and np.isfinite(rows).all() and check(rows))
+
+    rows = parse(fh)
+    if rows is not None and good(rows):
+        return rows if rows.size else np.empty((0, width))
+    fh.seek(0)
+    line = _first_bad_line(fh.readlines()[1:], parse, good, delimiter or " ")
+    raise ValueError(f"{path}:{line}: bad row")
+
+
+def _first_bad_line(lines, parse, good, separator):
+    """1 + the length of the shortest prefix of the body ``lines`` that does not
+    parse or whose rows are not ``good``, for a body with such a prefix.
+
+    The body is parsed a chunk at a time, and only the chunk with the first
+    unparsable line is bisected.  The rows parsed before it are then bisected
+    for the first row that is not good, without parsing them again.
+    """
+    blocks = []  # (first line, lines, pad, rows) of each chunk, up to a bad line
+    pad, bad = [], len(lines) + 1
+    for start in range(0, len(lines), _CHUNK):
+        chunk = lines[start:start + _CHUNK]
+        # pad, one row of the column count so far, makes a chunk parse as it
+        # would after the lines before it
+        rows = parse(pad + chunk)
+        if rows is None:
+            fails = lambda k: parse(pad + chunk[:k]) is None
+            k = bisect.bisect_left(range(len(chunk) + 1), True, key=fails)
+            bad, chunk = start + k, chunk[:k - 1]
+            rows = parse(pad + chunk)
+        rows = rows[len(pad):]
+        blocks.append((start, chunk, pad, rows))
+        if rows.size and not pad:
+            pad = [separator.join(["0"] * rows.shape[1]) + "\n"]
+        if bad <= len(lines):
+            break
+    parsed = [rows for *_, rows in blocks if rows.size]
+    table = np.concatenate(parsed) if parsed else np.empty((0, 1))
+    m = bisect.bisect_left(range(len(table) + 1), True, key=lambda m: not good(table[:m]))
+    for start, chunk, pad, rows in blocks:
+        if m > len(rows):
+            m -= len(rows)
+            continue
+        # the line of the chunk's m-th row
+        count = lambda k: len(parse(pad + chunk[:k])) - len(pad)
+        return start + bisect.bisect_left(range(len(chunk) + 1), m, key=count) + 1
+    return bad + 1
 
 
 def load_tensor(path):

@@ -1,6 +1,9 @@
 """Shared builders for solver test instances."""
 
+import bisect
 import itertools
+import math
+import warnings
 
 import numpy as np
 
@@ -73,6 +76,18 @@ def spike_instance(dims=(12, 6, 8, 5), spike=50.0, seed=0):
     return Y, graphs, spike_idx, low
 
 
+# run as two parts when the threshold is forced down.  Mode 1 has 2904
+# columns, whose halves are not 8-aligned, and the flat halves are not either
+PARTS_DIMS = (25, 6, 22, 22)
+
+
+def force_parts(monkeypatch, parts):
+    """Make the solves that follow run every block as ``parts`` (1 or 2)
+    parts, whatever the tensor size and the CPU count."""
+    monkeypatch.setattr(logss, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(logss, "_TWO_PARTS_MIN", 0 if parts == 2 else math.inf)
+
+
 def break_sparse_update(monkeypatch, iteration):
     """Make the solvers' S update write inf at one iteration of the next run."""
     real = logss.update_sparse
@@ -84,3 +99,24 @@ def break_sparse_update(monkeypatch, iteration):
             state.S[...] = np.inf
 
     monkeypatch.setattr(logss, "update_sparse", patched)
+
+
+def reference_bad_line(path, width, delimiter=None, check=lambda rows: True, newline=None):
+    """The line ``path:line: bad row`` names, found as the table reader once
+    found it: bisecting body prefixes, each parsed whole by np.loadtxt."""
+    def table(lines):  # None if a line is bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                rows = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+            except ValueError:
+                return None
+        if rows.size == 0:
+            return np.empty((0, width))
+        good = rows.shape[1] == width and np.isfinite(rows).all()
+        return rows if good and check(rows) else None
+
+    with open(path, newline=newline) as fh:
+        lines = fh.readlines()[1:]
+    fails = lambda k: table(lines[:k]) is None
+    return bisect.bisect_left(range(len(lines) + 1), True, key=fails) + 1

@@ -1,10 +1,12 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
-from conftest import spike_instance
+from conftest import PARTS_DIMS, force_parts, spike_instance
 
-from stsad import instrumentation
+from stsad import baselines, instrumentation
 from stsad.baselines import solve_horpca, solve_loss, svt
 from stsad.logss import LogssParams, solve
 from stsad.tensor import project_support
@@ -158,3 +160,48 @@ def test_horpca_zero_data_and_spike():
     result = solve_horpca(Y, observed, baseline_params(Y, observed))
     residual = np.linalg.norm(project_support(result.L + result.S - Y, observed))
     assert residual / np.linalg.norm(Y) <= 1e-3
+
+
+@pytest.mark.parametrize("horpca", [False, True])
+def test_two_part_baselines_count_and_share_every_svd(monkeypatch, horpca):
+    # the four SVDs of an iteration run two per thread, and each is counted
+    force_parts(monkeypatch, 2)
+    threads = []
+    real = baselines._svt_with_norm
+
+    def traced(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "_svt_with_norm", traced)
+    Y = np.random.default_rng(90).normal(size=PARTS_DIMS)
+    observed = np.ones(PARTS_DIMS, dtype=bool)
+    params = LogssParams.defaults(Y, observed, max_iter=5, tol=0.0)
+    before = instrumentation.snapshot()["svd"]
+    result = (solve_horpca if horpca else solve_loss)(Y, observed, params)
+    assert result.svd_history == [4] * 5
+    assert instrumentation.snapshot()["svd"] - before == 20
+    assert len(threads) == 20 and len(set(threads)) == 2
+
+
+def test_svd_counts_recorded_from_many_threads_add_up():
+    # more threads than cores and frequent switches, so that an unlocked
+    # read-modify-write of a count could lose updates
+    before = instrumentation.snapshot()["svd"]
+
+    def record():
+        for _ in range(5000):
+            instrumentation.record("svd")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=record) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert instrumentation.snapshot()["svd"] - before == 40000

@@ -10,9 +10,9 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import break_sparse_update
+from conftest import break_sparse_update, reference_bad_line
 
-from stsad import cli
+from stsad import cli, tensor
 from stsad.cli import _load_graphs, _read_scores_csv, _write_scores_csv, main
 from stsad.config import (
     _SCHEMA, ARGUMENTS, ConfigError, config_for_stage, library_args, parse_config,
@@ -571,6 +571,33 @@ def test_only_set_keys_reach_library_calls_under_their_argument_names(
     unset_tol = write_config(tmp_path / "tol.cfg", **synth, max_iter=2)
     assert run_stage("decompose", unset_tol) == 0
     assert f"without reaching tol = {LogssParams.tol:g}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chunk", [5, 4096])
+def test_scores_csv_bad_line_is_the_one_prefix_bisection_named(tmp_path, monkeypatch, chunk):
+    # a repeated index (a check failure) and an unparsable line, in either
+    # order and on either side of a chunk edge: the earlier one is named
+    monkeypatch.setattr(tensor, "_CHUNK", chunk)
+    dims = (3, 2, 4, 1)
+
+    def index_ok(table):  # as _read_scores_csv checks its table
+        index = table[:, :4]
+        if not ((index == np.floor(index)) & (index >= 0) & (index < dims)).all():
+            return False
+        flat = np.ravel_multi_index(tuple(index.astype(np.intp).T), dims)
+        return np.bincount(flat).max() == 1
+
+    rows = [f"{i},{j},{k},0,{0.5 * n}\r\n" for n, (i, j, k) in enumerate(np.ndindex(dims[:3]))]
+    path = tmp_path / "scores.csv"
+    for repeat_at, bad_at in [(9, 20), (4, 5), (20, 9), (5, 4), (23, 0), (1, 23)]:
+        lines = list(rows)
+        lines[repeat_at] = rows[repeat_at - 1]
+        lines[bad_at] = "0,0,x,0,1\r\n"
+        path.write_text(cli._SCORES_HEADER + "\r\n" + "".join(lines), newline="")
+        line = reference_bad_line(path, 5, ",", index_ok, newline="")
+        assert line == min(repeat_at, bad_at) + 2
+        with pytest.raises(ValueError, match=f"scores.csv:{line}: bad row$"):
+            _read_scores_csv(str(path), dims)
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -1,13 +1,24 @@
 import collections
 import dataclasses
+import itertools
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
+import types
 
 import numpy as np
 import pytest
-from conftest import break_sparse_update, random_state, spike_instance, stub_graphs
+from conftest import (
+    PARTS_DIMS,
+    break_sparse_update,
+    force_parts,
+    random_state,
+    spike_instance,
+    stub_graphs,
+)
 
 import stsad
 from stsad import baselines, instrumentation, logss
@@ -573,27 +584,36 @@ BLOCKS = (
 )
 
 
-@pytest.mark.parametrize("solver", ["logss", "loss"])
-def test_each_block_is_called_once_per_iteration_by_its_module_name(monkeypatch, solver):
+@pytest.mark.parametrize(
+    "solver, dims",
+    [("logss", DIMS), ("loss", DIMS), ("logss", PARTS_DIMS), ("loss", PARTS_DIMS)],
+    ids=["logss", "loss", "logss-two-parts", "loss-two-parts"],
+)
+def test_each_block_is_called_once_per_iteration_by_its_module_name(monkeypatch, solver,
+                                                                    dims):
     # a tracer times each block by wrapping its module-level name; a block
-    # inlined or called under another name would silently time as zero
+    # inlined or called under another name would silently time as zero.
+    # Parts of a block must not call it again, from either thread.
     calls = collections.Counter()
+    lock = threading.Lock()
 
     def count(module, name):
         real = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            with lock:
+                calls[name] += 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
+    force_parts(monkeypatch, 2 if dims == PARTS_DIMS else 1)
     for name in BLOCKS:
         count(logss, name)
     count(baselines, "_svt_with_norm")
-    graphs = stub_graphs(DIMS, RANKS, seed=74)
-    Y = np.random.default_rng(75).normal(size=DIMS)
-    observed = np.random.default_rng(76).random(DIMS) < 0.8
+    graphs = stub_graphs(dims, RANKS, seed=74)
+    Y = np.random.default_rng(75).normal(size=dims)
+    observed = np.random.default_rng(76).random(dims) < 0.8
     params = make_params(max_iter=5, tol=0.0)
     per_iteration = dict.fromkeys(BLOCKS, 1)
     if solver == "logss":
@@ -602,10 +622,211 @@ def test_each_block_is_called_once_per_iteration_by_its_module_name(monkeypatch,
     else:
         solve_loss(Y, observed, params)
         per_iteration.update(update_graph_coeffs=0, _lifted_graph_terms=0,
-                             _svt_with_norm=len(DIMS))
+                             _svt_with_norm=len(dims))
     assert {name: calls[name] for name in per_iteration} == {
         name: 5 * k for name, k in per_iteration.items()
     }
+
+
+def parts_instance(masked, seed=80):
+    graphs = stub_graphs(PARTS_DIMS, (3, 2, 4, 3), seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    Y = rng.normal(size=PARTS_DIMS)
+    if not masked:
+        return Y, np.ones(PARTS_DIMS, dtype=bool), graphs
+    # in the layout load_tensor and load_mask return, which parts must not see
+    return np.asfortranarray(Y), np.asfortranarray(rng.random(PARTS_DIMS) < 0.7), graphs
+
+
+def run_solver(solver, Y, observed, graphs, params):
+    if solver == "logss":
+        return solve(Y, observed, graphs, params)
+    return solve_loss(Y, observed, params)
+
+
+@pytest.mark.parametrize("solver", ["logss", "loss"])
+@pytest.mark.parametrize("circular", [True, False])
+@pytest.mark.parametrize("masked", [False, True])
+def test_two_parts_match_one_part(monkeypatch, solver, circular, masked):
+    Y, observed, graphs = parts_instance(masked)
+    params = make_params(max_iter=5, tol=0.0, circular=circular)
+    force_parts(monkeypatch, 1)
+    one = run_solver(solver, Y, observed, graphs, params)
+    force_parts(monkeypatch, 2)
+    threads = set()
+    real = logss.soft_threshold
+
+    def traced(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(logss, "soft_threshold", traced)
+    two = run_solver(solver, Y, observed, graphs, params)
+    assert len(threads) == 2
+    assert np.array_equal(one.L, two.L) and np.array_equal(one.S, two.S)
+    assert one.objective_history == two.objective_history
+    assert one.svd_history == two.svd_history
+    # two parts add their sums of squares, so the norms may differ in bits
+    for a, b in zip(one.residual_history, two.residual_history, strict=True):
+        assert b == pytest.approx(a, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("rows, cols", [(24, 2415), (25, 2904), (24, 5824), (8, 20001),
+                                        (24, 20012)])
+def test_mode1_products_by_column_parts_have_the_bits_of_the_whole(rows, cols):
+    # 2415 columns: halves of an OpenBLAS small-matrix size round the tail
+    # of a large product differently, so that tensor's products are not split
+    state = types.SimpleNamespace(Y=np.empty((rows, cols)), parts=2)
+    rng = np.random.default_rng(rows + cols)
+    X, matrix = rng.normal(size=(rows, cols)), rng.normal(size=(rows, rows))
+    out = np.empty((rows, cols))
+    for view, product in logss._column_parts(state):
+        product(view(X), matrix, view(out))
+    assert np.array_equal(out, mode_n_product(X, matrix, 1))
+
+
+@pytest.mark.parametrize("solver", ["logss", "loss"])
+@pytest.mark.parametrize("flat_index", [0, -1], ids=["first-part", "second-part"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_nan_in_one_part_raises_at_its_iteration(monkeypatch, solver, flat_index):
+    # Z enters only r_tv at its own entry, so the NaN is in one part's sums
+    Y, observed, graphs = parts_instance(masked=False)
+    force_parts(monkeypatch, 2)
+    real = logss.update_tv_aux
+    calls = itertools.count(1)
+
+    def patched(state):
+        real(state)
+        if next(calls) == 3:
+            state.Z.reshape(-1)[flat_index] = np.nan
+
+    monkeypatch.setattr(logss, "update_tv_aux", patched)
+    with pytest.raises(NumericalError, match=r"^non-finite r_tv at iteration 3$"):
+        run_solver(solver, Y, observed, graphs, make_params(max_iter=10, tol=0.0))
+
+
+def test_an_error_in_the_second_part_propagates(monkeypatch):
+    Y, observed, graphs = parts_instance(masked=False)
+    force_parts(monkeypatch, 2)
+    caller = threading.get_ident()
+    real = logss.soft_threshold
+
+    def failing(*args, **kwargs):
+        if threading.get_ident() != caller:
+            raise ZeroDivisionError("in the worker")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(logss, "soft_threshold", failing)
+    with pytest.raises(ZeroDivisionError, match="in the worker"):
+        solve(Y, observed, graphs, make_params(max_iter=3, tol=0.0))
+
+
+def test_parts_raise_only_once_both_are_done():
+    done = []
+    started = threading.Event()
+
+    def work(name, delay, error):
+        if name == "worker":
+            started.set()
+        else:  # the caller's part: the worker has its own part by now
+            assert started.wait(10)
+        time.sleep(delay)
+        done.append(name)
+        if error is not None:
+            raise error
+
+    # the caller's part fails while the worker's part still writes
+    with pytest.raises(KeyError):
+        logss._in_parts(work, [("caller", 0, KeyError()), ("worker", 0.2, None)])
+    assert done == ["caller", "worker"]
+    done.clear()
+    started.clear()
+    with pytest.raises(KeyError):
+        logss._in_parts(work, [("caller", 0.2, None), ("worker", 0, KeyError())])
+    assert done == ["worker", "caller"]
+    done.clear()
+    started.clear()
+    # both fail: the first part's error is the one raised
+    with pytest.raises(KeyError):
+        logss._in_parts(work, [("caller", 0, KeyError()), ("worker", 0, IndexError())])
+
+
+def test_a_second_part_the_worker_has_not_started_runs_on_the_caller():
+    # the worker is busy with another caller's part (as when its CPU is)
+    release = threading.Event()
+    logss._in_parts(lambda k: None, [(0,), (0,)])  # the worker exists
+    blocker = logss._worker.submit(release.wait, 10)
+    try:
+        threads = logss._in_parts(lambda k: threading.get_ident(), [(0,), (1,)])
+    finally:
+        release.set()
+        blocker.result(10)
+    assert threads == [threading.get_ident()] * 2
+
+
+def test_the_second_part_runs_under_the_callers_errstate():
+    started = threading.Event()
+
+    def work(x):
+        if x < 0:  # the worker's part
+            started.set()
+            return np.log(np.array(x))
+        assert started.wait(10)
+
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            logss._in_parts(work, [(1.0,), (-1.0,)])
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+def test_a_child_forked_after_a_two_part_solve_can_solve(monkeypatch):
+    # the child has no worker thread; reusing the parent's executor hung it
+    Y, observed, graphs = parts_instance(masked=False)
+    params = make_params(max_iter=3, tol=0.0)
+    force_parts(monkeypatch, 2)
+    solve(Y, observed, graphs, params)
+    child = multiprocessing.get_context("fork").Process(
+        target=solve, args=(Y, observed, graphs, params))
+    child.start()
+    try:
+        child.join(30)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+
+
+def test_a_tensor_runs_as_two_parts_from_the_threshold_on_with_two_cpus(monkeypatch):
+    def parts(dims, cpus):
+        monkeypatch.setattr(logss, "_usable_cpus", lambda: cpus)
+        Y = np.zeros(dims)
+        return SolverState.zeros(Y, np.ones(dims, dtype=bool), make_params()).parts
+
+    at = (2, logss._TWO_PARTS_MIN // 2)
+    assert parts(at, 2) == 2 and parts(at, 16) == 2
+    assert parts(at, 1) == 1
+    assert parts((2, logss._TWO_PARTS_MIN // 2 - 1), 2) == 1
+    assert parts(DIMS, 2) == 1
+
+
+def test_usable_cpus_are_the_affinity_mask_where_there_is_one(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert logss._usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert logss._usable_cpus() == 8
+
+
+def test_importing_the_cli_does_not_import_the_thread_pool():
+    # concurrent.futures costs about 13 ms; only a two-part solve needs it
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(stsad.__file__)))
+    code = "import sys, stsad.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src_dir))
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def spike_params(Y, observed, **kw):

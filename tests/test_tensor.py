@@ -1,8 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
+from conftest import reference_bad_line
 
+from stsad import tensor
 from stsad.tensor import (
     fold,
     load_mask,
@@ -268,3 +271,57 @@ def test_tensor_file_errors(tmp_path):
     bad.write_text("dims: 2\n1.0\n0.5\n")
     with pytest.raises(ValueError, match="0 or 1"):
         load_mask(bad)
+
+
+@pytest.mark.parametrize("chunk", [7, 4096])
+@pytest.mark.parametrize("bad", ["x", "1 2", "nan", "-inf"])
+def test_bad_line_search_names_the_line_prefix_bisection_named(tmp_path, monkeypatch,
+                                                               chunk, bad):
+    # the first, a chunk's first and last, a middle and the last body line;
+    # blank lines (which loadtxt skips) shift rows against lines
+    monkeypatch.setattr(tensor, "_CHUNK", chunk)
+    path = tmp_path / "t.txt"
+    values = ["%.17g\n" % v for v in np.random.default_rng(5).normal(size=40)]
+    for blanks in ([], [3, 9, 10, 30]):
+        body = list(values)
+        for at in blanks:
+            body[at] = "\n"
+        for at in (0, 6, 7, 13, 14, 20, 38, 39):
+            lines = list(body)
+            lines[at] = bad + "\n"
+            path.write_text("dims: 40\n" + "".join(lines))
+            line = reference_bad_line(path, 1)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: bad row$"):
+                load_tensor(path)
+            assert line == at + 2 or at in blanks
+
+
+def count_loadtxt(monkeypatch, lines_in_file):
+    """Patch np.loadtxt to record how many lines each call is given (an open
+    file counts as ``lines_in_file``); returns the list it appends to."""
+    real = np.loadtxt
+    given = []
+
+    def counted(lines, *args, **kwargs):
+        given.append(len(lines) if isinstance(lines, list) else lines_in_file)
+        return real(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return given
+
+
+@pytest.mark.parametrize("bad", ["x", "nan"])
+def test_bad_line_search_parses_each_line_about_once(tmp_path, monkeypatch, bad):
+    # bisecting whole prefixes handed np.loadtxt about n * log2(n) lines
+    monkeypatch.setattr(tensor, "_CHUNK", 64)
+    n = 4000
+    path = tmp_path / "t.txt"
+    for at in (n // 2, n - 1):
+        lines = ["%d\n" % i for i in range(n)]
+        lines[at] = bad + "\n"
+        path.write_text(f"dims: {n}\n" + "".join(lines))
+        given = count_loadtxt(monkeypatch, n)
+        with pytest.raises(ValueError, match=f":{at + 2}: bad row$"):
+            load_tensor(path)
+        assert sum(given) <= 2.5 * n
+        assert len(given) <= n / 64 + 20
