@@ -226,12 +226,23 @@ def run_score(cfg):
     print(f"score: wrote scores for {S.shape}")
 
 
+def _check_both_classes(labels_path, labels, observed):
+    # the AUC is taken over the observed support.  A mask of another shape is
+    # reported where the labels meet the scores, an empty one by the solvers
+    if labels.shape == observed.shape and observed.any():
+        positive, n = np.count_nonzero(labels[observed]), np.count_nonzero(observed)
+        if positive in (0, n):
+            raise ValueError(f"{labels_path}: {positive} of the {n} observed labels are "
+                             "positive; the AUC needs both classes")
+
+
 def run_evaluate(cfg):
     labels_path = _input(cfg, "labels.txt")
     labels = load_mask(labels_path)
     if labels.ndim != 4:  # scores.csv indexes four modes
         raise ValueError(f"{labels_path}: dims {labels.shape} are not four modes")
     observed = load_mask(_input(cfg, "omega.txt"))
+    _check_both_classes(labels_path, labels, observed)
     scores = _read_scores_csv(_input(cfg, "scores.csv"), labels.shape)
     ls = labeled_scores(scores, labels, observed)
     auc = roc_auc(ls)
@@ -254,10 +265,12 @@ def run_evaluate(cfg):
 def run_bench(cfg):
     Y = load_tensor(_input(cfg, "Y.txt"))
     observed = load_mask(_input(cfg, "omega.txt"))
-    labels = load_mask(_input(cfg, "labels.txt"))
+    labels_path = _input(cfg, "labels.txt")
+    labels = load_mask(labels_path)
     if not Y.shape == observed.shape == labels.shape:
         raise ValueError(f"dims differ: Y.txt {Y.shape}, omega.txt {observed.shape}, "
                          f"labels.txt {labels.shape}")
+    _check_both_classes(labels_path, labels, observed)
     graphs = None
     if "logss" in cfg["bench_solvers"]:
         graphs = build_mode_graphs(Y, **library_args(cfg, "graphs"))

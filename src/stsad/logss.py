@@ -132,7 +132,9 @@ class SolverState:
     block runs as (1 or 2, see :func:`_in_parts`).  For the baselines ``graphs`` and
     ``projectors`` are None and ``G``, which is also ``lifted``, holds
     full-shape per-mode low-rank tensors; their block appends its SVD count
-    per iteration to ``svd_history``.
+    per iteration to ``svd_history``.  ``Y``, ``missing`` and every tensor
+    the state allocates are C-ordered and start on a 64-byte boundary
+    (:func:`_aligned_zeros`); ``Y`` is a copy unless the caller's already is.
     """
 
     Y: np.ndarray
@@ -161,15 +163,19 @@ class SolverState:
     def zeros(cls, Y, observed, params, graphs=None):
         dims = Y.shape
         parts = 2 if Y.size >= _TWO_PARTS_MIN and _usable_cpus() >= 2 else 1
-        if parts == 2:  # parts view every tensor through its C-order layout
-            Y, observed = np.ascontiguousarray(Y), np.ascontiguousarray(observed)
+        zero = lambda shape=dims: _aligned_zeros(shape)
+        # parts view every tensor through its C-order layout, and np.putmask
+        # reads its mask in C order, so the state keeps its own Y and mask
+        if Y.ctypes.data % 64 or not Y.flags.c_contiguous:
+            Y, caller = zero(), Y
+            Y[...] = caller
+        missing = None if observed.all() else np.invert(observed, out=_aligned_zeros(dims, bool))
         delta = build_diff_operator(dims[0], circular=params.circular)
         w_inv = np.linalg.inv(
             params.beta3 * np.eye(dims[0]) + params.beta2 * delta.T @ delta
         )
-        zero = lambda: np.zeros(dims)
         if graphs is not None:
-            G = [np.zeros(dims[:n] + (g.rank,) + dims[n + 1:]) for n, g in enumerate(graphs)]
+            G = [zero(dims[:n] + (g.rank,) + dims[n + 1:]) for n, g in enumerate(graphs)]
             lifted = [zero() for _ in dims]
             # the G update's ridge inverse is diagonal in the eigenbasis
             weight = 2.0 * params.theta / params.beta4
@@ -179,12 +185,22 @@ class SolverState:
             G = lifted = [zero() for _ in dims]
             projectors = None
         return cls(
-            Y=Y, params=params, missing=None if observed.all() else ~observed,
+            Y=Y, params=params, missing=missing,
             L=zero(), S=zero(), W=zero(), Z=zero(), G=G, gamma1=zero(), gamma2=zero(),
             gamma3=zero(), gamma4=[zero() for _ in dims], delta=delta, w_inv=w_inv,
             lifted=lifted, w_diff=zero(), scratch=(zero(), zero()), graphs=graphs,
             projectors=projectors, parts=parts,
         )
+
+
+def _aligned_zeros(shape, dtype=float):
+    """Zeros whose data start on a 64-byte boundary.  numpy aligns its
+    buffers to 16 bytes only, and its AVX-512 loops run at about half speed
+    when their 64-byte loads and stores straddle two cache lines."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.zeros(size + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + size].view(dtype).reshape(shape)
 
 
 def build_diff_operator(I1, circular=True):
@@ -345,7 +361,7 @@ def update_low_rank(state):
         L /= p.beta1 + N * p.beta4
         if state.missing is not None:
             T2 /= N
-            np.copyto(L, T2, where=v(state.missing))
+            np.putmask(L, v(state.missing), T2)
 
     _in_parts(part, _flat_parts(state))
 
@@ -381,7 +397,7 @@ def update_sparse(state):
         S /= p.beta1 + p.beta3
         if state.missing is not None:
             off = soft_threshold(T4, p.lam / p.beta3, out=T3)
-            np.copyto(S, off, where=v(state.missing))
+            np.putmask(S, v(state.missing), off)
 
     _in_parts(part, _flat_parts(state))
 
@@ -432,7 +448,7 @@ def update_duals(state):
         np.add(v(state.L), v(state.S), out=r)
         r -= v(state.Y)
         if state.missing is not None:
-            np.copyto(r, 0.0, where=v(state.missing))
+            np.putmask(r, v(state.missing), 0.0)
         gamma1 = v(state.gamma1)
         gamma1 -= r
         squares = [float(np.vdot(r, r))]

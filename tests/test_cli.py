@@ -763,6 +763,41 @@ def test_input_files_whose_dims_disagree_exit_1(tmp_path, capsys):
     assert not (out / "bench.json").exists()
 
 
+@pytest.mark.parametrize("stage", ["evaluate", "bench"])
+@pytest.mark.parametrize("labels, expected", [
+    ("none", "0 of the 576"), ("all", "576 of the 576"), ("unobserved", "0 of the 575"),
+], ids=["none", "all", "unobserved"])
+def test_labels_of_one_class_exit_1_before_any_work(tmp_path, capsys, monkeypatch, stage,
+                                                    labels, expected):
+    # bench must not build graphs or run a solver, evaluate must not read
+    # scores.csv: the AUC they end in cannot be taken
+    cfg_path, out = base_config(tmp_path, max_iter=3, bench_repeats=2)
+    for upstream in ("synth", "graphs", "decompose", "score"):
+        assert run_stage(upstream, cfg_path) == 0, upstream
+    dims = (8, 4, 6, 3)
+    if labels == "unobserved":  # the one positive label is off the support
+        observed = np.ones(dims, dtype=bool)
+        observed[1, 2, 3, 0] = False
+        save_mask(out / "omega.txt", observed)
+        save_mask(out / "labels.txt", ~observed)
+    else:
+        save_mask(out / "labels.txt", np.full(dims, labels == "all"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called after the labels were read")
+
+    for name in ("build_mode_graphs", "_decompose", "_read_scores_csv"):
+        monkeypatch.setattr(cli, name, refuse)
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    capsys.readouterr()
+    assert run_stage(stage, cfg_path) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'labels.txt'}: {expected} observed labels are positive; "
+        "the AUC needs both classes\n"
+    )
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+
 @pytest.mark.parametrize("text", [
     '[{"mode": 1}]', '{"mode": 1}', '[{"mode": true, "rank": 1}]',
     '[{"mode": 1, "rank": 2.0}]', '["mode"]', "null",

@@ -551,18 +551,21 @@ def test_solvers_match_reference_loop_bit_for_bit(solver, circular, masked):
     graphs = stub_graphs(DIMS, RANKS, seed=70)
     rng = np.random.default_rng(71)
     Y = rng.normal(size=DIMS)
-    observed = rng.random(DIMS) < 0.7 if masked else np.ones(DIMS, dtype=bool)
+    # 10 % observed: the masked copies write most of each tensor
+    draws = rng.random(DIMS)
+    masks = [draws < 0.7, draws < 0.1] if masked else [np.ones(DIMS, dtype=bool)]
     params = make_params(max_iter=25, tol=0.0, circular=circular)
-    if solver == "logss":
-        result = solve(Y, observed, graphs, params)
-        L, S, history, objectives = reference_admm(Y, observed, params, graphs)
-    else:
-        result = solve_loss(Y, observed, params)
-        L, S, history, objectives = reference_admm(Y, observed, params)
-    assert result.iterations == 25
-    assert np.array_equal(result.L, L) and np.array_equal(result.S, S)
-    assert result.residual_history == history
-    assert result.objective_history == objectives
+    for observed in masks:
+        if solver == "logss":
+            result = solve(Y, observed, graphs, params)
+            L, S, history, objectives = reference_admm(Y, observed, params, graphs)
+        else:
+            result = solve_loss(Y, observed, params)
+            L, S, history, objectives = reference_admm(Y, observed, params)
+        assert result.iterations == 25
+        assert np.array_equal(result.L, L) and np.array_equal(result.S, S)
+        assert result.residual_history == history
+        assert result.objective_history == objectives
 
 
 def test_back_to_back_solves_share_no_memory():
@@ -669,6 +672,57 @@ def test_two_parts_match_one_part(monkeypatch, solver, circular, masked):
     # two parts add their sums of squares, so the norms may differ in bits
     for a, b in zip(one.residual_history, two.residual_history, strict=True):
         assert b == pytest.approx(a, rel=1e-13, abs=0)
+
+
+def at_offset(a, offset):
+    """A C-ordered copy of ``a`` whose data start ``offset`` bytes past a
+    64-byte boundary."""
+    raw = np.zeros(a.nbytes + 128, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    copy = raw[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    copy[...] = a
+    return copy
+
+
+@pytest.mark.parametrize("parts", [1, 2], ids=["one_part", "two_parts"])
+@pytest.mark.parametrize("solver", ["logss", "loss"])
+def test_state_tensors_start_on_64_byte_boundaries_in_parts(monkeypatch, solver, parts):
+    # off a 64-byte boundary, numpy's AVX-512 loops split cache lines
+    graphs = stub_graphs(PARTS_DIMS, (3, 2, 4, 3), seed=82) if solver == "logss" else None
+    Y, observed = parts_instance(masked=True)[:2]
+    force_parts(monkeypatch, parts)
+    for Y_in in (Y, at_offset(Y, 8), at_offset(Y, 16)):  # F-ordered, then C-ordered
+        state = SolverState.zeros(Y_in, at_offset(observed, 8), make_params(), graphs)
+        assert state.parts == parts
+        tensors = [state.L, state.S, state.W, state.Z, state.gamma1, state.gamma2,
+                   state.gamma3, state.w_diff, *state.gamma4, *state.lifted, *state.G,
+                   *state.scratch]
+        for a in tensors + [state.Y]:
+            assert a.flags.c_contiguous and a.ctypes.data % 64 == 0
+            for (view,) in logss._flat_parts(state):
+                assert view(a).ctypes.data % 64 == 0
+        assert state.missing.flags.c_contiguous and state.missing.ctypes.data % 64 == 0
+        assert np.array_equal(state.Y, Y) and np.array_equal(state.missing, ~observed)
+    aligned = at_offset(Y, 0)  # already aligned and C-ordered: not copied
+    assert SolverState.zeros(aligned, observed, make_params(), graphs).Y is aligned
+
+
+@pytest.mark.parametrize("parts", [1, 2], ids=["one_part", "two_parts"])
+@pytest.mark.parametrize("solver", ["logss", "loss"])
+def test_unaligned_inputs_give_the_bits_of_aligned_ones_in_parts(monkeypatch, solver,
+                                                                  parts):
+    Y, observed, graphs = parts_instance(masked=True)
+    params = make_params(max_iter=5, tol=0.0)
+    force_parts(monkeypatch, parts)
+    runs = [run_solver(solver, Y_in, mask, graphs, params) for Y_in, mask in [
+        (at_offset(Y, 0), at_offset(observed, 0)),  # the reference: aligned, C-ordered
+        (at_offset(Y, 8), at_offset(observed, 8)),
+        (np.asfortranarray(Y), np.asfortranarray(observed)),
+    ]]
+    for run in runs[1:]:
+        assert np.array_equal(run.L, runs[0].L) and np.array_equal(run.S, runs[0].S)
+        assert run.residual_history == runs[0].residual_history
+        assert run.objective_history == runs[0].objective_history
 
 
 @pytest.mark.parametrize("rows, cols", [(24, 2415), (25, 2904), (24, 5824), (8, 20001),
