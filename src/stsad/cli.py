@@ -229,6 +229,7 @@ def run_score(cfg):
 def _check_both_classes(labels_path, labels, observed):
     # the AUC is taken over the observed support.  A mask of another shape is
     # reported where the labels meet the scores, an empty one by the solvers
+    # and by evaluate
     if labels.shape == observed.shape and observed.any():
         positive, n = np.count_nonzero(labels[observed]), np.count_nonzero(observed)
         if positive in (0, n):
@@ -241,7 +242,10 @@ def run_evaluate(cfg):
     labels = load_mask(labels_path)
     if labels.ndim != 4:  # scores.csv indexes four modes
         raise ValueError(f"{labels_path}: dims {labels.shape} are not four modes")
-    observed = load_mask(_input(cfg, "omega.txt"))
+    omega_path = _input(cfg, "omega.txt")
+    observed = load_mask(omega_path)
+    if not observed.any():
+        raise ValueError(f"{omega_path}: no observed entries")
     _check_both_classes(labels_path, labels, observed)
     scores = _read_scores_csv(_input(cfg, "scores.csv"), labels.shape)
     ls = labeled_scores(scores, labels, observed)

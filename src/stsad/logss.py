@@ -12,10 +12,10 @@ inner loops and no spectral decompositions.  Each takes only the solver
 state and overwrites its own variable in it.
 
 A block runs as one part, or, on a tensor of at least ``_TWO_PARTS_MIN``
-elements when the process may use two CPUs, as two parts, one of them on a
-worker thread (:func:`_in_parts`).  The parts split the work so that L, S
-and the objective keep the bits of one part; only the residual norms, which
-add per-part sums of squares, may differ in their last digits.
+elements, as two parts, split by the tensor's shape alone (:func:`_in_parts`).
+Where the process may use two CPUs the second part runs on a worker thread,
+otherwise on the caller after the first, so a run does the same operations
+in the same order, and gives the same bits, on any CPU count.
 """
 
 from __future__ import annotations
@@ -129,10 +129,10 @@ class SolverState:
     ``G`` holds the per-mode spectral coefficients (mode-n dimension J_n),
     ``lifted`` their lifts to full shape, ``w_diff`` the mode-1 differences
     of W, ``scratch`` two work tensors, ``parts`` the number of parts each
-    block runs as (1 or 2, see :func:`_in_parts`).  For the baselines ``graphs`` and
-    ``projectors`` are None and ``G``, which is also ``lifted``, holds
-    full-shape per-mode low-rank tensors; their block appends its SVD count
-    per iteration to ``svd_history``.  ``Y``, ``missing`` and every tensor
+    block runs as (1 or 2 by the size of ``Y`` alone, see :func:`_in_parts`).
+    For the baselines ``graphs`` and ``projectors`` are None and ``G``, which
+    is also ``lifted``, holds full-shape per-mode low-rank tensors; their
+    block appends its SVD count per iteration to ``svd_history``.  ``Y``, ``missing`` and every tensor
     the state allocates are C-ordered and start on a 64-byte boundary
     (:func:`_aligned_zeros`); ``Y`` is a copy unless the caller's already is.
     """
@@ -162,7 +162,7 @@ class SolverState:
     @classmethod
     def zeros(cls, Y, observed, params, graphs=None):
         dims = Y.shape
-        parts = 2 if Y.size >= _TWO_PARTS_MIN and _usable_cpus() >= 2 else 1
+        parts = 2 if Y.size >= _TWO_PARTS_MIN else 1
         zero = lambda shape=dims: _aligned_zeros(shape)
         # parts view every tensor through its C-order layout, and np.putmask
         # reads its mask in C order, so the state keeps its own Y and mask
@@ -247,14 +247,15 @@ if hasattr(os, "register_at_fork"):
 
 
 def _in_parts(work, parts):
-    """``[work(*args) for args in parts]`` for one or two parts.  A second
-    part runs on the worker thread, under the caller's context (so its
-    ``np.errstate``), while the caller runs the first; if the worker has not
-    started it by then (its CPU is busy), the caller runs it too.  Returns, or
-    raises the first part's exception before the second's, only once both
-    are done."""
-    if len(parts) == 1:
-        return [work(*parts[0])]
+    """``[work(*args) for args in parts]`` for one or two parts, run in order
+    on the caller's thread where the process may use one CPU only.  Otherwise
+    a second part runs on the worker thread, under the caller's context (so
+    its ``np.errstate``), while the caller runs the first; if the worker has
+    not started it by then (its CPU is busy), the caller runs it too.  Then
+    it returns, or raises the first part's exception before the second's,
+    only once both are done."""
+    if len(parts) == 1 or _usable_cpus() < 2:
+        return [work(*args) for args in parts]
     global _worker
     with _worker_lock:  # solves may run in several threads
         if _worker is None:
@@ -274,12 +275,10 @@ def _whole(tensor):
     return tensor
 
 
-def _mode1_product(tensor, matrix, out):
-    return mode_n_product(tensor, matrix, 1, out=out)
-
-
-def _matmul(unfolding, matrix, out):
-    return np.matmul(matrix, unfolding, out=out)
+def _product(x, matrix, out):
+    # matrix times the mode-1 unfolding of x, a tensor or a column slab of one
+    np.matmul(matrix, x.reshape(len(x), -1), out=out.reshape(len(out), -1))
+    return out
 
 
 def _flat_parts(state):
@@ -294,23 +293,16 @@ def _flat_parts(state):
 
 
 def _column_parts(state):
-    """``(view, mode-1 product)`` per part of a block with mode-1 products:
-    the whole tensor, or two column halves of its mode-1 unfolding, split on
-    a multiple of 64 columns, where a product by halves has the bits of the
-    whole one (an unaligned split changed some by 1 ulp)."""
-    whole = [(_whole, _mode1_product)]
+    """``(view,)`` per part of a block with mode-1 products: the whole
+    tensor, or two column halves of its mode-1 unfolding, split on a multiple
+    of 64 columns (an unaligned split changed some entries of the products
+    by 1 ulp against the whole tensor's)."""
     if state.parts == 1:
-        return whole
+        return [(_whole,)]
     rows = state.Y.shape[0]
     cols = state.Y.size // rows
     c = round(cols / 128) * 64
-    # OpenBLAS rounds the last cols % 8 columns of a product of at most 10**6
-    # multiply-adds (a small-matrix kernel) differently from a larger one's
-    small = lambda k: rows * rows * k <= 10**6
-    if not 0 < c < cols or cols % 8 and small(cols - c) != small(cols):
-        return whole
-    return [(lambda a, s=s: a.reshape(rows, cols)[:, s], _matmul)
-            for s in (slice(0, c), slice(c, cols))]
+    return [(lambda a, s=s: a.reshape(rows, cols)[:, s],) for s in (slice(0, c), slice(c, cols))]
 
 
 def _mode_parts(state):
@@ -406,15 +398,15 @@ def update_smooth_aux(state):
     """Exact solve of the W block via the precomputed mode-1 inverse."""
     p = state.params
 
-    def part(v, product):
+    def part(v):
         rhs, z_sum = map(v, state.scratch)
         np.subtract(v(state.S), v(state.gamma3), out=rhs)
         rhs *= p.beta3
         np.add(v(state.gamma2), v(state.Z), out=z_sum)
-        W = product(z_sum, state.delta.T, v(state.W))
+        W = _product(z_sum, state.delta.T, v(state.W))
         W *= p.beta2
         rhs += W
-        product(rhs, state.w_inv, W)
+        _product(rhs, state.w_inv, W)
 
     _in_parts(part, _column_parts(state))
 
@@ -424,8 +416,8 @@ def update_tv_aux(state):
     differences of W to ``state.w_diff``."""
     p = state.params
 
-    def part(v, product):
-        w_diff = product(v(state.W), state.delta, v(state.w_diff))
+    def part(v):
+        w_diff = _product(v(state.W), state.delta, v(state.w_diff))
         arg = np.subtract(w_diff, v(state.gamma2), out=v(state.scratch[0]))
         soft_threshold(arg, p.gamma / p.beta2, out=v(state.Z))
 
@@ -475,8 +467,8 @@ def objective_value(state, low_rank_penalty):
     p = state.params
     abs_s, abs_tv = state.scratch
 
-    def tv_part(v, product):
-        tv = product(v(state.S), state.delta, v(abs_tv))
+    def tv_part(v):
+        tv = _product(v(state.S), state.delta, v(abs_tv))
         np.abs(tv, out=tv)
 
     def sums_part(v):

@@ -77,14 +77,17 @@ def spike_instance(dims=(12, 6, 8, 5), spike=50.0, seed=0):
 
 
 # run as two parts when the threshold is forced down.  Mode 1 has 2904
-# columns, whose halves are not 8-aligned, and the flat halves are not either
+# columns, halved at column 1472, and the flat index is halved at 36,296
 PARTS_DIMS = (25, 6, 22, 22)
+# 2415 columns, not a multiple of 8: OpenBLAS rounds the last columns of the
+# two halves' products differently from those of the whole product
+ODD_COLUMNS_DIMS = (24, 5, 21, 23)
 
 
-def force_parts(monkeypatch, parts):
+def force_parts(monkeypatch, parts, cpus=2):
     """Make the solves that follow run every block as ``parts`` (1 or 2)
-    parts, whatever the tensor size and the CPU count."""
-    monkeypatch.setattr(logss, "_usable_cpus", lambda: 2)
+    parts, whatever the tensor size, as if the process may use ``cpus``."""
+    monkeypatch.setattr(logss, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(logss, "_TWO_PARTS_MIN", 0 if parts == 2 else math.inf)
 
 

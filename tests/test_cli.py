@@ -798,6 +798,25 @@ def test_labels_of_one_class_exit_1_before_any_work(tmp_path, capsys, monkeypatc
     assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
 
+def test_evaluate_on_an_empty_support_exits_1_before_any_work(tmp_path, capsys,
+                                                              monkeypatch):
+    # the AUC over no observed entries cannot be taken: scores.csv is not read
+    cfg_path, out = base_config(tmp_path, solver="raw-ee")
+    for upstream in ("synth", "decompose", "score"):
+        assert run_stage(upstream, cfg_path) == 0, upstream
+    save_mask(out / "omega.txt", np.zeros((8, 4, 6, 3), dtype=bool))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called after the support was read")
+
+    monkeypatch.setattr(cli, "_read_scores_csv", refuse)
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    capsys.readouterr()
+    assert run_stage("evaluate", cfg_path) == 1
+    assert capsys.readouterr().err == f"error: {out / 'omega.txt'}: no observed entries\n"
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+
 @pytest.mark.parametrize("text", [
     '[{"mode": 1}]', '{"mode": 1}', '[{"mode": true, "rank": 1}]',
     '[{"mode": 1, "rank": 2.0}]', '["mode"]', "null",
@@ -870,6 +889,33 @@ def test_empty_support_exits_1_with_one_stderr_line(tmp_path):
     assert proc.returncode == 0, proc.stderr
     [row] = json.loads((out / "bench.json").read_text())
     assert row["errors"] == ["ValueError: no observed entries"] * 2
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_decompose_artifacts_of_two_parts_do_not_depend_on_the_cpu_count(tmp_path):
+    # 24x7x52x16 is at least 2**17 elements, so its blocks run as two parts:
+    # on two threads with two CPUs, one after the other with one
+    import stsad
+
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(stsad.__file__)))
+    cfg_path, out = base_config(tmp_path, dims="24 7 52 16", max_iter=4, tol=0)
+    for stage in ("synth", "graphs"):
+        assert run_stage(stage, cfg_path) == 0, stage
+    # BLAS on one thread: its thread count may change the last digits itself
+    env = dict(os.environ, PYTHONPATH=src_dir, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    code = ("import os, sys; os.sched_setaffinity(0, {cpus}); from stsad.cli import main; "
+            "sys.exit(main(['decompose', '--config', sys.argv[1]]))")
+    usable = sorted(os.sched_getaffinity(0))
+    artifacts = []
+    for cpus in (usable[:1], usable[:2]):
+        proc = subprocess.run([sys.executable, "-c", code.format(cpus=set(cpus)), cfg_path],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append({name: (out / name).read_bytes()
+                          for name in ("L.txt", "S.txt", "diagnostics.jsonl")})
+    assert artifacts[0] == artifacts[1]
 
 
 @pytest.mark.parametrize("bad", ["x", "nan", "inf", "1 2"])

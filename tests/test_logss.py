@@ -7,11 +7,11 @@ import subprocess
 import sys
 import threading
 import time
-import types
 
 import numpy as np
 import pytest
 from conftest import (
+    ODD_COLUMNS_DIMS,
     PARTS_DIMS,
     break_sparse_update,
     force_parts,
@@ -631,20 +631,47 @@ def test_each_block_is_called_once_per_iteration_by_its_module_name(monkeypatch,
     }
 
 
-def parts_instance(masked, seed=80):
-    graphs = stub_graphs(PARTS_DIMS, (3, 2, 4, 3), seed=seed)
+def parts_instance(masked, seed=80, dims=PARTS_DIMS):
+    graphs = stub_graphs(dims, (3, 2, 4, 3), seed=seed)
     rng = np.random.default_rng(seed + 1)
-    Y = rng.normal(size=PARTS_DIMS)
+    Y = rng.normal(size=dims)
     if not masked:
-        return Y, np.ones(PARTS_DIMS, dtype=bool), graphs
+        return Y, np.ones(dims, dtype=bool), graphs
     # in the layout load_tensor and load_mask return, which parts must not see
-    return np.asfortranarray(Y), np.asfortranarray(rng.random(PARTS_DIMS) < 0.7), graphs
+    return np.asfortranarray(Y), np.asfortranarray(rng.random(dims) < 0.7), graphs
 
 
 def run_solver(solver, Y, observed, graphs, params):
     if solver == "logss":
         return solve(Y, observed, graphs, params)
     return solve_loss(Y, observed, params)
+
+
+def assert_two_parts_on_one_cpu_match_two_cpus(monkeypatch, solver, Y, observed, graphs,
+                                               params):
+    """Solve as two parts on one CPU and on two, check that the second part
+    ran on the caller's thread, then on the worker, and that the runs agree
+    in every bit; return the two-CPU run."""
+    threads = set()
+    real = logss.soft_threshold
+
+    def traced(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(logss, "soft_threshold", traced)
+    runs = []
+    for cpus in (1, 2):
+        threads.clear()
+        force_parts(monkeypatch, 2, cpus=cpus)
+        runs.append(run_solver(solver, Y, observed, graphs, params))
+        assert len(threads) == cpus
+    one_cpu, two_cpus = runs
+    assert np.array_equal(one_cpu.L, two_cpus.L) and np.array_equal(one_cpu.S, two_cpus.S)
+    assert one_cpu.residual_history == two_cpus.residual_history
+    assert one_cpu.objective_history == two_cpus.objective_history
+    assert one_cpu.svd_history == two_cpus.svd_history
+    return two_cpus
 
 
 @pytest.mark.parametrize("solver", ["logss", "loss"])
@@ -655,17 +682,8 @@ def test_two_parts_match_one_part(monkeypatch, solver, circular, masked):
     params = make_params(max_iter=5, tol=0.0, circular=circular)
     force_parts(monkeypatch, 1)
     one = run_solver(solver, Y, observed, graphs, params)
-    force_parts(monkeypatch, 2)
-    threads = set()
-    real = logss.soft_threshold
-
-    def traced(*args, **kwargs):
-        threads.add(threading.get_ident())
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(logss, "soft_threshold", traced)
-    two = run_solver(solver, Y, observed, graphs, params)
-    assert len(threads) == 2
+    two = assert_two_parts_on_one_cpu_match_two_cpus(monkeypatch, solver, Y, observed,
+                                                     graphs, params)
     assert np.array_equal(one.L, two.L) and np.array_equal(one.S, two.S)
     assert one.objective_history == two.objective_history
     assert one.svd_history == two.svd_history
@@ -725,18 +743,16 @@ def test_unaligned_inputs_give_the_bits_of_aligned_ones_in_parts(monkeypatch, so
         assert run.objective_history == runs[0].objective_history
 
 
-@pytest.mark.parametrize("rows, cols", [(24, 2415), (25, 2904), (24, 5824), (8, 20001),
-                                        (24, 20012)])
-def test_mode1_products_by_column_parts_have_the_bits_of_the_whole(rows, cols):
-    # 2415 columns: halves of an OpenBLAS small-matrix size round the tail
-    # of a large product differently, so that tensor's products are not split
-    state = types.SimpleNamespace(Y=np.empty((rows, cols)), parts=2)
-    rng = np.random.default_rng(rows + cols)
-    X, matrix = rng.normal(size=(rows, cols)), rng.normal(size=(rows, rows))
-    out = np.empty((rows, cols))
-    for view, product in logss._column_parts(state):
-        product(view(X), matrix, view(out))
-    assert np.array_equal(out, mode_n_product(X, matrix, 1))
+@pytest.mark.parametrize("solver", ["logss", "loss"])
+@pytest.mark.parametrize("masked", [False, True])
+def test_two_parts_on_one_cpu_match_two_cpus_at_2415_columns(monkeypatch, solver, masked):
+    # at 2415 columns the halves' products round differently from the whole
+    # one's, so one part and two may differ in their last digits; one CPU
+    # and two run the same halves and must not
+    Y, observed, graphs = parts_instance(masked, seed=84, dims=ODD_COLUMNS_DIMS)
+    params = make_params(max_iter=5, tol=0.0)
+    assert_two_parts_on_one_cpu_match_two_cpus(monkeypatch, solver, Y, observed, graphs,
+                                               params)
 
 
 @pytest.mark.parametrize("solver", ["logss", "loss"])
@@ -775,7 +791,8 @@ def test_an_error_in_the_second_part_propagates(monkeypatch):
         solve(Y, observed, graphs, make_params(max_iter=3, tol=0.0))
 
 
-def test_parts_raise_only_once_both_are_done():
+def test_parts_raise_only_once_both_are_done(monkeypatch):
+    monkeypatch.setattr(logss, "_usable_cpus", lambda: 2)
     done = []
     started = threading.Event()
 
@@ -805,8 +822,9 @@ def test_parts_raise_only_once_both_are_done():
         logss._in_parts(work, [("caller", 0, KeyError()), ("worker", 0, IndexError())])
 
 
-def test_a_second_part_the_worker_has_not_started_runs_on_the_caller():
+def test_a_second_part_the_worker_has_not_started_runs_on_the_caller(monkeypatch):
     # the worker is busy with another caller's part (as when its CPU is)
+    monkeypatch.setattr(logss, "_usable_cpus", lambda: 2)
     release = threading.Event()
     logss._in_parts(lambda k: None, [(0,), (0,)])  # the worker exists
     blocker = logss._worker.submit(release.wait, 10)
@@ -818,7 +836,8 @@ def test_a_second_part_the_worker_has_not_started_runs_on_the_caller():
     assert threads == [threading.get_ident()] * 2
 
 
-def test_the_second_part_runs_under_the_callers_errstate():
+def test_the_second_part_runs_under_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(logss, "_usable_cpus", lambda: 2)
     started = threading.Event()
 
     def work(x):
@@ -853,17 +872,21 @@ def test_a_child_forked_after_a_two_part_solve_can_solve(monkeypatch):
             child.join()
 
 
-def test_a_tensor_runs_as_two_parts_from_the_threshold_on_with_two_cpus(monkeypatch):
+def test_a_tensor_runs_as_two_parts_from_the_threshold_on_whatever_the_cpu_count(
+        monkeypatch):
     def parts(dims, cpus):
         monkeypatch.setattr(logss, "_usable_cpus", lambda: cpus)
         Y = np.zeros(dims)
         return SolverState.zeros(Y, np.ones(dims, dtype=bool), make_params()).parts
 
     at = (2, logss._TWO_PARTS_MIN // 2)
-    assert parts(at, 2) == 2 and parts(at, 16) == 2
-    assert parts(at, 1) == 1
+    assert parts(at, 1) == parts(at, 2) == parts(at, 16) == 2
     assert parts((2, logss._TWO_PARTS_MIN // 2 - 1), 2) == 1
     assert parts(DIMS, 2) == 1
+    # on one CPU the caller runs both parts, in order
+    monkeypatch.setattr(logss, "_usable_cpus", lambda: 1)
+    ran = logss._in_parts(lambda k: (k, threading.get_ident()), [(0,), (1,)])
+    assert ran == [(0, threading.get_ident()), (1, threading.get_ident())]
 
 
 def test_usable_cpus_are_the_affinity_mask_where_there_is_one(monkeypatch):
