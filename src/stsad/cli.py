@@ -39,6 +39,16 @@ def _input(cfg, name):
     return path
 
 
+def _load(cfg, *names):
+    """The stage inputs ``names``, omega.txt and labels.txt as masks, of one shape."""
+    arrays = [(load_mask if name in ("omega.txt", "labels.txt") else load_tensor)(
+        _input(cfg, name)) for name in names]
+    if len({a.shape for a in arrays}) > 1:
+        raise ValueError("dims differ: " + ", ".join(
+            f"{name} {a.shape}" for name, a in zip(names, arrays)))
+    return arrays
+
+
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
@@ -81,28 +91,31 @@ def _write_index_csv(path, header, *arrays):
     _write_csv(path, header, slabs)
 
 
-_SCORES_HEADER = "i1,i2,i3,i4,score"
+def _index_header(modes, *names):
+    """Index columns i<n> for each of ``modes``, then ``names``."""
+    return ",".join([f"i{n}" for n in modes] + list(names))
 
 
 def _write_scores_csv(path, scores):
-    _write_index_csv(path, _SCORES_HEADER, scores)
+    _write_index_csv(path, _index_header(range(1, scores.ndim + 1), "score"), scores)
 
 
 def _read_scores_csv(path, dims):
     def index_ok(table):  # integers inside the tensor, no element twice
-        index = table[:, :4]
+        index = table[:, :-1]
         if not ((index == np.floor(index)) & (index >= 0) & (index < dims)).all():
             return False
         flat = np.ravel_multi_index(tuple(index.astype(np.intp).T), dims)
         return np.bincount(flat).max() == 1
 
+    header = _index_header(range(1, len(dims) + 1), "score")
     with open(path, newline="") as fh:
-        header = fh.readline()
-        if header.rstrip("\r\n") != _SCORES_HEADER:
-            raise ValueError(f"{path}:1: header {header!r} is not {_SCORES_HEADER}")
-        table = _read_table(fh, path, 5, ",", index_ok)
+        line = fh.readline()
+        if line.rstrip("\r\n") != header:
+            raise ValueError(f"{path}:1: header {line!r} is not {header}")
+        table = _read_table(fh, path, len(dims) + 1, ",", index_ok)
     scores = np.full(dims, np.nan)
-    scores[tuple(table[:, :4].astype(np.intp).T)] = table[:, 4]
+    scores[tuple(table[:, :-1].astype(np.intp).T)] = table[:, -1]
     if np.isnan(scores).any():
         raise ValueError(f"{path}: does not cover all {dims} elements")
     return scores
@@ -139,7 +152,7 @@ def _graph_file(mode, name):
 
 
 def run_graphs(cfg):
-    Y = load_tensor(_input(cfg, "Y.txt"))
+    Y, = _load(cfg, "Y.txt")
     graphs = build_mode_graphs(Y, **library_args(cfg, "graphs"))
     stationarity = stationarity_report(Y, graphs)
     meta = []
@@ -187,8 +200,7 @@ def _decompose(solver, cfg, Y, observed, graphs):
 
 
 def run_decompose(cfg):
-    Y = load_tensor(_input(cfg, "Y.txt"))
-    observed = load_mask(_input(cfg, "omega.txt"))
+    Y, observed = _load(cfg, "Y.txt", "omega.txt")
     solver = cfg["solver"]
     graphs = _load_graphs(cfg) if solver == "logss" else None
     result = _decompose(solver, cfg, Y, observed, graphs)
@@ -217,20 +229,19 @@ def run_decompose(cfg):
 
 
 def run_score(cfg):
-    S = load_tensor(_input(cfg, "S.txt"))
+    S, = _load(cfg, "S.txt")
     field = score_sparse_tensor(S, **library_args(cfg, "score"))
     _write_scores_csv(_out(cfg, "scores.csv"), field.scores)
-    if cfg["write_fit_stats"]:
-        _write_index_csv(_out(cfg, "fit_stats.csv"), "i1,i2,i4,loc,scale",
-                         field.loc, field.scale)
+    if cfg["write_fit_stats"]:  # one row per mode-3 fiber
+        header = _index_header([n for n in range(1, S.ndim + 1) if n != 3], "loc", "scale")
+        _write_index_csv(_out(cfg, "fit_stats.csv"), header, field.loc, field.scale)
     print(f"score: wrote scores for {S.shape}")
 
 
 def _check_both_classes(labels_path, labels, observed):
-    # the AUC is taken over the observed support.  A mask of another shape is
-    # reported where the labels meet the scores, an empty one by the solvers
-    # and by evaluate
-    if labels.shape == observed.shape and observed.any():
+    # the AUC is taken over the observed support; an empty one is reported by
+    # the solvers and by evaluate
+    if observed.any():
         positive, n = np.count_nonzero(labels[observed]), np.count_nonzero(observed)
         if positive in (0, n):
             raise ValueError(f"{labels_path}: {positive} of the {n} observed labels are "
@@ -238,15 +249,10 @@ def _check_both_classes(labels_path, labels, observed):
 
 
 def run_evaluate(cfg):
-    labels_path = _input(cfg, "labels.txt")
-    labels = load_mask(labels_path)
-    if labels.ndim != 4:  # scores.csv indexes four modes
-        raise ValueError(f"{labels_path}: dims {labels.shape} are not four modes")
-    omega_path = _input(cfg, "omega.txt")
-    observed = load_mask(omega_path)
+    observed, labels = _load(cfg, "omega.txt", "labels.txt")
     if not observed.any():
-        raise ValueError(f"{omega_path}: no observed entries")
-    _check_both_classes(labels_path, labels, observed)
+        raise ValueError(f"{_out(cfg, 'omega.txt')}: no observed entries")
+    _check_both_classes(_out(cfg, "labels.txt"), labels, observed)
     scores = _read_scores_csv(_input(cfg, "scores.csv"), labels.shape)
     ls = labeled_scores(scores, labels, observed)
     auc = roc_auc(ls)
@@ -267,14 +273,8 @@ def run_evaluate(cfg):
 
 
 def run_bench(cfg):
-    Y = load_tensor(_input(cfg, "Y.txt"))
-    observed = load_mask(_input(cfg, "omega.txt"))
-    labels_path = _input(cfg, "labels.txt")
-    labels = load_mask(labels_path)
-    if not Y.shape == observed.shape == labels.shape:
-        raise ValueError(f"dims differ: Y.txt {Y.shape}, omega.txt {observed.shape}, "
-                         f"labels.txt {labels.shape}")
-    _check_both_classes(labels_path, labels, observed)
+    Y, observed, labels = _load(cfg, "Y.txt", "omega.txt", "labels.txt")
+    _check_both_classes(_out(cfg, "labels.txt"), labels, observed)
     graphs = None
     if "logss" in cfg["bench_solvers"]:
         graphs = build_mode_graphs(Y, **library_args(cfg, "graphs"))

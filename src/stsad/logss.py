@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import mode_n_product, soft_threshold
+from .tensor import mode_n_product, project_support, soft_threshold
 
 
 class NumericalError(RuntimeError):
@@ -518,8 +518,8 @@ def _admm(Y, observed, params, low_rank_block, graphs=None):
     if params is None:
         params = LogssParams.defaults(Y, observed)
 
+    norm_y = max(1.0, float(np.linalg.norm(project_support(Y, observed))))
     state = SolverState.zeros(Y, observed, params, graphs)
-    norm_y = max(1.0, float(np.linalg.norm(Y)))
     residual_history, objective_history = [], []
     converged = False
     start = time.perf_counter()
@@ -558,7 +558,7 @@ def solve(Y, observed, graphs, params=None):
     Parameters
     ----------
     Y : ndarray
-        Data tensor (any order >= 2; unobserved entries arbitrary).
+        Data tensor (any order >= 2; unobserved entries finite, otherwise arbitrary).
     observed : ndarray of bool
         Support mask, same shape as Y.
     graphs : list of ModeGraph
@@ -571,8 +571,8 @@ def solve(Y, observed, graphs, params=None):
     DecompositionResult
         Final (L, S) with residual and objective histories.
 
-    Stops when every primal residual, normalized by ``max(1, ||Y||_F)``,
-    falls below ``params.tol`` (``converged`` is then True), or at
+    Stops when every primal residual, normalized by ``max(1, ||P_Omega(Y)||_F)``
+    (Y on the support, as in the residuals), falls below ``params.tol`` (``converged`` is then True), or at
     ``max_iter``.
     """
     if len(graphs) != np.ndim(Y):

@@ -25,7 +25,7 @@ LARGE_SCORE = 1e12
 class FiberScoreField:
     """Per-element scores plus the per-fiber robust fit statistics.
 
-    ``loc`` and ``scale`` have one entry per (i1, i2, i4) fiber.
+    ``loc`` and ``scale`` have one entry per mode-3 fiber: the tensor's shape without mode 3.
     """
 
     scores: np.ndarray
@@ -81,7 +81,7 @@ def univariate_mcd(x, h):
 
 
 def score_sparse_tensor(S, h_fraction=0.75):
-    """Score every element of an order-4 tensor along its mode-3 fiber.
+    """Score each element of a tensor of order >= 3 along its mode-3 fiber.
 
     The subset size is ``max(2, floor(h_fraction * I3))``, h_fraction in
     (0, 1].  A fiber with degenerate scale scores 0 where the value equals
@@ -89,8 +89,8 @@ def score_sparse_tensor(S, h_fraction=0.75):
     finite and sortable.
     """
     S = np.asarray(S, dtype=float)
-    if S.ndim != 4:
-        raise ValueError(f"expected an order-4 tensor, got order {S.ndim}")
+    if S.ndim < 3:
+        raise ValueError(f"expected a tensor of order 3 or more, got order {S.ndim}")
     i3 = S.shape[2]
     if i3 < 4:
         raise ValueError(f"mode-3 length must be at least 4, got {i3}")
@@ -98,7 +98,7 @@ def score_sparse_tensor(S, h_fraction=0.75):
         raise ValueError(f"h_fraction must be in (0, 1], got {h_fraction}")
     h = max(2, math.floor(h_fraction * i3))
 
-    fibers = np.moveaxis(S, 2, -1)          # (I1, I2, I4, I3)
+    fibers = np.moveaxis(S, 2, -1)          # (I1, I2, I4, ..., IN, I3)
     flat = fibers.reshape(-1, i3)
     loc, scale = _mcd_rows(flat, h)
 
@@ -109,12 +109,11 @@ def score_sparse_tensor(S, h_fraction=0.75):
     if degenerate.any():
         sc[degenerate] = np.where(dev[degenerate] == 0.0, 0.0, LARGE_SCORE)
 
-    fiber_shape = fibers.shape[:3]
     scores = np.moveaxis(sc.reshape(fibers.shape), -1, 2)
     return FiberScoreField(
         scores=scores,
-        loc=loc.reshape(fiber_shape),
-        scale=scale.reshape(fiber_shape),
+        loc=loc.reshape(fibers.shape[:-1]),
+        scale=scale.reshape(fibers.shape[:-1]),
     )
 
 

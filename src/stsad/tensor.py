@@ -112,14 +112,16 @@ def tensor_norms(tensor):
 
 
 def project_support(tensor, observed):
-    """Keep entries on the support; zero the rest."""
+    """Keep entries on the support, zero the rest; the result has the tensor's layout."""
     tensor = np.asarray(tensor)
     observed = np.asarray(observed, dtype=bool)
     if observed.shape != tensor.shape:
         raise ValueError(
             f"mask shape {observed.shape} does not match tensor shape {tensor.shape}"
         )
-    return np.where(observed, tensor, 0.0)
+    out = np.zeros_like(tensor, dtype=np.result_type(tensor, 0.0))
+    np.copyto(out, tensor, where=observed)
+    return out
 
 
 def soft_threshold(tensor, phi, out=None):

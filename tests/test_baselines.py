@@ -184,6 +184,33 @@ def test_two_part_baselines_count_and_share_every_svd(monkeypatch, horpca):
     assert len(threads) == 20 and len(set(threads)) == 2
 
 
+def test_concurrent_solves_each_count_their_own_svds():
+    # another thread's solve moves the process-wide counter, not a block's
+    # own count
+    Y = np.random.default_rng(91).normal(size=(12, 7, 6, 5))
+    observed = np.ones(Y.shape, dtype=bool)
+    params = LogssParams.defaults(Y, observed, max_iter=200, tol=0.0)
+    results = {}
+
+    def run(k):
+        results[k] = solve_loss(Y, observed, params)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for result in results.values():
+        assert result.svd_history == [Y.ndim] * 200
+    assert len(results) == 2
+
+
 def test_svd_counts_recorded_from_many_threads_add_up():
     # more threads than cores and frequent switches, so that an unlocked
     # read-modify-write of a count could lose updates

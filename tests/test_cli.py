@@ -356,15 +356,35 @@ def test_graphs_that_exits_1_writes_no_artifact(tmp_path, capsys):
     assert os.listdir(out) == ["Y.txt"]
 
 
-def test_evaluate_rejects_labels_that_are_not_four_modes(tmp_path, capsys):
-    cfg_path, out = base_config(tmp_path)
+@pytest.mark.parametrize("dims", [(8, 4, 6), (6, 3, 6, 2, 2)], ids=["order3", "order5"])
+def test_tensors_of_other_orders_run_every_stage_from_graphs_on(tmp_path, dims):
+    from stsad.evaluation import labeled_scores, roc_auc
+    from stsad.scoring import score_sparse_tensor
+
+    cfg_path, out = base_config(tmp_path, max_iter=5, write_fit_stats="true",
+                                bench_solvers="logss loss raw-ee", bench_repeats=2)
     out.mkdir()
-    save_mask(str(out / "labels.txt"), np.zeros((4, 3, 5), dtype=bool))
-    save_mask(str(out / "omega.txt"), np.ones((4, 3, 5), dtype=bool))
-    (out / "scores.csv").write_text("i1,i2,i3,i4,score\r\n")
-    assert run_stage("evaluate", cfg_path) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {out / 'labels.txt'}: dims (4, 3, 5) are not four modes\n"
+    rng = np.random.default_rng(len(dims))
+    labels = rng.random(dims) < 0.1
+    observed = rng.random(dims) < 0.9
+    save_tensor(out / "Y.txt", rng.normal(size=dims) + 6.0 * labels)
+    save_mask(out / "omega.txt", observed)
+    save_mask(out / "labels.txt", labels)
+    for stage in ("graphs", "decompose", "score", "evaluate", "bench"):
+        assert run_stage(stage, cfg_path) == 0, stage
+
+    order = len(dims)
+    with open(out / "scores.csv", newline="") as fh:
+        assert fh.readline() == ",".join(f"i{n}" for n in range(1, order + 1)) + ",score\r\n"
+    with open(out / "fit_stats.csv", newline="") as fh:
+        modes = [n for n in range(1, order + 1) if n != 3]
+        assert fh.readline() == ",".join(f"i{n}" for n in modes) + ",loc,scale\r\n"
+    scores = score_sparse_tensor(tensor.load_tensor(out / "S.txt")).scores
+    auc = json.loads((out / "auc.json").read_text())["auc"]
+    assert auc == roc_auc(labeled_scores(scores, labels, observed))
+    rows = json.loads((out / "bench.json").read_text())
+    assert [(row["method"], row["failures"]) for row in rows] == [
+        ("logss", 0), ("loss", 0), ("raw-ee", 0)]
 
 
 def run_stage(stage, cfg_path, **kw):
@@ -593,7 +613,7 @@ def test_scores_csv_bad_line_is_the_one_prefix_bisection_named(tmp_path, monkeyp
         lines = list(rows)
         lines[repeat_at] = rows[repeat_at - 1]
         lines[bad_at] = "0,0,x,0,1\r\n"
-        path.write_text(cli._SCORES_HEADER + "\r\n" + "".join(lines), newline="")
+        path.write_text("i1,i2,i3,i4,score\r\n" + "".join(lines), newline="")
         line = reference_bad_line(path, 5, ",", index_ok, newline="")
         assert line == min(repeat_at, bad_at) + 2
         with pytest.raises(ValueError, match=f"scores.csv:{line}: bad row$"):
@@ -725,7 +745,7 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_input_files_whose_dims_disagree_exit_1(tmp_path, capsys):
+def test_input_files_whose_dims_disagree_exit_1(tmp_path, capsys, monkeypatch):
     from stsad.tensor import save_mask
 
     cfg_path, out = base_config(tmp_path, max_iter=3, bench_solvers="logss raw-ee",
@@ -733,12 +753,16 @@ def test_input_files_whose_dims_disagree_exit_1(tmp_path, capsys):
     for stage in ("synth", "graphs", "decompose", "score"):
         assert run_stage(stage, cfg_path) == 0, stage
     capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scores.csv read after the dims differed")
+
+    monkeypatch.setattr(cli, "_read_scores_csv", refuse)
     omega = (out / "omega.txt").read_bytes()
     save_mask(out / "omega.txt", np.ones((8, 4, 6, 2), dtype=bool))
     expected = {
-        "decompose": "error: mask shape does not match tensor shape\n",
-        "evaluate": "error: scores, labels and mask must have one shape, "
-                    "got [(8, 4, 6, 3), (8, 4, 6, 3), (8, 4, 6, 2)]\n",
+        "decompose": "error: dims differ: Y.txt (8, 4, 6, 3), omega.txt (8, 4, 6, 2)\n",
+        "evaluate": "error: dims differ: omega.txt (8, 4, 6, 2), labels.txt (8, 4, 6, 3)\n",
         "bench": "error: dims differ: Y.txt (8, 4, 6, 3), omega.txt (8, 4, 6, 2), "
                  "labels.txt (8, 4, 6, 3)\n",
     }
@@ -758,6 +782,9 @@ def test_input_files_whose_dims_disagree_exit_1(tmp_path, capsys):
     assert (out / "S.txt").read_bytes() == S
     (out / "omega.txt").write_bytes(omega)
     save_mask(out / "labels.txt", np.ones((8, 4, 6, 2), dtype=bool))
+    assert run_stage("evaluate", cfg_path) == 1
+    assert capsys.readouterr().err == (
+        "error: dims differ: omega.txt (8, 4, 6, 3), labels.txt (8, 4, 6, 2)\n")
     assert run_stage("bench", cfg_path) == 1
     assert "labels.txt (8, 4, 6, 2)" in capsys.readouterr().err
     assert not (out / "bench.json").exists()

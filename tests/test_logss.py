@@ -946,6 +946,34 @@ def test_solve_reports_convergence(spike_run):
     assert result.iterations == 5
 
 
+@pytest.mark.parametrize("solver", ["logss", "loss"])
+def test_unobserved_entries_of_y_change_no_bit(solver):
+    # they are arbitrary: the stopping rule, like the residuals, reads Y on
+    # the support only
+    graphs = stub_graphs(DIMS, RANKS, seed=5)
+    rng = np.random.default_rng(6)
+    Y = rng.normal(size=DIMS)
+    observed = rng.random(DIMS) < 0.7
+    params = make_params(max_iter=2000, tol=1e-3)
+
+    def run(fill):
+        filled = np.where(observed, Y, fill)
+        if solver == "logss":
+            return solve(filled, observed, graphs, params)
+        return solve_loss(filled, observed, params)
+
+    base = run(0.0)
+    assert base.converged and base.iterations < params.max_iter
+    for fill in (1e4, -7.5, rng.uniform(-1e3, 1e3, DIMS)):
+        other = run(fill)
+        assert (other.iterations, other.converged) == (base.iterations, True)
+        assert other.L.tobytes() == base.L.tobytes()
+        assert other.S.tobytes() == base.S.tobytes()
+        assert other.residual_history == base.residual_history
+        assert other.objective_history == base.objective_history
+        assert other.svd_history == base.svd_history
+
+
 @pytest.mark.parametrize(
     "run",
     [

@@ -111,6 +111,36 @@ def test_scores_follow_a_permutation_of_weeks_or_zones(seed, axis, data):
     assert np.array_equal(permuted, np.take(scores, perm, axis=axis))
 
 
+# a tensor of order 3 to 7: the sizes of its modes but 3, and of mode 3 (weeks)
+other_modes = st.lists(st.integers(1, 3), min_size=2, max_size=6)
+weeks = st.integers(4, 8)
+
+
+def tensor_with_weeks(seed, other, weeks):
+    return np.random.default_rng(seed).normal(size=(*other[:2], weeks, *other[2:]))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), other=other_modes, weeks=weeks)
+def test_merging_the_modes_after_the_weeks_keeps_the_scores(seed, other, weeks):
+    S = tensor_with_weeks(seed, other, weeks)
+    field = score_sparse_tensor(S)
+    merged = score_sparse_tensor(S.reshape(S.shape[:3] + (-1,)))
+    assert np.array_equal(merged.scores, field.scores.reshape(merged.scores.shape))
+    assert np.array_equal(merged.loc, field.loc.reshape(merged.loc.shape))
+    assert np.array_equal(merged.scale, field.scale.reshape(merged.scale.shape))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), other=other_modes, weeks=weeks, data=st.data())
+def test_permuting_the_modes_but_the_weeks_permutes_the_scores(seed, other, weeks, data):
+    S = tensor_with_weeks(seed, other, weeks)
+    order = data.draw(st.permutations([a for a in range(S.ndim) if a != 2]))
+    axes = [*order[:2], 2, *order[2:]]
+    permuted = score_sparse_tensor(S.transpose(axes)).scores
+    assert np.array_equal(permuted, score_sparse_tensor(S).scores.transpose(axes))
+
+
 @settings(SETTINGS, max_examples=8)
 @given(seed=st.integers(0, 2**32 - 1), axis=st.sampled_from([2, 3]), data=st.data())
 def test_sparse_part_follows_a_permutation_of_weeks_or_zones(seed, axis, data):

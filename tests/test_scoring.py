@@ -118,9 +118,9 @@ def test_score_matches_univariate_fit():
 
 
 def test_score_input_validation():
-    with pytest.raises(ValueError):
-        score_sparse_tensor(np.zeros((3, 3, 8)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expected a tensor of order 3 or more, got order 2$"):
+        score_sparse_tensor(np.zeros((3, 8)))
+    with pytest.raises(ValueError, match=r"^mode-3 length must be at least 4, got 3$"):
         score_sparse_tensor(np.zeros((3, 3, 3, 3)))
 
 

@@ -160,6 +160,11 @@ def test_project_support():
     assert np.array_equal(total, T)
     with pytest.raises(ValueError):
         project_support(T, np.ones((2, 2), dtype=bool))
+    # the tensor's layout whatever the mask's, so a norm of it sums in the
+    # tensor's order: a solve normalises its residuals by that norm
+    F = np.asfortranarray(rng.normal(size=(3, 4, 5)))
+    projected = project_support(F, np.ones(F.shape, dtype=bool))
+    assert projected.flags.f_contiguous and np.linalg.norm(projected) == np.linalg.norm(F)
 
 
 def test_soft_threshold_values():
