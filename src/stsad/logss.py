@@ -281,6 +281,27 @@ def _product(x, matrix, out):
     return out
 
 
+def _differences(x, circular, out, transpose=False):
+    # delta (or delta') times the mode-1 unfolding of x, a tensor or a column
+    # slab of one: each row of delta holds one +1 and one -1, so each entry
+    # is one rounded subtraction, as the product's sum is
+    x, d = x.reshape(len(x), -1), out.reshape(len(out), -1)
+    if transpose:
+        np.subtract(x[1:], x[:-1], out=d[1:])
+        if circular:
+            np.subtract(x[0], x[-1], out=d[0])
+        else:
+            np.copyto(d[0], x[0])
+            np.negative(x[-2], out=d[-1])
+    else:
+        np.subtract(x[:-1], x[1:], out=d[:-1])
+        if circular:
+            np.subtract(x[-1], x[0], out=d[-1])
+        else:
+            d[-1] = 0.0
+    return out
+
+
 def _flat_parts(state):
     """``(view,)`` per part of an elementwise block: the whole tensor, or the
     two contiguous halves of its flat index, split where numpy's pairwise
@@ -307,18 +328,16 @@ def _column_parts(state):
 
 def _mode_parts(state):
     """``(modes, work tensor)`` per part of a per-mode block: every mode with
-    ``scratch[0]``, or the modes shared out largest first (by the extent of
-    ``state.G`` along the mode) and each part with its own scratch tensor.
-    A mode is never split: a split inside a mode's product changed its bits."""
+    ``scratch[0]``, or, for two parts, each with its own scratch tensor and one
+    shared iterator over the modes, largest first (by the extent of ``state.G``
+    along the mode), so a part takes the next mode when it is free (``next()``
+    on a list iterator is atomic under the GIL); on one CPU the first part takes
+    every mode.  A mode is never split: a split inside its product changed its bits."""
     modes = range(1, state.Y.ndim + 1)
     if state.parts == 1:
         return [(modes, state.scratch[0])]
-    shares, loads = ([], []), [0, 0]
-    for n in sorted(modes, key=lambda n: -state.G[n - 1].shape[n - 1]):
-        k = loads.index(min(loads))
-        shares[k].append(n)
-        loads[k] += state.G[n - 1].shape[n - 1]
-    return [(sorted(share), work) for share, work in zip(shares, state.scratch)]
+    queue = iter(sorted(modes, key=lambda n: -state.G[n - 1].shape[n - 1]))
+    return [(queue, work) for work in state.scratch]
 
 
 def _lifted_graph_terms(state):
@@ -403,7 +422,7 @@ def update_smooth_aux(state):
         np.subtract(v(state.S), v(state.gamma3), out=rhs)
         rhs *= p.beta3
         np.add(v(state.gamma2), v(state.Z), out=z_sum)
-        W = _product(z_sum, state.delta.T, v(state.W))
+        W = _differences(z_sum, p.circular, v(state.W), transpose=True)
         W *= p.beta2
         rhs += W
         _product(rhs, state.w_inv, W)
@@ -417,7 +436,7 @@ def update_tv_aux(state):
     p = state.params
 
     def part(v):
-        w_diff = _product(v(state.W), state.delta, v(state.w_diff))
+        w_diff = _differences(v(state.W), p.circular, v(state.w_diff))
         arg = np.subtract(w_diff, v(state.gamma2), out=v(state.scratch[0]))
         soft_threshold(arg, p.gamma / p.beta2, out=v(state.Z))
 
@@ -468,7 +487,7 @@ def objective_value(state, low_rank_penalty):
     abs_s, abs_tv = state.scratch
 
     def tv_part(v):
-        tv = _product(v(state.S), state.delta, v(abs_tv))
+        tv = _differences(v(state.S), p.circular, v(abs_tv))
         np.abs(tv, out=tv)
 
     def sums_part(v):
@@ -494,10 +513,8 @@ def _graph_block(state):
     _lifted_graph_terms(state)
     energy = 0.0
     for n, (coeffs, g) in enumerate(zip(state.G, state.graphs), start=1):
-        sq = state.scratch[0].reshape(-1)[: coeffs.size].reshape(coeffs.shape)
-        np.square(coeffs, out=sq)
-        energies = sq.sum(axis=tuple(a for a in range(sq.ndim) if a != n - 1))
-        energy += float(g.low_eigvals @ energies)
+        c = coeffs.reshape(-1, g.rank, math.prod(coeffs.shape[n:]))
+        energy += float(g.low_eigvals @ np.einsum("arb,arb->r", c, c))
     return energy
 
 

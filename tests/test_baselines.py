@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import sys
 import threading
 
@@ -7,7 +8,7 @@ import pytest
 from conftest import PARTS_DIMS, force_parts, spike_instance
 
 from stsad import baselines, instrumentation
-from stsad.baselines import solve_horpca, solve_loss, svt
+from stsad.baselines import _svt_with_norm, solve_horpca, solve_loss, svt
 from stsad.logss import LogssParams, solve
 from stsad.tensor import project_support
 
@@ -62,6 +63,36 @@ def test_svt_shrinks_singular_values():
         s_out = np.linalg.svd(svt(M, tau), compute_uv=False)
         assert s_out.sum() <= s_in.sum() + 1e-10
         assert np.allclose(s_out, np.maximum(s_in - tau, 0.0), atol=1e-8)
+
+
+def svt_matrices():
+    rng = np.random.default_rng(6)
+    low = rng.normal(size=(9, 2)) @ rng.normal(size=(2, 14))
+    return {"wide": rng.normal(size=(6, 40)), "tall": rng.normal(size=(40, 6)),
+            "square": rng.normal(size=(12, 12)), "rank-2-wide": low,
+            "rank-2-tall": low.T.copy()}
+
+
+@pytest.mark.parametrize("name", list(svt_matrices()))
+def test_svt_matches_the_thresholded_svd_of_m(name):
+    # whichever side the SVD is taken on, the result is U diag((s - tau)+) V'
+    # of M's own SVD
+    M = svt_matrices()[name]
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    bound = 1e-12 * np.linalg.norm(M)
+    for tau in (0.0, s[1], s[-1], s[0], 2 * s[0]):
+        kept = np.maximum(s - tau, 0.0)
+        expected = (U * kept) @ Vt
+        out = np.full(M.shape, np.nan)
+        low, nuclear = _svt_with_norm(M, tau, out=out)
+        assert low is out
+        for result in (low, svt(M, tau)):
+            assert result.shape == M.shape
+            assert np.abs(result - expected).max() <= bound
+        assert np.abs(svt(M.T, tau) - expected.T).max() <= bound
+        assert nuclear == pytest.approx(kept.sum(), rel=1e-12, abs=bound)
+        if tau > s[0]:  # at s[0] itself the other side's s[0] may be 1 ulp larger
+            assert not low.any() and nuclear == 0.0
 
 
 def baseline_params(Y, observed, **kw):
@@ -164,13 +195,19 @@ def test_horpca_zero_data_and_spike():
 
 @pytest.mark.parametrize("horpca", [False, True])
 def test_two_part_baselines_count_and_share_every_svd(monkeypatch, horpca):
-    # the four SVDs of an iteration run two per thread, and each is counted
+    # the four SVDs of an iteration are shared by the two threads, and each
+    # is counted.  The parts take modes from one queue, so a worker that
+    # starts late would leave every mode to the caller: the first two SVDs
+    # wait for each other, which makes both threads take one
     force_parts(monkeypatch, 2)
     threads = []
     real = baselines._svt_with_norm
+    calls, meet = itertools.count(), threading.Barrier(2, timeout=10)
 
     def traced(*args, **kwargs):
         threads.append(threading.get_ident())
+        if next(calls) < 2:
+            meet.wait()
         return real(*args, **kwargs)
 
     monkeypatch.setattr(baselines, "_svt_with_norm", traced)

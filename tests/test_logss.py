@@ -654,15 +654,22 @@ def assert_two_parts_on_one_cpu_match_two_cpus(monkeypatch, solver, Y, observed,
     in every bit; return the two-CPU run."""
     threads = set()
     real = logss.soft_threshold
+    calls = meet = None
 
     def traced(*args, **kwargs):
         threads.add(threading.get_ident())
+        if meet is not None and next(calls) < 2:
+            # a worker that starts late leaves its part to the caller, so the
+            # first two calls wait for each other
+            meet.wait()
         return real(*args, **kwargs)
 
     monkeypatch.setattr(logss, "soft_threshold", traced)
     runs = []
     for cpus in (1, 2):
         threads.clear()
+        if cpus == 2:
+            calls, meet = itertools.count(), threading.Barrier(2, timeout=10)
         force_parts(monkeypatch, 2, cpus=cpus)
         runs.append(run_solver(solver, Y, observed, graphs, params))
         assert len(threads) == cpus
@@ -753,6 +760,96 @@ def test_two_parts_on_one_cpu_match_two_cpus_at_2415_columns(monkeypatch, solver
     params = make_params(max_iter=5, tol=0.0)
     assert_two_parts_on_one_cpu_match_two_cpus(monkeypatch, solver, Y, observed, graphs,
                                                params)
+
+
+@pytest.mark.parametrize("circular", [True, False])
+@pytest.mark.parametrize("parts", [1, 2], ids=["one_part", "two_parts"])
+def test_mode1_differences_are_the_delta_products_bits_in_parts(monkeypatch, circular,
+                                                                 parts):
+    # each entry of delta x (or delta' x) is one subtraction, which is what
+    # the product's sum of one +1 and one -1 term rounds to
+    force_parts(monkeypatch, parts)
+    x = np.random.default_rng(85).normal(size=PARTS_DIMS)
+    x[3:6] = 0.0  # zero differences, whose sign the comparison ignores
+    state = SolverState.zeros(x, np.ones(PARTS_DIMS, dtype=bool),
+                              make_params(circular=circular))
+    for matrix, transpose in ((state.delta, False), (state.delta.T, True)):
+        ours, product = np.full(PARTS_DIMS, np.nan), np.full(PARTS_DIMS, np.nan)
+        for (view,) in logss._column_parts(state):
+            logss._differences(view(x), circular, view(ours), transpose=transpose)
+            logss._product(view(x), matrix, view(product))
+        assert np.array_equal(ours, product)
+
+
+# distinct sizes, and ranks in another order, so that a mode is known by its
+# size and the two solvers queue their modes differently
+QUEUE_DIMS, QUEUE_RANKS = (9, 5, 11, 7), (1, 3, 4, 2)
+
+
+def trace_mode_work(monkeypatch):
+    """Record ``(kind, mode, thread)`` for each per-mode SVT, projection and
+    lift that the solves which follow make, in the order they start."""
+    calls, lock = [], threading.Lock()
+    real_product, real_svt = logss.mode_n_product, baselines._svt_with_norm
+
+    def product(x, matrix, n, out=None):
+        with lock:
+            kind = "projection" if x.shape == QUEUE_DIMS else "lift"  # a lift's x is G
+            calls.append((kind, n, threading.get_ident()))
+        return real_product(x, matrix, n, out=out)
+
+    def svt(M, tau, out=None):
+        with lock:
+            calls.append(("svt", QUEUE_DIMS.index(len(M)) + 1, threading.get_ident()))
+        return real_svt(M, tau, out=out)
+
+    monkeypatch.setattr(logss, "mode_n_product", product)
+    monkeypatch.setattr(baselines, "_svt_with_norm", svt)
+    return calls
+
+
+def queue_instance(seed):
+    graphs = stub_graphs(QUEUE_DIMS, QUEUE_RANKS, seed=seed)
+    Y = np.random.default_rng(seed + 1).normal(size=QUEUE_DIMS)
+    return Y, np.ones(QUEUE_DIMS, dtype=bool), graphs
+
+
+@pytest.mark.parametrize("solver", ["logss", "loss"])
+def test_two_parts_work_every_mode_once_per_iteration(monkeypatch, solver):
+    calls = trace_mode_work(monkeypatch)
+    force_parts(monkeypatch, 2, cpus=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the parts take their modes from one iterator
+    try:
+        run_solver(solver, *queue_instance(86), make_params(max_iter=40, tol=0.0))
+    finally:
+        sys.setswitchinterval(interval)
+    kinds = ["projection", "lift"] if solver == "logss" else ["svt"]
+    # a block's parts are done before the next block starts, so each run of
+    # four calls is one block, and has each mode once
+    blocks = [calls[k:k + 4] for k in range(0, len(calls), 4)]
+    assert [block[0][0] for block in blocks] == kinds * 40
+    for block in blocks:
+        assert {kind for kind, _, _ in block} == {block[0][0]}
+        assert sorted(n for _, n, _ in block) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("solver, order", [("logss", [3, 2, 4, 1]), ("loss", [3, 1, 4, 2])])
+def test_parts_take_the_modes_largest_first(monkeypatch, solver, order):
+    # by the extent of G along the mode: the rank for LOGSS, the size for
+    # LOSS.  On one CPU the first part takes every mode, in the queue's order
+    Y, observed, graphs = queue_instance(88)
+    calls = trace_mode_work(monkeypatch)
+    force_parts(monkeypatch, 2, cpus=1)
+    run_solver(solver, Y, observed, graphs, make_params(max_iter=2, tol=0.0))
+    per_mode_blocks = 2 * (2 if solver == "logss" else 1)  # 2 iterations
+    assert [n for _, n, _ in calls] == order * per_mode_blocks
+    assert {thread for _, _, thread in calls} == {threading.get_ident()}
+    state = SolverState.zeros(Y, observed, make_params(),
+                              graphs if solver == "logss" else None)
+    (first, work), (second, other_work) = logss._mode_parts(state)
+    assert first is second and work is not other_work
+    assert list(first) == order and list(second) == []
 
 
 @pytest.mark.parametrize("solver", ["logss", "loss"])
