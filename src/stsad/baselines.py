@@ -52,7 +52,8 @@ def _svt_block(state):
     """
     tau = state.params.theta / state.params.beta4
 
-    def part(modes, work):
+    def part(share):
+        modes, work = share
         nuclear = {}
         for n in modes:
             G = state.G[n - 1]
@@ -65,7 +66,7 @@ def _svt_block(state):
         return nuclear
 
     nuclear = {}
-    for share in _in_parts(part, _mode_parts(state)):
+    for share in _in_parts(part, _mode_parts(state), state.worker):
         nuclear.update(share)
     state.svd_history.append(len(nuclear))  # one SVD per mode
     return sum(nuclear[n] for n in range(1, len(state.G) + 1))

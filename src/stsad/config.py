@@ -147,6 +147,11 @@ def config_for_stage(path, stage, seed_override=None):
                 raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from exc
     if cfg["bench_repeats"] < 2:
         raise ConfigError(f"{path}: bench_repeats must be at least 2")
+    if stage == "evaluate":
+        bad = [k for k in cfg["k_list"] if not 0 < k <= 100]  # NaN included
+        if bad or not cfg["k_list"]:
+            why = f"K percent must be in (0, 100], got {bad[0]}" if bad else "K list is empty"
+            raise ConfigError(f"{path}: bad value for 'k_list': {why}")
     if stage == "evaluate" and cfg["events_csv"]:
         needed = [k for k in ("zone_file", "year") if cfg[k] is None]
         if needed:

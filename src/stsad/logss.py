@@ -13,17 +13,18 @@ state and overwrites its own variable in it.
 
 A block runs as one part, or, on a tensor of at least ``_TWO_PARTS_MIN``
 elements, as two parts, split by the tensor's shape alone (:func:`_in_parts`).
-Where the process may use two CPUs the second part runs on a worker thread,
-otherwise on the caller after the first, so a run does the same operations
-in the same order, and gives the same bits, on any CPU count.
+Where the process may use two CPUs the second part runs on a worker thread
+that the solve starts and joins before it returns, otherwise on the caller
+after the first, so a run does the same operations in the same order, and
+gives the same bits, on any CPU count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -128,12 +129,15 @@ class SolverState:
     (W update) and ``projectors`` (G update) are precomputed from them.
     ``G`` holds the per-mode spectral coefficients (mode-n dimension J_n),
     ``lifted`` their lifts to full shape, ``w_diff`` the mode-1 differences
-    of W, ``scratch`` two work tensors, ``parts`` the number of parts each
-    block runs as (1 or 2 by the size of ``Y`` alone, see :func:`_in_parts`).
-    For the baselines ``graphs`` and ``projectors`` are None and ``G``, which
-    is also ``lifted``, holds full-shape per-mode low-rank tensors; their
-    block appends its SVD count per iteration to ``svd_history``.  ``Y``, ``missing`` and every tensor
-    the state allocates are C-ordered and start on a 64-byte boundary
+    of W, ``scratch`` two work tensors.  For the baselines ``graphs`` and
+    ``projectors`` are None and ``G``, which is also ``lifted``, holds
+    full-shape per-mode low-rank tensors; their block appends its SVD count
+    per iteration to ``svd_history``.  ``flat`` and ``columns`` hold one view
+    function per part a block runs as (see :func:`_in_parts`): the whole
+    tensor, or the halves of its flat index and the column halves of its
+    mode-1 unfolding.  ``worker`` runs second parts during a solve, if it is
+    not None (:func:`_admm`).  ``Y``, ``missing`` and every tensor the
+    state allocates are C-ordered and start on a 64-byte boundary
     (:func:`_aligned_zeros`); ``Y`` is a copy unless the caller's already is.
     """
 
@@ -154,15 +158,27 @@ class SolverState:
     lifted: list[np.ndarray]
     w_diff: np.ndarray
     scratch: tuple[np.ndarray, np.ndarray]
+    flat: tuple
+    columns: tuple
     graphs: list | None = None
     projectors: list[np.ndarray] | None = None
     svd_history: list[int] = field(default_factory=list)
-    parts: int = 1
+    worker: object = None
 
     @classmethod
     def zeros(cls, Y, observed, params, graphs=None):
         dims = Y.shape
-        parts = 2 if Y.size >= _TWO_PARTS_MIN else 1
+        flat = columns = (lambda a: a,)
+        if Y.size >= _TWO_PARTS_MIN:
+            # the flat index is halved where numpy's pairwise sum splits it, so
+            # per-part sums add up to the whole sum bit for bit; the mode-1
+            # unfolding on a multiple of 64 columns (an unaligned split changed
+            # some entries of the products by 1 ulp against the whole tensor's)
+            n, rows = Y.size, dims[0]
+            h, c = n // 2 - n // 2 % 8, round(n // rows / 128) * 64
+            flat = tuple(lambda a, s=s: a.reshape(-1)[s] for s in (slice(h), slice(h, n)))
+            columns = tuple(lambda a, s=s: a.reshape(rows, -1)[:, s]
+                            for s in (slice(c), slice(c, None)))
         zero = lambda shape=dims: _aligned_zeros(shape)
         # parts view every tensor through its C-order layout, and np.putmask
         # reads its mask in C order, so the state keeps its own Y and mask
@@ -188,8 +204,8 @@ class SolverState:
             Y=Y, params=params, missing=missing,
             L=zero(), S=zero(), W=zero(), Z=zero(), G=G, gamma1=zero(), gamma2=zero(),
             gamma3=zero(), gamma4=[zero() for _ in dims], delta=delta, w_inv=w_inv,
-            lifted=lifted, w_diff=zero(), scratch=(zero(), zero()), graphs=graphs,
-            projectors=projectors, parts=parts,
+            lifted=lifted, w_diff=zero(), scratch=(zero(), zero()), flat=flat,
+            columns=columns, graphs=graphs, projectors=projectors,
         )
 
 
@@ -224,9 +240,6 @@ def build_diff_operator(I1, circular=True):
 # and won from 122,304 on; a hand-off to the worker costs 35-60 us.
 _TWO_PARTS_MIN = 1 << 17
 
-_worker = None  # the one-thread executor of second parts, made on first use
-_worker_lock = threading.Lock()
-
 
 def _usable_cpus():
     try:
@@ -235,44 +248,23 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _forget_worker():
-    # a forked child has no worker thread, only the parent's executor object,
-    # which would queue work that never runs
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _in_parts(work, parts):
-    """``[work(*args) for args in parts]`` for one or two parts, run in order
-    on the caller's thread where the process may use one CPU only.  Otherwise
-    a second part runs on the worker thread, under the caller's context (so
-    its ``np.errstate``), while the caller runs the first; if the worker has
-    not started it by then (its CPU is busy), the caller runs it too.  Then
-    it returns, or raises the first part's exception before the second's,
-    only once both are done."""
-    if len(parts) == 1 or _usable_cpus() < 2:
-        return [work(*args) for args in parts]
-    global _worker
-    with _worker_lock:  # solves may run in several threads
-        if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor  # 13 ms to import
-
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stsad")
-    second = _worker.submit(contextvars.copy_context().run, work, *parts[1])
+def _in_parts(work, parts, worker):
+    """``[work(part) for part in parts]`` for one or two parts, run in order
+    on the caller's thread where ``worker`` is None.  Otherwise the second
+    part runs on ``worker``, under the caller's context (so its
+    ``np.errstate``), while the caller runs the first; if the worker has not
+    started it by then (its CPU is busy), the caller runs it too.  Then it
+    returns, or raises the first part's exception before the second's, only
+    once both are done."""
+    if worker is None:
+        return [work(part) for part in parts]
+    second = worker.submit(contextvars.copy_context().run, work, parts[1])
     try:
-        first = work(*parts[0])
+        first = work(parts[0])
     finally:
         if not second.cancel():
             second.exception()  # waits: no part may outlive its block
-    return [first, work(*parts[1]) if second.cancelled() else second.result()]
-
-
-def _whole(tensor):
-    return tensor
+    return [first, work(parts[1]) if second.cancelled() else second.result()]
 
 
 def _product(x, matrix, out):
@@ -302,30 +294,6 @@ def _differences(x, circular, out, transpose=False):
     return out
 
 
-def _flat_parts(state):
-    """``(view,)`` per part of an elementwise block: the whole tensor, or the
-    two contiguous halves of its flat index, split where numpy's pairwise
-    sum splits it, so per-part sums add up to the whole sum bit for bit."""
-    if state.parts == 1:
-        return [(_whole,)]
-    n = state.Y.size
-    h = n // 2 - n // 2 % 8
-    return [(lambda a, s=s: a.reshape(-1)[s],) for s in (slice(0, h), slice(h, n))]
-
-
-def _column_parts(state):
-    """``(view,)`` per part of a block with mode-1 products: the whole
-    tensor, or two column halves of its mode-1 unfolding, split on a multiple
-    of 64 columns (an unaligned split changed some entries of the products
-    by 1 ulp against the whole tensor's)."""
-    if state.parts == 1:
-        return [(_whole,)]
-    rows = state.Y.shape[0]
-    cols = state.Y.size // rows
-    c = round(cols / 128) * 64
-    return [(lambda a, s=s: a.reshape(rows, cols)[:, s],) for s in (slice(0, c), slice(c, cols))]
-
-
 def _mode_parts(state):
     """``(modes, work tensor)`` per part of a per-mode block: every mode with
     ``scratch[0]``, or, for two parts, each with its own scratch tensor and one
@@ -334,7 +302,7 @@ def _mode_parts(state):
     on a list iterator is atomic under the GIL); on one CPU the first part takes
     every mode.  A mode is never split: a split inside its product changed its bits."""
     modes = range(1, state.Y.ndim + 1)
-    if state.parts == 1:
+    if len(state.flat) == 1:
         return [(modes, state.scratch[0])]
     queue = iter(sorted(modes, key=lambda n: -state.G[n - 1].shape[n - 1]))
     return [(queue, work) for work in state.scratch]
@@ -342,12 +310,12 @@ def _mode_parts(state):
 
 def _lifted_graph_terms(state):
     # G^n lifted back to full shape, G^n x_n P_hat_n, into state.lifted
-    def part(modes, _):
-        for n in modes:
+    def part(share):
+        for n in share[0]:
             basis = state.graphs[n - 1].basis
             mode_n_product(state.G[n - 1], basis, n, out=state.lifted[n - 1])
 
-    _in_parts(part, _mode_parts(state))
+    _in_parts(part, _mode_parts(state), state.worker)
 
 
 def update_low_rank(state):
@@ -374,7 +342,7 @@ def update_low_rank(state):
             T2 /= N
             np.putmask(L, v(state.missing), T2)
 
-    _in_parts(part, _flat_parts(state))
+    _in_parts(part, state.flat, state.worker)
 
 
 def update_graph_coeffs(state):
@@ -384,12 +352,13 @@ def update_graph_coeffs(state):
     the matrix inverse is diagonal, so it is applied as a row scaling of the
     projected unfolding (``state.projectors``).
     """
-    def part(modes, diff):
+    def part(share):
+        modes, diff = share
         for n in modes:
             np.subtract(state.L, state.gamma4[n - 1], out=diff)
             mode_n_product(diff, state.projectors[n - 1], n, out=state.G[n - 1])
 
-    _in_parts(part, _mode_parts(state))
+    _in_parts(part, _mode_parts(state), state.worker)
 
 
 def update_sparse(state):
@@ -410,7 +379,7 @@ def update_sparse(state):
             off = soft_threshold(T4, p.lam / p.beta3, out=T3)
             np.putmask(S, v(state.missing), off)
 
-    _in_parts(part, _flat_parts(state))
+    _in_parts(part, state.flat, state.worker)
 
 
 def update_smooth_aux(state):
@@ -427,7 +396,7 @@ def update_smooth_aux(state):
         rhs += W
         _product(rhs, state.w_inv, W)
 
-    _in_parts(part, _column_parts(state))
+    _in_parts(part, state.columns, state.worker)
 
 
 def update_tv_aux(state):
@@ -440,7 +409,7 @@ def update_tv_aux(state):
         arg = np.subtract(w_diff, v(state.gamma2), out=v(state.scratch[0]))
         soft_threshold(arg, p.gamma / p.beta2, out=v(state.Z))
 
-    _in_parts(part, _column_parts(state))
+    _in_parts(part, state.columns, state.worker)
 
 
 def update_duals(state):
@@ -470,7 +439,7 @@ def update_duals(state):
         return squares
 
     # sqrt(r.r) is np.linalg.norm(r) bit for bit; two parts add their sums
-    norms = [math.sqrt(sum(sq)) for sq in zip(*_in_parts(part, _flat_parts(state)))]
+    norms = [math.sqrt(sum(sq)) for sq in zip(*_in_parts(part, state.flat, state.worker))]
     residuals = dict(zip(("r_data", "r_tv", "r_sw"), norms))
     residuals["r_graph_max"] = max(norms[3:])
     return residuals
@@ -493,8 +462,8 @@ def objective_value(state, low_rank_penalty):
     def sums_part(v):
         return float(np.abs(v(state.S), out=v(abs_s)).sum()), float(v(abs_tv).sum())
 
-    _in_parts(tv_part, _column_parts(state))
-    sparse, tv = map(sum, zip(*_in_parts(sums_part, _flat_parts(state))))
+    _in_parts(tv_part, state.columns, state.worker)
+    sparse, tv = map(sum, zip(*_in_parts(sums_part, state.flat, state.worker)))
     return p.theta * low_rank_penalty + p.lam * sparse + p.gamma * tv
 
 
@@ -541,20 +510,28 @@ def _admm(Y, observed, params, low_rank_block, graphs=None):
     converged = False
     start = time.perf_counter()
 
-    for t in range(1, params.max_iter + 1):
-        update_low_rank(state)
-        penalty = low_rank_block(state)
-        update_sparse(state)
-        update_smooth_aux(state)
-        update_tv_aux(state)
-        residuals = update_duals(state)
+    # the solve's own thread for second parts, joined when the solve ends;
+    # None for one part or one usable CPU, and the caller runs every part
+    worker = contextlib.nullcontext()
+    if len(state.flat) == 2 and _usable_cpus() >= 2:
+        from concurrent.futures import ThreadPoolExecutor  # 13 ms to import
 
-        _check_finite(residuals, t)
-        residual_history.append(residuals)
-        objective_history.append(objective_value(state, penalty))
-        if max(residuals.values()) / norm_y < params.tol:
-            converged = True
-            break
+        worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stsad")
+    with worker as state.worker:
+        for t in range(1, params.max_iter + 1):
+            update_low_rank(state)
+            penalty = low_rank_block(state)
+            update_sparse(state)
+            update_smooth_aux(state)
+            update_tv_aux(state)
+            residuals = update_duals(state)
+
+            _check_finite(residuals, t)
+            residual_history.append(residuals)
+            objective_history.append(objective_value(state, penalty))
+            if max(residuals.values()) / norm_y < params.tol:
+                converged = True
+                break
 
     return DecompositionResult(
         L=state.L,
@@ -595,11 +572,16 @@ def solve(Y, observed, graphs, params=None):
     if len(graphs) != np.ndim(Y):
         raise ValueError(f"need {np.ndim(Y)} mode graphs, got {len(graphs)}")
     for n, (size, g) in enumerate(zip(np.shape(Y), graphs), start=1):
+        if np.ndim(g.eigvecs) != 2:
+            raise ValueError(f"mode {n} graph: eigenvectors {g.eigvecs.shape} are not a matrix")
         if g.basis.shape != (size, g.rank):
             raise ValueError(f"mode {n} graph: eigenbasis {g.basis.shape} is not "
                              f"(mode size, rank) {(size, g.rank)}")
         if not 1 <= g.rank <= size:
             raise ValueError(f"mode {n} graph: rank {g.rank} is not in [1, {size}]")
+        if np.ndim(g.eigvals) != 1 or g.low_eigvals.shape != (g.rank,):
+            raise ValueError(f"mode {n} graph: eigenvalues {np.shape(g.eigvals)} are not a "
+                             f"vector of at least rank {g.rank}")
         if g.mode != n:
             raise ValueError(f"mode {n} graph: built for mode {g.mode}")
     return _admm(Y, observed, params, _graph_block, graphs)

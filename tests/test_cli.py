@@ -111,6 +111,23 @@ def test_bad_solver_setting_exits_1_before_reading_artifacts(tmp_path, capsys, k
     assert err.startswith(f"config error: {cfg_path}: bad value for {key!r}:"), err
 
 
+@pytest.mark.parametrize(
+    "k_list, message",
+    [("0 150", "K percent must be in (0, 100], got 0.0"),
+     ("5 150", "K percent must be in (0, 100], got 150.0"),
+     ("1 nan", "K percent must be in (0, 100], got nan"),
+     ("", "K list is empty")],
+)
+def test_bad_k_list_exits_1_before_reading_artifacts(tmp_path, capsys, k_list, message):
+    cfg_path, out = base_config(tmp_path, k_list=k_list, events_csv=tmp_path / "events.csv",
+                                zone_file=tmp_path / "zones.txt", year=2020)
+    assert not out.exists()  # no scores.csv: a later check would name it
+    assert run_stage("evaluate", cfg_path) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {cfg_path}: bad value for 'k_list': {message}\n")
+    assert not out.exists()
+
+
 def test_solver_settings_override_data_driven_defaults(tmp_path):
     cfg_path, _ = base_config(tmp_path, **{"lambda": 0, "tol": 0})
     overrides = library_args(config_for_stage(cfg_path, "decompose"), "solver")
@@ -343,7 +360,9 @@ def test_evaluate_that_exits_1_writes_no_artifact(tmp_path, capsys, k_list, zone
         assert run_stage(stage, cfg_path) == 0, stage
     assert run_stage("evaluate", cfg_path) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err, err
+    # a K list out of range is a config error, found before any artifact is read
+    prefix = "error: " if zone == "Z" else f"config error: {cfg_path}: bad value for 'k_list': "
+    assert err.startswith(prefix) and message in err, err
     assert not {"auc.json", "roc.csv", "detection.json"} & set(os.listdir(out))
 
 
@@ -877,6 +896,32 @@ def test_graphs_json_rank_that_does_not_fit_exits_1(tmp_path, capsys):
         assert run_stage("decompose", cfg_path) == 1, rank
         assert capsys.readouterr().err == f"error: mode 2 graph: {message}\n"
         assert not (out / "S.txt").exists()
+
+
+def test_graph_files_of_the_wrong_shape_exit_1(tmp_path, capsys):
+    cfg_path, out = base_config(tmp_path, dims="24 7 4 3")
+    for stage in ("synth", "graphs"):
+        assert run_stage(stage, cfg_path) == 0, stage
+    meta = json.loads((out / "graphs.json").read_text())
+    meta[1]["rank"] = 5
+    (out / "graphs.json").write_text(json.dumps(meta))
+    eigvecs, eigvals = (tensor.load_tensor(str(out / f"mode2_{name}.txt"))
+                        for name in ("eigvecs", "eigvals"))
+    for name, bad, message in [
+        ("eigvecs", eigvecs.reshape(-1), "eigenvectors (49,) are not a matrix"),
+        ("eigvals", eigvals[:3], "eigenvalues (3,) are not a vector of at least rank 5"),
+        ("eigvals", np.tile(eigvals, (2, 1)),
+         "eigenvalues (2, 7) are not a vector of at least rank 5"),
+    ]:
+        path = out / f"mode2_{name}.txt"
+        good = path.read_bytes()
+        save_tensor(str(path), bad)
+        capsys.readouterr()
+        assert run_stage("decompose", cfg_path) == 1, message
+        assert capsys.readouterr().err == f"error: mode 2 graph: {message}\n"
+        assert not (out / "S.txt").exists()
+        path.write_bytes(good)
+    assert run_stage("decompose", cfg_path) == 0
 
 
 def test_graph_listed_for_the_wrong_mode_exits_1(tmp_path, capsys):

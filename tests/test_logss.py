@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -472,6 +473,19 @@ def test_solve_rejects_graphs_that_do_not_fit_the_tensor():
     swapped = [graphs[1], graphs[0]] + graphs[2:]
     with pytest.raises(ValueError, match=r"^mode 1 graph: built for mode 2$"):
         solve(np.zeros(dims), np.ones(dims, dtype=bool), swapped, make_params())
+    # graph files of the wrong shape, as decompose may load them
+    graphs = stub_graphs(DIMS, RANKS, seed=35)
+    mode2 = graphs[1]
+    for bad, message in [
+        (dataclasses.replace(mode2, eigvecs=mode2.eigvecs.ravel()),
+         r"eigenvectors \(9,\) are not a matrix"),
+        (dataclasses.replace(mode2, eigvals=mode2.eigvals[:1]),
+         r"eigenvalues \(1,\) are not a vector of at least rank 2"),
+        (dataclasses.replace(mode2, eigvals=np.diag(mode2.eigvals)),
+         r"eigenvalues \(3, 3\) are not a vector of at least rank 2"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^mode 2 graph: {message}$"):
+            solve(Y, observed, [graphs[0], bad] + graphs[2:], make_params())
 
 
 def test_result_carries_the_params_the_run_used():
@@ -718,13 +732,13 @@ def test_state_tensors_start_on_64_byte_boundaries_in_parts(monkeypatch, solver,
     force_parts(monkeypatch, parts)
     for Y_in in (Y, at_offset(Y, 8), at_offset(Y, 16)):  # F-ordered, then C-ordered
         state = SolverState.zeros(Y_in, at_offset(observed, 8), make_params(), graphs)
-        assert state.parts == parts
+        assert len(state.flat) == parts
         tensors = [state.L, state.S, state.W, state.Z, state.gamma1, state.gamma2,
                    state.gamma3, state.w_diff, *state.gamma4, *state.lifted, *state.G,
                    *state.scratch]
         for a in tensors + [state.Y]:
             assert a.flags.c_contiguous and a.ctypes.data % 64 == 0
-            for (view,) in logss._flat_parts(state):
+            for view in state.flat:
                 assert view(a).ctypes.data % 64 == 0
         assert state.missing.flags.c_contiguous and state.missing.ctypes.data % 64 == 0
         assert np.array_equal(state.Y, Y) and np.array_equal(state.missing, ~observed)
@@ -775,7 +789,7 @@ def test_mode1_differences_are_the_delta_products_bits_in_parts(monkeypatch, cir
                               make_params(circular=circular))
     for matrix, transpose in ((state.delta, False), (state.delta.T, True)):
         ours, product = np.full(PARTS_DIMS, np.nan), np.full(PARTS_DIMS, np.nan)
-        for (view,) in logss._column_parts(state):
+        for view in state.columns:
             logss._differences(view(x), circular, view(ours), transpose=transpose)
             logss._product(view(x), matrix, view(product))
         assert np.array_equal(ours, product)
@@ -888,12 +902,12 @@ def test_an_error_in_the_second_part_propagates(monkeypatch):
         solve(Y, observed, graphs, make_params(max_iter=3, tol=0.0))
 
 
-def test_parts_raise_only_once_both_are_done(monkeypatch):
-    monkeypatch.setattr(logss, "_usable_cpus", lambda: 2)
+def test_parts_raise_only_once_both_are_done():
     done = []
     started = threading.Event()
 
-    def work(name, delay, error):
+    def work(part):
+        name, delay, error = part
         if name == "worker":
             started.set()
         else:  # the caller's part: the worker has its own part by now
@@ -903,38 +917,38 @@ def test_parts_raise_only_once_both_are_done(monkeypatch):
         if error is not None:
             raise error
 
-    # the caller's part fails while the worker's part still writes
-    with pytest.raises(KeyError):
-        logss._in_parts(work, [("caller", 0, KeyError()), ("worker", 0.2, None)])
-    assert done == ["caller", "worker"]
-    done.clear()
-    started.clear()
-    with pytest.raises(KeyError):
-        logss._in_parts(work, [("caller", 0.2, None), ("worker", 0, KeyError())])
-    assert done == ["worker", "caller"]
-    done.clear()
-    started.clear()
-    # both fail: the first part's error is the one raised
-    with pytest.raises(KeyError):
-        logss._in_parts(work, [("caller", 0, KeyError()), ("worker", 0, IndexError())])
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        # the caller's part fails while the worker's part still writes
+        with pytest.raises(KeyError):
+            logss._in_parts(work, [("caller", 0, KeyError()), ("worker", 0.2, None)], worker)
+        assert done == ["caller", "worker"]
+        done.clear()
+        started.clear()
+        with pytest.raises(KeyError):
+            logss._in_parts(work, [("caller", 0.2, None), ("worker", 0, KeyError())], worker)
+        assert done == ["worker", "caller"]
+        done.clear()
+        started.clear()
+        # both fail: the first part's error is the one raised
+        with pytest.raises(KeyError):
+            logss._in_parts(work, [("caller", 0, KeyError()), ("worker", 0, IndexError())],
+                            worker)
 
 
-def test_a_second_part_the_worker_has_not_started_runs_on_the_caller(monkeypatch):
-    # the worker is busy with another caller's part (as when its CPU is)
-    monkeypatch.setattr(logss, "_usable_cpus", lambda: 2)
+def test_a_second_part_the_worker_has_not_started_runs_on_the_caller():
+    # the worker is busy with other work (as when its CPU is)
     release = threading.Event()
-    logss._in_parts(lambda k: None, [(0,), (0,)])  # the worker exists
-    blocker = logss._worker.submit(release.wait, 10)
-    try:
-        threads = logss._in_parts(lambda k: threading.get_ident(), [(0,), (1,)])
-    finally:
-        release.set()
-        blocker.result(10)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        blocker = worker.submit(release.wait, 10)
+        try:
+            threads = logss._in_parts(lambda k: threading.get_ident(), [0, 1], worker)
+        finally:
+            release.set()
+            blocker.result(10)
     assert threads == [threading.get_ident()] * 2
 
 
-def test_the_second_part_runs_under_the_callers_errstate(monkeypatch):
-    monkeypatch.setattr(logss, "_usable_cpus", lambda: 2)
+def test_the_second_part_runs_under_the_callers_errstate():
     started = threading.Event()
 
     def work(x):
@@ -943,20 +957,117 @@ def test_the_second_part_runs_under_the_callers_errstate(monkeypatch):
             return np.log(np.array(x))
         assert started.wait(10)
 
-    with np.errstate(invalid="raise"):
+    with ThreadPoolExecutor(max_workers=1) as worker, np.errstate(invalid="raise"):
         with pytest.raises(FloatingPointError):
-            logss._in_parts(work, [(1.0,), (-1.0,)])
+            logss._in_parts(work, [1.0, -1.0], worker)
+
+
+def stsad_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("stsad")]
+
+
+def trace_threads(monkeypatch, meet):
+    """Record the threads alive at each soft-threshold call of the solves
+    that follow.  With ``meet``, the first two calls wait for each other, so
+    that a worker which starts late cannot leave its part to the caller."""
+    seen = []
+    real = logss.soft_threshold
+    calls, barrier = itertools.count(), threading.Barrier(2, timeout=10)
+
+    def traced(*args, **kwargs):
+        seen.append((threading.current_thread(), set(threading.enumerate())))
+        if meet and next(calls) < 2:
+            barrier.wait()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(logss, "soft_threshold", traced)
+    return seen
+
+
+@pytest.mark.parametrize("solver", ["logss", "loss"])
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_no_worker_outlives_a_two_part_solve(monkeypatch, solver, fails):
+    Y, observed, graphs = parts_instance(masked=False)
+    force_parts(monkeypatch, 2, cpus=2)
+    seen = trace_threads(monkeypatch, meet=True)
+    if fails:
+        break_sparse_update(monkeypatch, 2)
+        with pytest.raises(NumericalError, match="at iteration 2$"):
+            run_solver(solver, Y, observed, graphs, make_params(max_iter=3, tol=0.0))
+    else:
+        run_solver(solver, Y, observed, graphs, make_params(max_iter=3, tol=0.0))
+    assert {thread.name for thread, _ in seen} == {threading.main_thread().name, "stsad_0"}
+    assert stsad_threads() == []
+
+
+@pytest.mark.parametrize("solver", ["logss", "loss"])
+@pytest.mark.parametrize("parts, cpus", [(1, 2), (2, 1)], ids=["one_part", "two_parts-one_cpu"])
+def test_parts_on_the_caller_start_no_worker(monkeypatch, solver, parts, cpus):
+    Y, observed, graphs = parts_instance(masked=True)
+    force_parts(monkeypatch, parts, cpus=cpus)
+    seen = trace_threads(monkeypatch, meet=False)
+    before = set(threading.enumerate())
+    run_solver(solver, Y, observed, graphs, make_params(max_iter=3, tol=0.0))
+    assert seen and all(thread is threading.main_thread() and alive <= before
+                        for thread, alive in seen)
+
+
+def test_a_two_part_solve_has_a_worker_only_on_two_usable_cpus(monkeypatch):
+    # the CPU count unpatched, so that under a one-CPU affinity mask this
+    # tests the real one
+    two_cpus = logss._usable_cpus() >= 2
+    Y, observed, graphs = parts_instance(masked=False)
+    monkeypatch.setattr(logss, "_TWO_PARTS_MIN", 0)
+    seen = trace_threads(monkeypatch, meet=two_cpus)
+    before = set(threading.enumerate())
+    solve(Y, observed, graphs, make_params(max_iter=3, tol=0.0))
+    started = set().union(*(alive for _, alive in seen)) - before
+    assert [t.name for t in started] == (["stsad_0"] if two_cpus else [])
+    assert stsad_threads() == []
+
+
+@pytest.mark.parametrize("solver", ["logss", "loss"])
+def test_two_part_solves_in_two_threads_give_the_bits_of_serial_ones(monkeypatch, solver):
+    # each solve has its own worker, which the other's parts never wait for
+    Y, observed, graphs = parts_instance(masked=True)
+    params = make_params(max_iter=5, tol=0.0)
+    force_parts(monkeypatch, 2, cpus=2)
+    serial = run_solver(solver, Y, observed, graphs, params)
+    results = {}
+
+    def run(k):
+        results[k] = run_solver(solver, Y, observed, graphs, params)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for c in callers:
+            c.start()
+        for c in callers:
+            c.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in callers) and len(results) == 2
+    for result in results.values():
+        assert np.array_equal(result.L, serial.L) and np.array_equal(result.S, serial.S)
+        assert result.residual_history == serial.residual_history
+        assert result.objective_history == serial.objective_history
+        assert result.svd_history == serial.svd_history
+    assert stsad_threads() == []
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
 @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
 def test_a_child_forked_after_a_two_part_solve_can_solve(monkeypatch):
-    # the child has no worker thread; reusing the parent's executor hung it
+    # a worker thread does not survive a fork; reusing one in the child hung it
     Y, observed, graphs = parts_instance(masked=False)
     params = make_params(max_iter=3, tol=0.0)
     force_parts(monkeypatch, 2)
     solve(Y, observed, graphs, params)
+    assert stsad_threads() == []  # the solve's worker was joined before it returned
     child = multiprocessing.get_context("fork").Process(
         target=solve, args=(Y, observed, graphs, params))
     child.start()
@@ -974,15 +1085,14 @@ def test_a_tensor_runs_as_two_parts_from_the_threshold_on_whatever_the_cpu_count
     def parts(dims, cpus):
         monkeypatch.setattr(logss, "_usable_cpus", lambda: cpus)
         Y = np.zeros(dims)
-        return SolverState.zeros(Y, np.ones(dims, dtype=bool), make_params()).parts
+        return len(SolverState.zeros(Y, np.ones(dims, dtype=bool), make_params()).flat)
 
     at = (2, logss._TWO_PARTS_MIN // 2)
     assert parts(at, 1) == parts(at, 2) == parts(at, 16) == 2
     assert parts((2, logss._TWO_PARTS_MIN // 2 - 1), 2) == 1
     assert parts(DIMS, 2) == 1
-    # on one CPU the caller runs both parts, in order
-    monkeypatch.setattr(logss, "_usable_cpus", lambda: 1)
-    ran = logss._in_parts(lambda k: (k, threading.get_ident()), [(0,), (1,)])
+    # with no worker (one CPU) the caller runs both parts, in order
+    ran = logss._in_parts(lambda k: (k, threading.get_ident()), [0, 1], None)
     assert ran == [(0, threading.get_ident()), (1, threading.get_ident())]
 
 
