@@ -50,7 +50,6 @@ ARGUMENTS = {
         "beta1": (float, "beta1"), "beta2": (float, "beta2"),
         "beta3": (float, "beta3"), "beta4": (float, "beta4"),
         "max_iter": (int, "max_iter"), "tol": (float, "tol"),
-        "circular_diff": (_bool, "circular"),
     },
     "score": {"h_fraction": (float, "h_fraction")},  # score_sparse_tensor
     "ingest": {  # ingest_trips
@@ -148,9 +147,12 @@ def config_for_stage(path, stage, seed_override=None):
     if cfg["bench_repeats"] < 2:
         raise ConfigError(f"{path}: bench_repeats must be at least 2")
     if stage == "evaluate":
-        bad = [k for k in cfg["k_list"] if not 0 < k <= 100]  # NaN included
-        if bad or not cfg["k_list"]:
-            why = f"K percent must be in (0, 100], got {bad[0]}" if bad else "K list is empty"
+        ks = cfg["k_list"]
+        bad = [k for k in ks if not 0 < k <= 100]  # NaN included
+        twice = [k for i, k in enumerate(ks) if k in ks[:i]]  # detection.json counts by K
+        if bad or twice or not ks:
+            why = (f"K percent must be in (0, 100], got {bad[0]}" if bad
+                   else f"K {twice[0]} is listed twice" if twice else "K list is empty")
             raise ConfigError(f"{path}: bad value for 'k_list': {why}")
     if stage == "evaluate" and cfg["events_csv"]:
         needed = [k for k in ("zone_file", "year") if cfg[k] is None]

@@ -55,7 +55,6 @@ class LogssParams:
     beta4: float = 1.0
     max_iter: int = 300
     tol: float = 1e-5
-    circular: bool = True
 
     def __post_init__(self):
         # written so that NaN fails every rule
@@ -125,8 +124,8 @@ class SolverState:
     iteration allocates no tensor.
 
     ``Y``, ``params`` and ``missing`` (the unobserved entries, inverted once;
-    None on full support) are fixed for the run, and ``delta``, ``w_inv``
-    (W update) and ``projectors`` (G update) are precomputed from them.
+    None on full support) are fixed for the run, and ``w_inv`` (W update) and
+    ``projectors`` (G update) are precomputed from them.
     ``G`` holds the per-mode spectral coefficients (mode-n dimension J_n),
     ``lifted`` their lifts to full shape, ``w_diff`` the mode-1 differences
     of W, ``scratch`` two work tensors.  For the baselines ``graphs`` and
@@ -153,7 +152,6 @@ class SolverState:
     gamma2: np.ndarray
     gamma3: np.ndarray
     gamma4: list[np.ndarray]
-    delta: np.ndarray
     w_inv: np.ndarray
     lifted: list[np.ndarray]
     w_diff: np.ndarray
@@ -186,7 +184,7 @@ class SolverState:
             Y, caller = zero(), Y
             Y[...] = caller
         missing = None if observed.all() else np.invert(observed, out=_aligned_zeros(dims, bool))
-        delta = build_diff_operator(dims[0], circular=params.circular)
+        delta = build_diff_operator(dims[0])
         w_inv = np.linalg.inv(
             params.beta3 * np.eye(dims[0]) + params.beta2 * delta.T @ delta
         )
@@ -203,7 +201,7 @@ class SolverState:
         return cls(
             Y=Y, params=params, missing=missing,
             L=zero(), S=zero(), W=zero(), Z=zero(), G=G, gamma1=zero(), gamma2=zero(),
-            gamma3=zero(), gamma4=[zero() for _ in dims], delta=delta, w_inv=w_inv,
+            gamma3=zero(), gamma4=[zero() for _ in dims], w_inv=w_inv,
             lifted=lifted, w_diff=zero(), scratch=(zero(), zero()), flat=flat,
             columns=columns, graphs=graphs, projectors=projectors,
         )
@@ -219,19 +217,14 @@ def _aligned_zeros(shape, dtype=float):
     return raw[start:start + size].view(dtype).reshape(shape)
 
 
-def build_diff_operator(I1, circular=True):
-    """First-order discrete differencing matrix along mode 1 (square).
-
-    Circular by default (row i: +1 at i, -1 at the next hour, wrapping);
-    with ``circular=False`` the last row is zero instead of wrapping.
+def build_diff_operator(I1):
+    """Circular first-order differencing matrix along mode 1 (square): row i
+    has +1 at i and -1 at the next hour, and the last hour wraps to the first.
     """
     if I1 < 2:
         raise ValueError("differencing needs a mode-1 length of at least 2")
     delta = np.eye(I1) - np.eye(I1, k=1)
-    if circular:
-        delta[I1 - 1, 0] = -1.0
-    else:
-        delta[I1 - 1, I1 - 1] = 0.0
+    delta[I1 - 1, 0] = -1.0
     return delta
 
 
@@ -273,24 +266,17 @@ def _product(x, matrix, out):
     return out
 
 
-def _differences(x, circular, out, transpose=False):
-    # delta (or delta') times the mode-1 unfolding of x, a tensor or a column
-    # slab of one: each row of delta holds one +1 and one -1, so each entry
-    # is one rounded subtraction, as the product's sum is
+def _differences(x, out, transpose=False):
+    # build_diff_operator's circular delta (or delta') times the mode-1 unfolding
+    # of x, a tensor or a column slab of one: each row of delta holds one +1 and
+    # one -1, so each entry is one rounded subtraction, as the product's sum is
     x, d = x.reshape(len(x), -1), out.reshape(len(out), -1)
     if transpose:
         np.subtract(x[1:], x[:-1], out=d[1:])
-        if circular:
-            np.subtract(x[0], x[-1], out=d[0])
-        else:
-            np.copyto(d[0], x[0])
-            np.negative(x[-2], out=d[-1])
+        np.subtract(x[0], x[-1], out=d[0])
     else:
         np.subtract(x[:-1], x[1:], out=d[:-1])
-        if circular:
-            np.subtract(x[-1], x[0], out=d[-1])
-        else:
-            d[-1] = 0.0
+        np.subtract(x[-1], x[0], out=d[-1])
     return out
 
 
@@ -391,7 +377,7 @@ def update_smooth_aux(state):
         np.subtract(v(state.S), v(state.gamma3), out=rhs)
         rhs *= p.beta3
         np.add(v(state.gamma2), v(state.Z), out=z_sum)
-        W = _differences(z_sum, p.circular, v(state.W), transpose=True)
+        W = _differences(z_sum, v(state.W), transpose=True)
         W *= p.beta2
         rhs += W
         _product(rhs, state.w_inv, W)
@@ -405,7 +391,7 @@ def update_tv_aux(state):
     p = state.params
 
     def part(v):
-        w_diff = _differences(v(state.W), p.circular, v(state.w_diff))
+        w_diff = _differences(v(state.W), v(state.w_diff))
         arg = np.subtract(w_diff, v(state.gamma2), out=v(state.scratch[0]))
         soft_threshold(arg, p.gamma / p.beta2, out=v(state.Z))
 
@@ -456,7 +442,7 @@ def objective_value(state, low_rank_penalty):
     abs_s, abs_tv = state.scratch
 
     def tv_part(v):
-        tv = _differences(v(state.S), p.circular, v(abs_tv))
+        tv = _differences(v(state.S), v(abs_tv))
         np.abs(tv, out=tv)
 
     def sums_part(v):

@@ -60,6 +60,8 @@ class SynthConfig:
             raise ValueError("noise_mean must be finite")
         if not 0 <= self.noise_var < math.inf:
             raise ValueError("noise_var must be finite and nonnegative")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 @dataclass

@@ -116,7 +116,8 @@ def test_bad_solver_setting_exits_1_before_reading_artifacts(tmp_path, capsys, k
     [("0 150", "K percent must be in (0, 100], got 0.0"),
      ("5 150", "K percent must be in (0, 100], got 150.0"),
      ("1 nan", "K percent must be in (0, 100], got nan"),
-     ("", "K list is empty")],
+     ("", "K list is empty"),
+     ("1 1 5", "K 1.0 is listed twice")],
 )
 def test_bad_k_list_exits_1_before_reading_artifacts(tmp_path, capsys, k_list, message):
     cfg_path, out = base_config(tmp_path, k_list=k_list, events_csv=tmp_path / "events.csv",
@@ -222,6 +223,16 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     cfg.write_text("nonsense = 1\n")
     assert main(["synth", "--config", str(cfg)]) == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_circular_diff_is_an_unknown_key(tmp_path, capsys):
+    # the TV term has one operator, the circular one, and no key to pick another
+    cfg_path, out = base_config(tmp_path, circular_diff="false")
+    lineno = len((tmp_path / "pipeline.cfg").read_text().splitlines())  # the last line
+    assert run_stage("decompose", cfg_path) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {cfg_path}:{lineno}: unknown key 'circular_diff'\n")
+    assert not out.exists()
 
 
 def trips_csv(tmp_path, rows, name="trips.csv"):
@@ -637,6 +648,18 @@ def test_scores_csv_bad_line_is_the_one_prefix_bisection_named(tmp_path, monkeyp
         assert line == min(repeat_at, bad_at) + 2
         with pytest.raises(ValueError, match=f"scores.csv:{line}: bad row$"):
             _read_scores_csv(str(path), dims)
+
+
+@pytest.mark.parametrize("spelling", ["file", "flag"])
+def test_negative_seed_exits_1_and_writes_nothing(tmp_path, capsys, spelling):
+    if spelling == "file":
+        cfg_path, out = base_config(tmp_path, seed=-3)
+        assert run_stage("synth", cfg_path) == 1
+    else:
+        cfg_path, out = base_config(tmp_path)
+        assert run_stage("synth", cfg_path, seed=-3) == 1
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -3\n"
+    assert not any(out.iterdir())
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -95,10 +95,9 @@ def test_diff_operator_small():
         build_diff_operator(1)
 
 
-def test_diff_operator_noncircular():
-    delta = build_diff_operator(4, circular=False)
-    assert np.allclose(delta[-1], 0.0)
-    assert np.allclose(delta @ np.ones(4), 0.0)
+def test_params_have_no_choice_of_difference_operator():
+    with pytest.raises(TypeError):
+        LogssParams(circular=True)
 
 
 def test_update_low_rank_zero_case():
@@ -265,9 +264,8 @@ def test_update_smooth_aux_decoupled_limit():
     state = random_state(DIMS, params, graphs, seed=23)
     state.Z = np.zeros(DIMS)
     state.gamma2 = np.zeros(DIMS)
-    state.w_inv = np.linalg.inv(
-        params.beta3 * np.eye(DIMS[0]) + params.beta2 * state.delta.T @ state.delta
-    )
+    delta = build_diff_operator(DIMS[0])
+    state.w_inv = np.linalg.inv(params.beta3 * np.eye(DIMS[0]) + params.beta2 * delta.T @ delta)
     update_smooth_aux(state)
     W = state.W
     assert np.allclose(W, state.S - state.gamma3, atol=1e-9)
@@ -277,7 +275,8 @@ def test_w_inv_is_inverse_of_penalty_matrix():
     params = make_params()
     graphs = stub_graphs(DIMS, RANKS, seed=50)
     state = SolverState.zeros(np.zeros(DIMS), np.ones(DIMS, dtype=bool), params, graphs)
-    system = params.beta3 * np.eye(DIMS[0]) + params.beta2 * state.delta.T @ state.delta
+    delta = build_diff_operator(DIMS[0])
+    system = params.beta3 * np.eye(DIMS[0]) + params.beta2 * delta.T @ delta
     assert np.abs(state.w_inv @ system - np.eye(DIMS[0])).max() <= 1e-10
 
 
@@ -290,7 +289,7 @@ def test_update_smooth_aux_hand_inverse():
     assert np.allclose(state.w_inv, w_inv_hand)
     update_smooth_aux(state)
     W = state.W
-    rhs = unfold(state.S - state.gamma3, 1) + state.delta.T @ unfold(
+    rhs = unfold(state.S - state.gamma3, 1) + build_diff_operator(dims[0]).T @ unfold(
         state.gamma2 + state.Z, 1
     )
     assert np.allclose(unfold(W, 1), w_inv_hand @ rhs)
@@ -303,8 +302,9 @@ def test_update_smooth_aux_zeroes_gradient():
     update_smooth_aux(state)
     W = state.W
     W1 = unfold(W, 1)
-    g = params.beta2 * state.delta.T @ (
-        state.delta @ W1 - unfold(state.Z + state.gamma2, 1)
+    delta = build_diff_operator(DIMS[0])
+    g = params.beta2 * delta.T @ (
+        delta @ W1 - unfold(state.Z + state.gamma2, 1)
     ) + params.beta3 * (W1 - unfold(state.S - state.gamma3, 1))
     assert np.abs(g).max() <= 1e-8
 
@@ -314,7 +314,7 @@ def test_update_tv_aux():
     graphs = stub_graphs(DIMS, RANKS, seed=28)
     state = random_state(DIMS, params, graphs, seed=29)
     update_tv_aux(state)
-    w_diff = mode_n_product(state.W, state.delta, 1)
+    w_diff = mode_n_product(state.W, build_diff_operator(DIMS[0]), 1)
     assert np.allclose(state.Z, w_diff - state.gamma2)
     assert np.array_equal(state.w_diff, w_diff)
 
@@ -340,7 +340,7 @@ def test_update_tv_aux_matches_grid_prox():
 def refresh_consensus_terms(state):
     # what the loop's G and Z blocks leave in the state for the dual update
     _lifted_graph_terms(state)
-    mode_n_product(state.W, state.delta, 1, out=state.w_diff)
+    mode_n_product(state.W, build_diff_operator(len(state.W)), 1, out=state.w_diff)
 
 
 def test_update_duals_fixed_point_and_residuals():
@@ -363,7 +363,7 @@ def test_update_duals_fixed_point_and_residuals():
     state.G = [mode_n_product(L, g.basis.T, g.mode) for g in graphs]
     state.S = project_support(Y - L, observed)
     state.W = state.S.copy()
-    state.Z = mode_n_product(state.W, state.delta, 1)
+    state.Z = mode_n_product(state.W, build_diff_operator(DIMS[0]), 1)
     before = {
         "gamma1": state.gamma1.copy(),
         "gamma2": state.gamma2.copy(),
@@ -391,7 +391,7 @@ def test_update_duals_fixed_point_and_residuals():
         np.linalg.norm(project_support(state.L + state.S - Y, observed))
     )
     assert residuals["r_tv"] == pytest.approx(
-        np.linalg.norm(mode_n_product(state.W, state.delta, 1) - state.Z)
+        np.linalg.norm(mode_n_product(state.W, build_diff_operator(DIMS[0]), 1) - state.Z)
     )
     assert residuals["r_sw"] == pytest.approx(np.linalg.norm(state.S - state.W))
     expected_graph = max(
@@ -507,7 +507,7 @@ def reference_admm(Y, observed, params, graphs=None):
     ``graphs`` None runs the LOSS low-rank block (per-mode SVT).
     """
     p, N = params, Y.ndim
-    delta = build_diff_operator(Y.shape[0], circular=p.circular)
+    delta = build_diff_operator(Y.shape[0])
     w_inv = np.linalg.inv(p.beta3 * np.eye(Y.shape[0]) + p.beta2 * delta.T @ delta)
     S = W = Z = gamma1 = gamma2 = gamma3 = np.zeros(Y.shape)
     gamma4 = lifted = [np.zeros(Y.shape)] * N
@@ -559,16 +559,15 @@ def reference_admm(Y, observed, params, graphs=None):
 
 
 @pytest.mark.parametrize("solver", ["logss", "loss"])
-@pytest.mark.parametrize("circular", [True, False])
 @pytest.mark.parametrize("masked", [False, True])
-def test_solvers_match_reference_loop_bit_for_bit(solver, circular, masked):
+def test_solvers_match_reference_loop_bit_for_bit(solver, masked):
     graphs = stub_graphs(DIMS, RANKS, seed=70)
     rng = np.random.default_rng(71)
     Y = rng.normal(size=DIMS)
     # 10 % observed: the masked copies write most of each tensor
     draws = rng.random(DIMS)
     masks = [draws < 0.7, draws < 0.1] if masked else [np.ones(DIMS, dtype=bool)]
-    params = make_params(max_iter=25, tol=0.0, circular=circular)
+    params = make_params(max_iter=25, tol=0.0)
     for observed in masks:
         if solver == "logss":
             result = solve(Y, observed, graphs, params)
@@ -696,11 +695,10 @@ def assert_two_parts_on_one_cpu_match_two_cpus(monkeypatch, solver, Y, observed,
 
 
 @pytest.mark.parametrize("solver", ["logss", "loss"])
-@pytest.mark.parametrize("circular", [True, False])
 @pytest.mark.parametrize("masked", [False, True])
-def test_two_parts_match_one_part(monkeypatch, solver, circular, masked):
+def test_two_parts_match_one_part(monkeypatch, solver, masked):
     Y, observed, graphs = parts_instance(masked)
-    params = make_params(max_iter=5, tol=0.0, circular=circular)
+    params = make_params(max_iter=5, tol=0.0)
     force_parts(monkeypatch, 1)
     one = run_solver(solver, Y, observed, graphs, params)
     two = assert_two_parts_on_one_cpu_match_two_cpus(monkeypatch, solver, Y, observed,
@@ -776,21 +774,23 @@ def test_two_parts_on_one_cpu_match_two_cpus_at_2415_columns(monkeypatch, solver
                                                params)
 
 
-@pytest.mark.parametrize("circular", [True, False])
+# 2 rows: the wrap, where the first and last rows are each other's only neighbour
+@pytest.mark.parametrize("rows", [PARTS_DIMS[0], 2])
 @pytest.mark.parametrize("parts", [1, 2], ids=["one_part", "two_parts"])
-def test_mode1_differences_are_the_delta_products_bits_in_parts(monkeypatch, circular,
-                                                                 parts):
+def test_mode1_differences_are_the_delta_products_bits_in_parts(monkeypatch, rows, parts):
     # each entry of delta x (or delta' x) is one subtraction, which is what
     # the product's sum of one +1 and one -1 term rounds to
     force_parts(monkeypatch, parts)
-    x = np.random.default_rng(85).normal(size=PARTS_DIMS)
+    dims = (rows,) + PARTS_DIMS[1:]
+    x = np.random.default_rng(85).normal(size=dims)
     x[3:6] = 0.0  # zero differences, whose sign the comparison ignores
-    state = SolverState.zeros(x, np.ones(PARTS_DIMS, dtype=bool),
-                              make_params(circular=circular))
-    for matrix, transpose in ((state.delta, False), (state.delta.T, True)):
-        ours, product = np.full(PARTS_DIMS, np.nan), np.full(PARTS_DIMS, np.nan)
+    state = SolverState.zeros(x, np.ones(dims, dtype=bool), make_params())
+    assert len(state.columns) == parts
+    delta = build_diff_operator(rows)
+    for matrix, transpose in ((delta, False), (delta.T, True)):
+        ours, product = np.full(dims, np.nan), np.full(dims, np.nan)
         for view in state.columns:
-            logss._differences(view(x), circular, view(ours), transpose=transpose)
+            logss._differences(view(x), view(ours), transpose=transpose)
             logss._product(view(x), matrix, view(product))
         assert np.array_equal(ours, product)
 

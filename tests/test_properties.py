@@ -172,7 +172,7 @@ dir_names = (
 )
 config_keys = st.sampled_from([
     "seed", "dims", "solver", "knn_k", "rank_ratio", "lambda", "beta1", "max_iter",
-    "tol", "circular_diff", "h_fraction", "k_list", "events_csv", "bench_solvers",
+    "tol", "write_fit_stats", "h_fraction", "k_list", "events_csv", "bench_solvers",
     "bench_repeats", "synth_p", "wibble", "output_dir",
 ])
 config_lines = st.tuples(config_keys, st.text(chars, max_size=12)).map(" = ".join)

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 from stsad.cli import main
+from stsad.config import _SCHEMA
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -28,3 +29,8 @@ def test_readme_examples_run(tmp_path):
     with contextlib.redirect_stdout(stdout):
         exec(_block("python", "## Library quickstart"), {})
     assert 0.5 < float(stdout.getvalue()) <= 1.0
+
+
+def test_readme_names_every_config_key():
+    missing = [key for key in _SCHEMA if not re.search(rf"\b{key}\b", README)]
+    assert missing == []

@@ -169,6 +169,14 @@ def test_synth_config_rejects_non_finite(name, value):
         SynthConfig(**kw)
 
 
+@pytest.mark.parametrize("seed", [-3, 1.5, "7"])
+def test_synth_config_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {seed}$"):
+        SynthConfig(base=builtin_template(DIMS), c=1.0, l=3, m=5.0, seed=seed)
+    # numpy integers are integers
+    assert SynthConfig(base=builtin_template(DIMS), c=1.0, l=3, m=5.0, seed=np.int64(3)).seed == 3
+
+
 @pytest.mark.parametrize("name", ["c", "noise_mean"])
 def test_synthesize_rejects_a_non_finite_tensor(name):
     # each setting is finite, but the generated values overflow
