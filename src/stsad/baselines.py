@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 from . import instrumentation
-from .logss import LogssParams, _admm, _in_parts, _mode_parts
+from .logss import LogssParams, _admm, _per_mode
 from .tensor import fold
 
 __all__ = ["svt", "solve_loss", "solve_horpca"]
@@ -32,7 +32,7 @@ def svt(M, tau):
 def _svt_with_norm(M, tau, out=None):
     # returns the thresholded matrix, into out if given, and its nuclear norm
     # (a free byproduct)
-    if tau < 0:
+    if not tau >= 0:  # NaN fails too
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     instrumentation.record("svd")
     M = np.asarray(M, dtype=float)
@@ -52,24 +52,19 @@ def _svt_block(state):
     """
     tau = state.params.theta / state.params.beta4
 
-    def part(share):
-        modes, work = share
-        nuclear = {}
-        for n in modes:
-            G = state.G[n - 1]
-            # L - gamma4 written straight into its mode-n unfolding: no copy
-            diff = work.reshape(-1).reshape((G.shape[n - 1], -1), order="F")
-            np.subtract(state.L, state.gamma4[n - 1], out=fold(diff, n, G.shape))
-            # the SVD copies diff, so the result may overwrite it
-            low, nuclear[n] = _svt_with_norm(diff, tau, out=work.reshape(diff.shape))
-            np.copyto(G, fold(low, n, G.shape))
+    def mode(n, work):
+        G = state.G[n - 1]
+        # L - gamma4 written straight into its mode-n unfolding: no copy
+        diff = work.reshape(-1).reshape((G.shape[n - 1], -1), order="F")
+        np.subtract(state.L, state.gamma4[n - 1], out=fold(diff, n, G.shape))
+        # the SVD copies diff, so the result may overwrite it
+        low, nuclear = _svt_with_norm(diff, tau, out=work.reshape(diff.shape))
+        np.copyto(G, fold(low, n, G.shape))
         return nuclear
 
-    nuclear = {}
-    for share in _in_parts(part, _mode_parts(state), state.worker):
-        nuclear.update(share)
+    nuclear = _per_mode(state, mode)
     state.svd_history.append(len(nuclear))  # one SVD per mode
-    return sum(nuclear[n] for n in range(1, len(state.G) + 1))
+    return sum(nuclear)
 
 
 def solve_loss(Y, observed, params=None):

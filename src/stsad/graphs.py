@@ -173,7 +173,12 @@ def build_mode_graphs(Y, k=10, ratio=0.9):
     """
     if not 0 <= ratio < 1:  # eigenvalue ratios lie in [0, 1]; NaN fails too
         raise ValueError(f"rank ratio must be in [0, 1), got {ratio}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {k}")
     Y = np.asarray(Y, dtype=float)
+    for mode, size in enumerate(Y.shape, start=1):
+        if size < 2:
+            raise ValueError(f"mode {mode} has length {size}; a k-NN graph needs at least 2 rows")
     graphs = []
     for mode in range(1, Y.ndim + 1):
         X = unfold(Y, mode)

@@ -64,8 +64,8 @@ class LogssParams:
         for name in ("beta1", "beta2", "beta3", "beta4"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter}")
 
     @classmethod
     def defaults(cls, Y, observed=None, **overrides):
@@ -137,7 +137,7 @@ class SolverState:
     mode-1 unfolding.  ``worker`` runs second parts during a solve, if it is
     not None (:func:`_admm`).  ``Y``, ``missing`` and every tensor the
     state allocates are C-ordered and start on a 64-byte boundary
-    (:func:`_aligned_zeros`); ``Y`` is a copy unless the caller's already is.
+    (:func:`_aligned_zeros`); ``Y`` is always the state's own copy.
     """
 
     Y: np.ndarray
@@ -180,9 +180,8 @@ class SolverState:
         zero = lambda shape=dims: _aligned_zeros(shape)
         # parts view every tensor through its C-order layout, and np.putmask
         # reads its mask in C order, so the state keeps its own Y and mask
-        if Y.ctypes.data % 64 or not Y.flags.c_contiguous:
-            Y, caller = zero(), Y
-            Y[...] = caller
+        Y, caller = zero(), Y
+        Y[...] = caller
         missing = None if observed.all() else np.invert(observed, out=_aligned_zeros(dims, bool))
         delta = build_diff_operator(dims[0])
         w_inv = np.linalg.inv(
@@ -280,28 +279,30 @@ def _differences(x, out, transpose=False):
     return out
 
 
-def _mode_parts(state):
-    """``(modes, work tensor)`` per part of a per-mode block: every mode with
-    ``scratch[0]``, or, for two parts, each with its own scratch tensor and one
-    shared iterator over the modes, largest first (by the extent of ``state.G``
-    along the mode), so a part takes the next mode when it is free (``next()``
-    on a list iterator is atomic under the GIL); on one CPU the first part takes
-    every mode.  A mode is never split: a split inside its product changed its bits."""
+def _per_mode(state, work):
+    """``[work(n, scratch) for n in 1..N]`` for a per-mode block, in mode order.
+    Each part of the block (:func:`_in_parts`) has its own scratch tensor and
+    takes the next mode from one iterator over the modes, largest first (by
+    the extent of ``state.G`` along the mode), when it is free (``next()`` on
+    a list iterator is atomic under the GIL); one part, or the first of two on
+    one CPU, takes every mode.  A mode is never split: a split inside its
+    product changed its bits."""
     modes = range(1, state.Y.ndim + 1)
-    if len(state.flat) == 1:
-        return [(modes, state.scratch[0])]
     queue = iter(sorted(modes, key=lambda n: -state.G[n - 1].shape[n - 1]))
-    return [(queue, work) for work in state.scratch]
+    results = {}
+
+    def part(scratch):
+        for n in queue:
+            results[n] = work(n, scratch)
+
+    _in_parts(part, state.scratch[:len(state.flat)], state.worker)
+    return [results[n] for n in modes]
 
 
 def _lifted_graph_terms(state):
     # G^n lifted back to full shape, G^n x_n P_hat_n, into state.lifted
-    def part(share):
-        for n in share[0]:
-            basis = state.graphs[n - 1].basis
-            mode_n_product(state.G[n - 1], basis, n, out=state.lifted[n - 1])
-
-    _in_parts(part, _mode_parts(state), state.worker)
+    _per_mode(state, lambda n, _: mode_n_product(
+        state.G[n - 1], state.graphs[n - 1].basis, n, out=state.lifted[n - 1]))
 
 
 def update_low_rank(state):
@@ -332,19 +333,21 @@ def update_low_rank(state):
 
 
 def update_graph_coeffs(state):
-    """Per-mode spectral coefficient updates.
+    """Per-mode spectral coefficient updates; returns the graph energy
+    sum_n tr(G^n' Lambda_n G^n), summed in mode order.
 
     Each mode solves an independent ridge problem in the truncated eigenbasis;
     the matrix inverse is diagonal, so it is applied as a row scaling of the
     projected unfolding (``state.projectors``).
     """
-    def part(share):
-        modes, diff = share
-        for n in modes:
-            np.subtract(state.L, state.gamma4[n - 1], out=diff)
-            mode_n_product(diff, state.projectors[n - 1], n, out=state.G[n - 1])
+    def mode(n, diff):
+        np.subtract(state.L, state.gamma4[n - 1], out=diff)
+        G = mode_n_product(diff, state.projectors[n - 1], n, out=state.G[n - 1])
+        g = state.graphs[n - 1]
+        c = G.reshape(-1, g.rank, math.prod(G.shape[n:]))
+        return float(g.low_eigvals @ np.einsum("arb,arb->r", c, c))
 
-    _in_parts(part, _mode_parts(state), state.worker)
+    return sum(_per_mode(state, mode))
 
 
 def update_sparse(state):
@@ -463,13 +466,9 @@ def _check_finite(residuals, iteration):
 
 def _graph_block(state):
     """LOGSS low-rank block: ridge projections onto the graph eigenbases.  Writes
-    G and its lifts; returns the graph energy sum_n tr(G^n' Lambda_n G^n)."""
-    update_graph_coeffs(state)
+    G and its lifts; returns the graph energy."""
+    energy = update_graph_coeffs(state)
     _lifted_graph_terms(state)
-    energy = 0.0
-    for n, (coeffs, g) in enumerate(zip(state.G, state.graphs), start=1):
-        c = coeffs.reshape(-1, g.rank, math.prod(coeffs.shape[n:]))
-        energy += float(g.low_eigvals @ np.einsum("arb,arb->r", c, c))
     return energy
 
 

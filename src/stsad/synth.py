@@ -50,8 +50,8 @@ class SynthConfig:
         self.base = base
         if not 0 < self.c < math.inf:  # NaN fails every rule
             raise ValueError("c must be finite and positive")
-        if not 1 <= self.l <= base.shape[0]:
-            raise ValueError(f"l must be in [1, {base.shape[0]}], got {self.l}")
+        if not isinstance(self.l, (int, np.integer)) or not 1 <= self.l <= base.shape[0]:
+            raise ValueError(f"l must be an integer in [1, {base.shape[0]}], got {self.l}")
         for name in ("m", "p"):
             v = getattr(self, name)
             if not 0 <= v <= 100:

@@ -127,7 +127,7 @@ def project_support(tensor, observed):
 def soft_threshold(tensor, phi, out=None):
     """Elementwise shrinkage toward zero by ``phi`` (the l1 proximal operator),
     into ``out`` if given (not ``tensor`` itself)."""
-    if phi < 0:
+    if not phi >= 0:  # NaN fails too
         raise ValueError(f"threshold must be nonnegative, got {phi}")
     tensor = np.asarray(tensor)
     out = np.abs(tensor, out=out)

@@ -39,8 +39,9 @@ def test_svt_diagonal():
 def test_svt_tau_zero_reconstructs():
     M = np.random.default_rng(0).normal(size=(4, 6))
     assert np.linalg.norm(svt(M, 0.0) - M) <= 1e-8
-    with pytest.raises(ValueError):
-        svt(M, -0.5)
+    for tau in (-0.5, np.nan):
+        with pytest.raises(ValueError, match="^threshold must be nonnegative"):
+            svt(M, tau)
 
 
 def test_svt_matches_grid_prox():

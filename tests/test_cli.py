@@ -196,6 +196,19 @@ def test_bad_rank_ratio_exits_1(tmp_path, capsys, value):
     assert not (out / "graphs.json").exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"knn_k": 0}, "k must be an integer of at least 1, got 0"),
+    ({"dims": "8 4 1 3"}, "mode 3 has length 1; a k-NN graph needs at least 2 rows"),
+], ids=["knn_k", "mode_of_length_1"])
+def test_bad_knn_k_or_a_mode_of_length_1_exits_1(tmp_path, capsys, setting, message):
+    cfg_path, out = base_config(tmp_path, **setting)
+    assert run_stage("synth", cfg_path) == 0
+    capsys.readouterr()
+    assert run_stage("graphs", cfg_path) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "graphs.json").exists()
+
+
 def test_directory_as_input_file_exits_1(tmp_path, capsys):
     cfg_path, out = base_config(tmp_path, base_tensor=tmp_path)
     assert run_stage("synth", cfg_path) == 1

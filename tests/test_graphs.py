@@ -138,6 +138,20 @@ def test_build_mode_graphs_rejects_bad_ratio(ratio):
         build_mode_graphs(Y, k=3, ratio=ratio)
 
 
+@pytest.mark.parametrize("k", [0, -1, 1.5])
+def test_build_mode_graphs_rejects_a_k_that_is_not_a_positive_integer(k):
+    Y = np.random.default_rng(1).normal(size=(6, 4, 5, 3))
+    with pytest.raises(ValueError, match=f"^k must be an integer of at least 1, got {k}$"):
+        build_mode_graphs(Y, k=k)
+
+
+def test_build_mode_graphs_rejects_a_mode_of_length_1():
+    Y = np.random.default_rng(1).normal(size=(6, 1, 4, 3))
+    message = "^mode 2 has length 1; a k-NN graph needs at least 2 rows$"
+    with pytest.raises(ValueError, match=message):
+        build_mode_graphs(Y, k=3)
+
+
 def test_select_rank_in_bounds_random():
     rng = np.random.default_rng(2)
     for _ in range(50):

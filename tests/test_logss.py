@@ -62,6 +62,14 @@ def test_params_validation():
         make_params(tol=-1e-3)
 
 
+@pytest.mark.parametrize("value", [2.5, np.nan, "3"])
+def test_params_reject_a_max_iter_that_is_not_an_integer(value):
+    message = f"^max_iter must be an integer of at least 1, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        make_params(max_iter=value)
+    assert make_params(max_iter=np.int64(3)).max_iter == 3  # numpy integers are integers
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize(
     "name", ["theta", "lam", "gamma", "beta1", "beta2", "beta3", "beta4", "tol"]
@@ -740,8 +748,9 @@ def test_state_tensors_start_on_64_byte_boundaries_in_parts(monkeypatch, solver,
                 assert view(a).ctypes.data % 64 == 0
         assert state.missing.flags.c_contiguous and state.missing.ctypes.data % 64 == 0
         assert np.array_equal(state.Y, Y) and np.array_equal(state.missing, ~observed)
-    aligned = at_offset(Y, 0)  # already aligned and C-ordered: not copied
-    assert SolverState.zeros(aligned, observed, make_params(), graphs).Y is aligned
+    aligned = at_offset(Y, 0)  # already aligned and C-ordered: copied all the same
+    state = SolverState.zeros(aligned, observed, make_params(), graphs)
+    assert not np.shares_memory(state.Y, aligned)
 
 
 @pytest.mark.parametrize("parts", [1, 2], ids=["one_part", "two_parts"])
@@ -851,19 +860,44 @@ def test_two_parts_work_every_mode_once_per_iteration(monkeypatch, solver):
 @pytest.mark.parametrize("solver, order", [("logss", [3, 2, 4, 1]), ("loss", [3, 1, 4, 2])])
 def test_parts_take_the_modes_largest_first(monkeypatch, solver, order):
     # by the extent of G along the mode: the rank for LOGSS, the size for
-    # LOSS.  On one CPU the first part takes every mode, in the queue's order
+    # LOSS.  One part, or the first of two on one CPU, takes every mode, in
+    # the queue's order
     Y, observed, graphs = queue_instance(88)
     calls = trace_mode_work(monkeypatch)
-    force_parts(monkeypatch, 2, cpus=1)
-    run_solver(solver, Y, observed, graphs, make_params(max_iter=2, tol=0.0))
-    per_mode_blocks = 2 * (2 if solver == "logss" else 1)  # 2 iterations
-    assert [n for _, n, _ in calls] == order * per_mode_blocks
-    assert {thread for _, _, thread in calls} == {threading.get_ident()}
-    state = SolverState.zeros(Y, observed, make_params(),
-                              graphs if solver == "logss" else None)
-    (first, work), (second, other_work) = logss._mode_parts(state)
-    assert first is second and work is not other_work
-    assert list(first) == order and list(second) == []
+    for parts in (1, 2):
+        calls.clear()
+        force_parts(monkeypatch, parts, cpus=1)
+        run_solver(solver, Y, observed, graphs, make_params(max_iter=2, tol=0.0))
+        per_mode_blocks = 2 * (2 if solver == "logss" else 1)  # 2 iterations
+        assert [n for _, n, _ in calls] == order * per_mode_blocks
+        assert {thread for _, _, thread in calls} == {threading.get_ident()}
+        # each part works in its own scratch tensor, and the results come back
+        # in mode order, whatever order the modes ran in
+        state = SolverState.zeros(Y, observed, make_params(),
+                                  graphs if solver == "logss" else None)
+        started, taken = threading.Barrier(parts, timeout=10), []
+
+        def work(n, scratch):
+            first = threading.get_ident() not in {thread for thread, _, _ in taken}
+            taken.append((threading.get_ident(), n, scratch))
+            if first:
+                started.wait()  # no part takes a second mode before each has one
+            return -n
+
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            state.worker = worker if parts == 2 else None
+            assert logss._per_mode(state, work) == [-1, -2, -3, -4]
+        caller = [(n, s) for thread, n, s in taken if thread == threading.get_ident()]
+        other = [(n, s) for thread, n, s in taken if thread != threading.get_ident()]
+        if parts == 1:
+            assert [n for n, _ in caller] == order and other == []
+        else:
+            assert sorted(n for n, _ in caller + other) == [1, 2, 3, 4]
+            for share in (caller, other):  # each takes its modes in the queue's order
+                modes = [n for n, _ in share]
+                assert modes and sorted(modes, key=order.index) == modes
+            assert all(s is state.scratch[1] for _, s in other)
+        assert all(s is state.scratch[0] for _, s in caller)
 
 
 @pytest.mark.parametrize("solver", ["logss", "loss"])

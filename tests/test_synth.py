@@ -177,6 +177,12 @@ def test_synth_config_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
     assert SynthConfig(base=builtin_template(DIMS), c=1.0, l=3, m=5.0, seed=np.int64(3)).seed == 3
 
 
+def test_synth_config_rejects_an_l_that_is_not_an_integer():
+    with pytest.raises(ValueError, match=r"^l must be an integer in \[1, 8\], got 7.5$"):
+        SynthConfig(base=builtin_template(DIMS), c=1.0, l=7.5, m=5.0)
+    assert SynthConfig(base=builtin_template(DIMS), c=1.0, l=np.int64(3), m=5.0).l == 3
+
+
 @pytest.mark.parametrize("name", ["c", "noise_mean"])
 def test_synthesize_rejects_a_non_finite_tensor(name):
     # each setting is finite, but the generated values overflow

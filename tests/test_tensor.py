@@ -172,8 +172,9 @@ def test_soft_threshold_values():
     assert np.array_equal(got, np.array([-2.0, 0.0, 1.0]))
     x = np.random.default_rng(5).normal(size=(4, 4))
     assert np.array_equal(soft_threshold(x, 0.0), x)
-    with pytest.raises(ValueError):
-        soft_threshold(x, -0.1)
+    for phi in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="^threshold must be nonnegative"):
+            soft_threshold(x, phi)
 
 
 def test_soft_threshold_into_out():
