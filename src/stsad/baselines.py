@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 from . import instrumentation
-from .logss import LogssParams, _admm, _per_mode
+from .logss import LogssParams, _admm, _consensus_step, _in_parts, _per_mode
 from .tensor import fold
 
 __all__ = ["svt", "solve_loss", "solve_horpca"]
@@ -48,7 +48,10 @@ def _svt_block(state):
     """LOSS low-rank block: one full-shape tensor per mode, updated by SVT.
 
     Its penalty is the sum of the nuclear norms, which fall out of the
-    thresholding, so the objective costs no extra SVDs.
+    thresholding, so the objective costs no extra SVDs.  The parts take the
+    modes largest first, and each mode takes its consensus dual step after
+    its SVT; then G^1 becomes the sum of all G^n in mode order, which is the
+    state's ``lift_sum``.
     """
     tau = state.params.theta / state.params.beta4
 
@@ -60,9 +63,16 @@ def _svt_block(state):
         # the SVD copies diff, so the result may overwrite it
         low, nuclear = _svt_with_norm(diff, tau, out=work.reshape(diff.shape))
         np.copyto(G, fold(low, n, G.shape))
-        return nuclear
+        return nuclear, _consensus_step(state, n, G, out=work)
 
-    nuclear = _per_mode(state, mode)
+    def add(v):
+        total = v(state.G[0])
+        for G in state.G[1:]:
+            total += v(G)
+
+    nuclear, squares = zip(*_per_mode(state, mode, largest_first=True))
+    state.squares["r_graph"] = squares
+    _in_parts(add, state.flat, state.worker)
     state.svd_history.append(len(nuclear))  # one SVD per mode
     return sum(nuclear)
 

@@ -67,8 +67,8 @@ def build_knn_graph(X, k):
     if X.ndim != 2:
         raise ValueError("X must be a 2-D array of row samples")
     n = X.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n - 1:
+        raise ValueError(f"k must be an integer in [1, {n - 1}], got {k}")
 
     # exact row differences, upper triangle then mirrored: the Gram form
     # |x|^2 + |y|^2 - 2 x.y would leave rounding noise where rows coincide

@@ -25,6 +25,7 @@ import contextlib
 import contextvars
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -126,12 +127,19 @@ class SolverState:
     ``Y``, ``params`` and ``missing`` (the unobserved entries, inverted once;
     None on full support) are fixed for the run, and ``w_inv`` (W update) and
     ``projectors`` (G update) are precomputed from them.
-    ``G`` holds the per-mode spectral coefficients (mode-n dimension J_n),
-    ``lifted`` their lifts to full shape, ``w_diff`` the mode-1 differences
-    of W, ``scratch`` two work tensors.  For the baselines ``graphs`` and
-    ``projectors`` are None and ``G``, which is also ``lifted``, holds
-    full-shape per-mode low-rank tensors; their block appends its SVD count
-    per iteration to ``svd_history``.  ``flat`` and ``columns`` hold one view
+    ``G`` holds the per-mode spectral coefficients (mode-n dimension J_n).
+    ``lift_sum`` holds the sum of their lifts to full shape, which the L
+    update turns into the sum of the lifts and the gamma4 in place.  Each lift
+    lives only in its part's ``scratch`` tensor (two work tensors), where its
+    consensus dual step is taken; the low-rank block and :func:`update_tv_aux`
+    record the sums of squares of the residuals whose dual steps they take in
+    ``squares`` (``r_graph``, one per mode, and ``r_tv``), which
+    :func:`update_duals` reads.  For LOGSS that is 15 tensors of Y's size: Y,
+    L, S, W, Z, gamma1..gamma3, N = 4 gamma4, ``lift_sum`` and the scratch.
+    For the baselines ``graphs`` and ``projectors`` are None and ``G``
+    holds full-shape per-mode low-rank tensors, of which the first is also
+    ``lift_sum`` (18 tensors); their block appends its SVD count per
+    iteration to ``svd_history``.  ``flat`` and ``columns`` hold one view
     function per part a block runs as (see :func:`_in_parts`): the whole
     tensor, or the halves of its flat index and the column halves of its
     mode-1 unfolding.  ``worker`` runs second parts during a solve, if it is
@@ -153,13 +161,13 @@ class SolverState:
     gamma3: np.ndarray
     gamma4: list[np.ndarray]
     w_inv: np.ndarray
-    lifted: list[np.ndarray]
-    w_diff: np.ndarray
+    lift_sum: np.ndarray
     scratch: tuple[np.ndarray, np.ndarray]
     flat: tuple
     columns: tuple
     graphs: list | None = None
     projectors: list[np.ndarray] | None = None
+    squares: dict = field(default_factory=dict)
     svd_history: list[int] = field(default_factory=list)
     worker: object = None
 
@@ -189,19 +197,19 @@ class SolverState:
         )
         if graphs is not None:
             G = [zero(dims[:n] + (g.rank,) + dims[n + 1:]) for n, g in enumerate(graphs)]
-            lifted = [zero() for _ in dims]
+            lift_sum = zero()
             # the G update's ridge inverse is diagonal in the eigenbasis
             weight = 2.0 * params.theta / params.beta4
             scales = [1.0 / (weight * g.low_eigvals + 1.0) for g in graphs]
             projectors = [s[:, None] * g.basis.T for s, g in zip(scales, graphs)]
         else:
-            G = lifted = [zero() for _ in dims]
-            projectors = None
+            G = [zero() for _ in dims]
+            lift_sum, projectors = G[0], None
         return cls(
             Y=Y, params=params, missing=missing,
             L=zero(), S=zero(), W=zero(), Z=zero(), G=G, gamma1=zero(), gamma2=zero(),
             gamma3=zero(), gamma4=[zero() for _ in dims], w_inv=w_inv,
-            lifted=lifted, w_diff=zero(), scratch=(zero(), zero()), flat=flat,
+            lift_sum=lift_sum, scratch=(zero(), zero()), flat=flat,
             columns=columns, graphs=graphs, projectors=projectors,
         )
 
@@ -279,17 +287,17 @@ def _differences(x, out, transpose=False):
     return out
 
 
-def _per_mode(state, work):
+def _per_mode(state, work, largest_first=False):
     """``[work(n, scratch) for n in 1..N]`` for a per-mode block, in mode order.
     Each part of the block (:func:`_in_parts`) has its own scratch tensor and
-    takes the next mode from one iterator over the modes, largest first (by
-    the extent of ``state.G`` along the mode), when it is free (``next()`` on
-    a list iterator is atomic under the GIL); one part, or the first of two on
-    one CPU, takes every mode.  A mode is never split: a split inside its
-    product changed its bits."""
+    takes the next mode from one iterator over the modes when it is free
+    (``next()`` on a list iterator is atomic under the GIL): in mode order,
+    or largest first (by the extent of ``state.G`` along the mode).  One
+    part, or the first of two on one CPU, takes every mode.  A mode is never
+    split: a split inside its product changed its bits."""
     modes = range(1, state.Y.ndim + 1)
-    queue = iter(sorted(modes, key=lambda n: -state.G[n - 1].shape[n - 1]))
-    results = {}
+    key = (lambda n: -state.G[n - 1].shape[n - 1]) if largest_first else None
+    queue, results = iter(sorted(modes, key=key)), {}
 
     def part(scratch):
         for n in queue:
@@ -299,10 +307,52 @@ def _per_mode(state, work):
     return [results[n] for n in modes]
 
 
+def _consensus_step(state, n, lift, out):
+    """Mode n's consensus dual step, gamma4_n -= L - lift, with the residual
+    written to ``out`` (which may be ``lift``); returns the residual's sum of
+    squares, taken over the flat halves as :func:`update_duals` takes its own."""
+    r = np.subtract(state.L, lift, out=out)
+    state.gamma4[n - 1] -= r
+    return sum(float(np.vdot(v(r), v(r))) for v in state.flat)
+
+
 def _lifted_graph_terms(state):
-    # G^n lifted back to full shape, G^n x_n P_hat_n, into state.lifted
-    _per_mode(state, lambda n, _: mode_n_product(
-        state.G[n - 1], state.graphs[n - 1].basis, n, out=state.lifted[n - 1]))
+    """Lifts each G^n back to full shape, G^n x_n P_hat_n, into its part's
+    scratch tensor and adds it to ``state.lift_sum`` (mode 1 copies), then
+    takes mode n's consensus dual step in that scratch and records its sum
+    of squares in ``state.squares["r_graph"]``.
+
+    The lifts are added in mode order, so the sum has the bits of lift_1 +
+    ... + lift_N: the parts take the modes in mode order, and a part whose
+    lift of mode n is done waits until modes 1..n-1 are in.  A part that
+    raises ends the other's wait, so that one returns and the block raises
+    (:func:`_in_parts`) instead of hanging."""
+    added = threading.Condition()
+    count, failed = 0, False  # modes in the sum; whether a part has raised
+
+    def mode(n, lift):
+        nonlocal count, failed
+        try:
+            mode_n_product(state.G[n - 1], state.graphs[n - 1].basis, n, out=lift)
+            with added:
+                added.wait_for(lambda: count == n - 1 or failed)
+            if failed:
+                return None
+            if n == 1:
+                np.copyto(state.lift_sum, lift)
+            else:
+                state.lift_sum += lift
+        except BaseException:
+            with added:
+                failed = True
+                added.notify_all()
+            raise
+        with added:
+            count = n
+            added.notify_all()
+        return _consensus_step(state, n, lift, out=lift)
+
+    state.squares["r_graph"] = _per_mode(state, mode)
 
 
 def update_low_rank(state):
@@ -310,16 +360,16 @@ def update_low_rank(state):
 
     On the support the data-fit and the N graph-consensus penalties mix; off
     the support only the graph terms act, giving the plain average of the
-    lifted contributions.
+    lifted contributions.  Adds the gamma4, in mode order, into
+    ``state.lift_sum`` in place, which the low-rank block rewrites.
     """
     p = state.params
     N = state.Y.ndim
 
     def part(v):
-        T2, work = map(v, state.scratch)
-        np.copyto(T2, v(state.lifted[0]))
-        for term in state.lifted[1:] + state.gamma4:
-            T2 += v(term)
+        T2, work = v(state.lift_sum), v(state.scratch[0])
+        for dual in state.gamma4:
+            T2 += v(dual)
         L = np.subtract(v(state.Y), v(state.S), out=v(state.L))  # T1 = Y - S + gamma1
         L += v(state.gamma1)
         L *= p.beta1
@@ -389,27 +439,37 @@ def update_smooth_aux(state):
 
 
 def update_tv_aux(state):
-    """Shrinkage update of the mode-1 difference variable Z; also writes the
-    differences of W to ``state.w_diff``."""
+    """Shrinkage update of the mode-1 difference variable Z, then the dual
+    step of its constraint Z = delta W: forms delta W in ``state.scratch[1]``,
+    leaves the residual delta W - Z there, and records its sum of squares,
+    taken over the flat halves as :func:`update_duals` takes its own, in
+    ``state.squares["r_tv"]``."""
     p = state.params
 
     def part(v):
-        w_diff = _differences(v(state.W), v(state.w_diff))
+        w_diff = _differences(v(state.W), v(state.scratch[1]))
         arg = np.subtract(w_diff, v(state.gamma2), out=v(state.scratch[0]))
-        soft_threshold(arg, p.gamma / p.beta2, out=v(state.Z))
+        Z = soft_threshold(arg, p.gamma / p.beta2, out=v(state.Z))
+        gamma2 = v(state.gamma2)
+        gamma2 -= np.subtract(w_diff, Z, out=w_diff)
+
+    def squares(v):
+        r = v(state.scratch[1])
+        return float(np.vdot(r, r))
 
     _in_parts(part, state.columns, state.worker)
+    state.squares["r_tv"] = sum(_in_parts(squares, state.flat, state.worker))
 
 
 def update_duals(state):
-    """Dual ascent on all constraints, in place on the state's duals.
+    """Dual ascent on the data and S = W constraints, in place on gamma1 and
+    gamma3 (the low-rank block and :func:`update_tv_aux` take the other
+    steps, where their residuals are formed, and record their sums of
+    squares in ``state.squares``).
 
     Returns the primal residual norms used both for the stopping rule and
     the diagnostics.
     """
-    constraints = [(state.gamma2, state.w_diff, state.Z), (state.gamma3, state.S, state.W)]
-    constraints += [(dual, state.L, lift) for dual, lift in zip(state.gamma4, state.lifted)]
-
     def part(v):
         # each residual is written to r, subtracted from its dual, then its
         # sum of squares is taken
@@ -421,17 +481,19 @@ def update_duals(state):
         gamma1 = v(state.gamma1)
         gamma1 -= r
         squares = [float(np.vdot(r, r))]
-        for dual, a, b in constraints:  # residual a - b
-            dual = v(dual)
-            dual -= np.subtract(v(a), v(b), out=r)
-            squares.append(float(np.vdot(r, r)))
+        gamma3 = v(state.gamma3)
+        gamma3 -= np.subtract(v(state.S), v(state.W), out=r)
+        squares.append(float(np.vdot(r, r)))
         return squares
 
     # sqrt(r.r) is np.linalg.norm(r) bit for bit; two parts add their sums
-    norms = [math.sqrt(sum(sq)) for sq in zip(*_in_parts(part, state.flat, state.worker))]
-    residuals = dict(zip(("r_data", "r_tv", "r_sw"), norms))
-    residuals["r_graph_max"] = max(norms[3:])
-    return residuals
+    r_data, r_sw = (sum(sq) for sq in zip(*_in_parts(part, state.flat, state.worker)))
+    return {
+        "r_data": math.sqrt(r_data),
+        "r_tv": math.sqrt(state.squares["r_tv"]),
+        "r_sw": math.sqrt(r_sw),
+        "r_graph_max": max(map(math.sqrt, state.squares["r_graph"])),
+    }
 
 
 def objective_value(state, low_rank_penalty):
@@ -466,7 +528,8 @@ def _check_finite(residuals, iteration):
 
 def _graph_block(state):
     """LOGSS low-rank block: ridge projections onto the graph eigenbases.  Writes
-    G and its lifts; returns the graph energy."""
+    G and the sum of its lifts and takes the gamma4 steps; returns the graph
+    energy."""
     energy = update_graph_coeffs(state)
     _lifted_graph_terms(state)
     return energy
@@ -476,9 +539,12 @@ def _admm(Y, observed, params, low_rank_block, graphs=None):
     """Scaled-form ADMM loop shared by every solver.
 
     ``low_rank_block(state)`` (:func:`_graph_block`, or the baselines' SVT
-    block) writes ``state.G`` and the consensus terms ``state.lifted`` tied
-    to L and returns its penalty term; ``graphs`` sizes G (None: full shape
-    per mode).  All other blocks, the histories and the stopping rule are common.
+    block) writes ``state.G`` and the sum of the consensus terms tied to L
+    to ``state.lift_sum``, takes each mode's consensus dual step on
+    ``state.gamma4``, records the steps' sums of squares in
+    ``state.squares["r_graph"]`` and returns its penalty term; ``graphs``
+    sizes G (None: full shape per mode).  All other blocks, the histories and
+    the stopping rule are common.
     """
     Y = np.asarray(Y, dtype=float)
     observed = np.asarray(observed, dtype=bool)

@@ -48,20 +48,30 @@ class SynthConfig:
         if base.ndim != 4:
             raise ValueError("base template must be an order-4 tensor")
         self.base = base
-        if not 0 < self.c < math.inf:  # NaN fails every rule
-            raise ValueError("c must be finite and positive")
-        if not isinstance(self.l, (int, np.integer)) or not 1 <= self.l <= base.shape[0]:
-            raise ValueError(f"l must be an integer in [1, {base.shape[0]}], got {self.l}")
+        _check_anomalies(self.c, self.l, base.shape[0])
         for name in ("m", "p"):
             v = getattr(self, name)
             if not 0 <= v <= 100:
                 raise ValueError(f"{name} must be a percentage in [0, 100], got {v}")
-        if not math.isfinite(self.noise_mean):
-            raise ValueError("noise_mean must be finite")
-        if not 0 <= self.noise_var < math.inf:
-            raise ValueError("noise_var must be finite and nonnegative")
+        _check_noise(self.noise_mean, self.noise_var, prefix="noise_")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+
+
+def _check_anomalies(c, l, i1):
+    # the rules of SynthConfig.c and .l; NaN fails every rule
+    if not 0 < c < math.inf:
+        raise ValueError("c must be finite and positive")
+    if not isinstance(l, (int, np.integer)) or not 1 <= l <= i1:
+        raise ValueError(f"l must be an integer in [1, {i1}], got {l}")
+
+
+def _check_noise(mean, var, prefix=""):
+    # the rules of SynthConfig.noise_mean and .noise_var
+    if not math.isfinite(mean):
+        raise ValueError(f"{prefix}mean must be finite")
+    if not 0 <= var < math.inf:
+        raise ValueError(f"{prefix}var must be finite and nonnegative")
 
 
 @dataclass
@@ -114,6 +124,7 @@ def generate_base(template):
 
 def inject_noise(T, seed, mean=1.0, var=0.5):
     """Multiply every element by an independent Gaussian draw."""
+    _check_noise(mean, var)
     T = np.asarray(T, dtype=float)
     draws = _rng(seed).normal(mean, math.sqrt(var), size=T.shape)
     return T * draws
@@ -140,8 +151,7 @@ def inject_anomalies(T, c, l, m, seed):
     """
     T = np.asarray(T, dtype=float).copy()
     i1 = T.shape[0]
-    if not 1 <= l <= i1:
-        raise ValueError(f"l must be in [1, {i1}], got {l}")
+    _check_anomalies(c, l, i1)
     rng = _rng(seed)
     mask = np.zeros(T.shape, dtype=bool)
     intervals = []

@@ -70,6 +70,14 @@ def test_knn_k_out_of_range():
         build_knn_graph(X, k=4)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, 0, 4])
+def test_knn_rejects_a_k_that_is_not_an_integer_in_range(k):
+    with pytest.raises(ValueError, match=rf"^k must be an integer in \[1, 3\], got {k}$"):
+        build_knn_graph(np.zeros((4, 2)), k=k)
+    # numpy integers are integers
+    assert build_knn_graph(np.zeros((4, 2)), k=np.int64(2)).shape == (4, 4)
+
+
 def test_laplacian_two_nodes():
     w = 0.7
     W = np.array([[0.0, w], [w, 0.0]])

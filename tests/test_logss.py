@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -127,8 +128,11 @@ def test_update_low_rank_unobserved_average():
     state.G[0] = rng.normal(size=state.G[0].shape)
     lifted = mode_n_product(state.G[0], graphs[0].basis, 1)
     _lifted_graph_terms(state)
+    # the lift's consensus step, gamma4_1 -= L - lift at L = 0, leaves
+    # gamma4_1 = lift, which the L update averages in as well
+    assert np.allclose(state.gamma4[0], lifted)
     update_low_rank(state)
-    assert np.allclose(state.L, lifted / 4.0)
+    assert np.allclose(state.L, (lifted + lifted) / 4.0)
 
 
 def l_block_gradient(L, state, Y, observed, params, graphs):
@@ -321,10 +325,15 @@ def test_update_tv_aux():
     params = make_params(gamma=0.0)
     graphs = stub_graphs(DIMS, RANKS, seed=28)
     state = random_state(DIMS, params, graphs, seed=29)
+    gamma2 = state.gamma2.copy()
     update_tv_aux(state)
     w_diff = mode_n_product(state.W, build_diff_operator(DIMS[0]), 1)
-    assert np.allclose(state.Z, w_diff - state.gamma2)
-    assert np.array_equal(state.w_diff, w_diff)
+    assert np.allclose(state.Z, w_diff - gamma2)
+    # then the dual step of Z = delta W, whose residual stays in scratch[1]
+    residual = w_diff - state.Z
+    assert np.array_equal(state.scratch[1], residual)
+    assert np.array_equal(state.gamma2, gamma2 - residual)
+    assert state.squares["r_tv"] == pytest.approx(np.vdot(residual, residual))
 
     # constant along mode 1: circular differences vanish
     state = random_state(DIMS, make_params(gamma=2.0), graphs, seed=29)
@@ -346,9 +355,10 @@ def test_update_tv_aux_matches_grid_prox():
 
 
 def refresh_consensus_terms(state):
-    # what the loop's G and Z blocks leave in the state for the dual update
+    # what the loop's G and Z blocks leave in the state for the dual update:
+    # the gamma4 and gamma2 steps and their residuals' sums of squares
     _lifted_graph_terms(state)
-    mode_n_product(state.W, build_diff_operator(len(state.W)), 1, out=state.w_diff)
+    update_tv_aux(state)
 
 
 def test_update_duals_fixed_point_and_residuals():
@@ -358,8 +368,9 @@ def test_update_duals_fixed_point_and_residuals():
     Y = rng.normal(size=DIMS)
     observed = rng.random(DIMS) < 0.7
 
-    # a state satisfying every constraint exactly: duals stay put
-    state = SolverState.zeros(Y, observed, params, graphs)
+    # a state satisfying every constraint exactly, with no TV shrinkage to
+    # move Z off delta W: duals stay put
+    state = SolverState.zeros(Y, observed, make_params(gamma=0.0), graphs)
     state.G = [
         mode_n_product(Y, g.basis.T, n) for n, g in enumerate(graphs, start=1)
     ]
@@ -376,15 +387,17 @@ def test_update_duals_fixed_point_and_residuals():
         "gamma1": state.gamma1.copy(),
         "gamma2": state.gamma2.copy(),
         "gamma3": state.gamma3.copy(),
+        "gamma4": np.stack(state.gamma4),
     }
     refresh_consensus_terms(state)
     residuals = update_duals(state)
     assert max(residuals.values()) <= 1e-10
     for key, val in before.items():
-        assert np.allclose(getattr(state, key), val, atol=1e-10)
+        assert np.allclose(np.stack(getattr(state, key)), val, atol=1e-10)
 
     # all-zero state: first dual step absorbs the observed data
     zero = SolverState.zeros(Y, observed, params, graphs)
+    refresh_consensus_terms(zero)
     residuals = update_duals(zero)
     assert np.allclose(zero.gamma1, project_support(Y, observed))
     assert residuals["r_data"] == pytest.approx(
@@ -740,8 +753,7 @@ def test_state_tensors_start_on_64_byte_boundaries_in_parts(monkeypatch, solver,
         state = SolverState.zeros(Y_in, at_offset(observed, 8), make_params(), graphs)
         assert len(state.flat) == parts
         tensors = [state.L, state.S, state.W, state.Z, state.gamma1, state.gamma2,
-                   state.gamma3, state.w_diff, *state.gamma4, *state.lifted, *state.G,
-                   *state.scratch]
+                   state.gamma3, *state.gamma4, state.lift_sum, *state.G, *state.scratch]
         for a in tensors + [state.Y]:
             assert a.flags.c_contiguous and a.ctypes.data % 64 == 0
             for view in state.flat:
@@ -857,11 +869,13 @@ def test_two_parts_work_every_mode_once_per_iteration(monkeypatch, solver):
         assert sorted(n for _, n, _ in block) == [1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("solver, order", [("logss", [3, 2, 4, 1]), ("loss", [3, 1, 4, 2])])
-def test_parts_take_the_modes_largest_first(monkeypatch, solver, order):
-    # by the extent of G along the mode: the rank for LOGSS, the size for
-    # LOSS.  One part, or the first of two on one CPU, takes every mode, in
-    # the queue's order
+@pytest.mark.parametrize("solver, order", [("logss", [1, 2, 3, 4]), ("loss", [3, 1, 4, 2])],
+                         ids=["graph-mode-order", "svt-largest-first"])
+def test_parts_take_the_modes_in_their_blocks_order(monkeypatch, solver, order):
+    # the graph block in mode order, which its sum of lifts needs; the SVT
+    # block largest first, by the extent of G along the mode (the size).
+    # One part, or the first of two on one CPU, takes every mode, in the
+    # queue's order
     Y, observed, graphs = queue_instance(88)
     calls = trace_mode_work(monkeypatch)
     for parts in (1, 2):
@@ -886,7 +900,8 @@ def test_parts_take_the_modes_largest_first(monkeypatch, solver, order):
 
         with ThreadPoolExecutor(max_workers=1) as worker:
             state.worker = worker if parts == 2 else None
-            assert logss._per_mode(state, work) == [-1, -2, -3, -4]
+            largest_first = solver == "loss"
+            assert logss._per_mode(state, work, largest_first) == [-1, -2, -3, -4]
         caller = [(n, s) for thread, n, s in taken if thread == threading.get_ident()]
         other = [(n, s) for thread, n, s in taken if thread != threading.get_ident()]
         if parts == 1:
@@ -904,20 +919,111 @@ def test_parts_take_the_modes_largest_first(monkeypatch, solver, order):
 @pytest.mark.parametrize("flat_index", [0, -1], ids=["first-part", "second-part"])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_a_nan_in_one_part_raises_at_its_iteration(monkeypatch, solver, flat_index):
-    # Z enters only r_tv at its own entry, so the NaN is in one part's sums
+    # within the Z block, gamma2 enters Z and so r_tv at its own entry only,
+    # so the NaN is in one part's sums
     Y, observed, graphs = parts_instance(masked=False)
     force_parts(monkeypatch, 2)
     real = logss.update_tv_aux
     calls = itertools.count(1)
 
     def patched(state):
-        real(state)
         if next(calls) == 3:
-            state.Z.reshape(-1)[flat_index] = np.nan
+            state.gamma2.reshape(-1)[flat_index] = np.nan
+        real(state)
 
     monkeypatch.setattr(logss, "update_tv_aux", patched)
     with pytest.raises(NumericalError, match=r"^non-finite r_tv at iteration 3$"):
         run_solver(solver, Y, observed, graphs, make_params(max_iter=10, tol=0.0))
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3, 4])
+def test_a_raising_lift_ends_a_two_part_solve_and_its_worker(monkeypatch, mode):
+    # the lifts enter their sum in mode order, so a part whose lift is done
+    # waits for the lower modes; a lift that raises must end that wait, or
+    # the solve would hang instead of raising
+    Y, observed, graphs = parts_instance(masked=False)
+    force_parts(monkeypatch, 2, cpus=2)
+    real = logss.mode_n_product
+
+    def product(x, matrix, n, out=None):
+        if n == mode and x.shape != Y.shape:  # a lift's x is G
+            time.sleep(0.1)  # the other part is done with its mode by now
+            raise ZeroDivisionError(f"lift of mode {n}")
+        return real(x, matrix, n, out=out)
+
+    monkeypatch.setattr(logss, "mode_n_product", product)
+    errors = []
+
+    def run():
+        try:
+            solve(Y, observed, graphs, make_params(max_iter=3, tol=0.0))
+        except ZeroDivisionError as exc:
+            errors.append(str(exc))
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(60)
+    assert not caller.is_alive()
+    assert errors == [f"lift of mode {mode}"]
+    assert not [t for t in threading.enumerate() if t.name.startswith("stsad")]
+
+
+def test_concurrent_two_part_solves_sum_their_lifts_in_mode_order(monkeypatch):
+    # four threads on at most two cores, switching often: a lift added to
+    # the sum out of mode order would change its bits against one CPU's run
+    Y, observed, graphs = parts_instance(masked=False)
+    params = make_params(max_iter=5, tol=0.0)
+    force_parts(monkeypatch, 2, cpus=1)
+    reference = solve(Y, observed, graphs, params)
+    force_parts(monkeypatch, 2, cpus=2)
+    results = {}
+
+    def run(k):
+        results[k] = solve(Y, observed, graphs, params)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(results) == 2
+    for result in results.values():
+        assert np.array_equal(result.L, reference.L) and np.array_equal(result.S, reference.S)
+        assert result.residual_history == reference.residual_history
+
+
+# a 3-iteration solve's tracemalloc peak, in tensors of Y's size, above
+# which a change has added a tensor-sized buffer: the state holds 15 for
+# LOGSS and 18 for the baselines, and the rest is G, the mask and, for the
+# baselines, the SVDs' copies
+@pytest.mark.parametrize("solver, dims, parts, bound", [
+    ("logss", (24, 7, 52, 16), 2, 17.0),
+    ("logss", (24, 7, 12, 8), 1, 17.0),
+    ("loss", (24, 7, 52, 16), 2, 20.5),
+])
+def test_solver_state_footprint(monkeypatch, solver, dims, parts, bound):
+    force_parts(monkeypatch, parts)
+    graphs = stub_graphs(dims, (4, 2, 2, 2), seed=92)
+    rng = np.random.default_rng(93)
+    Y = rng.normal(size=dims)
+    observed = rng.random(dims) < 0.8
+    params = make_params(max_iter=3, tol=0.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_solver(solver, Y, observed, graphs, params)
+        peak = (tracemalloc.get_traced_memory()[1] - before) / Y.nbytes
+    finally:
+        tracemalloc.stop()
+    print(f"SOLVER MEMORY: {solver} at {'x'.join(map(str, dims))} in {parts} part(s) "
+          f"peaks at {peak:.2f} tensors of Y's size (bound {bound})", flush=True)
+    assert peak <= bound
 
 
 def test_an_error_in_the_second_part_propagates(monkeypatch):

@@ -114,6 +114,33 @@ def test_inject_anomalies_rejects_m_outside_a_percentage(m):
         inject_anomalies(T, c=2.0, l=3, m=m, seed=0)
 
 
+@pytest.mark.parametrize("c, l, message", [
+    (2.0, 2.5, r"^l must be an integer in \[1, 8\], got 2.5$"),
+    (2.0, 0, r"^l must be an integer in \[1, 8\], got 0$"),
+    (math.nan, 3, r"^c must be finite and positive$"),
+    (math.inf, 3, r"^c must be finite and positive$"),
+    (-1.0, 3, r"^c must be finite and positive$"),
+])
+def test_inject_anomalies_checks_c_and_l_as_synth_config_does(c, l, message):
+    T = np.ones(DIMS)
+    with pytest.raises(ValueError, match=message):
+        inject_anomalies(T, c=c, l=l, m=10.0, seed=0)
+    # numpy integers are integers
+    assert inject_anomalies(T, c=2.0, l=np.int64(3), m=10.0, seed=0)[0].shape == DIMS
+
+
+@pytest.mark.parametrize("mean, var, message", [
+    (1.0, math.nan, r"^var must be finite and nonnegative$"),
+    (1.0, -1.0, r"^var must be finite and nonnegative$"),
+    (1.0, math.inf, r"^var must be finite and nonnegative$"),
+    (math.nan, 0.5, r"^mean must be finite$"),
+    (-math.inf, 0.5, r"^mean must be finite$"),
+])
+def test_inject_noise_checks_mean_and_var_as_synth_config_does(mean, var, message):
+    with pytest.raises(ValueError, match=message):
+        inject_noise(np.ones(DIMS), seed=0, mean=mean, var=var)
+
+
 def test_anomalous_fraction_matches_formula():
     T = np.random.default_rng(10).uniform(1, 2, size=(10, 5, 6, 4))
     m, l = 15.0, 4
