@@ -20,7 +20,6 @@ from .graphs import (
     build_laplacian,
     build_mode_graphs,
     select_rank,
-    stationarity,
     stationarity_report,
     sym_eig,
 )

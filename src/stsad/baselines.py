@@ -49,9 +49,9 @@ def _svt_block(state):
 
     Its penalty is the sum of the nuclear norms, which fall out of the
     thresholding, so the objective costs no extra SVDs.  The parts take the
-    modes largest first, and each mode takes its consensus dual step after
-    its SVT; then G^1 becomes the sum of all G^n in mode order, which is the
-    state's ``lift_sum``.
+    modes largest first (:func:`_per_mode`); then a flat pass takes each
+    mode's consensus dual step and makes G^1 the sum of all G^n in mode
+    order, which is the state's ``lift_sum``.
     """
     tau = state.params.theta / state.params.beta4
 
@@ -63,16 +63,18 @@ def _svt_block(state):
         # the SVD copies diff, so the result may overwrite it
         low, nuclear = _svt_with_norm(diff, tau, out=work.reshape(diff.shape))
         np.copyto(G, fold(low, n, G.shape))
-        return nuclear, _consensus_step(state, n, G, out=work)
+        return nuclear
 
-    def add(v):
+    def steps(v):
+        squares = [_consensus_step(state, v, n, G, out=state.scratch[0])
+                   for n, G in enumerate(state.G, start=1)]
         total = v(state.G[0])
         for G in state.G[1:]:
             total += v(G)
+        return squares
 
-    nuclear, squares = zip(*_per_mode(state, mode, largest_first=True))
-    state.squares["r_graph"] = squares
-    _in_parts(add, state.flat, state.worker)
+    nuclear = _per_mode(state, mode)
+    state.squares["r_graph"] = list(map(sum, zip(*_in_parts(steps, state.flat, state.worker))))
     state.svd_history.append(len(nuclear))  # one SVD per mode
     return sum(nuclear)
 

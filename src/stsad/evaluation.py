@@ -19,11 +19,15 @@ class LabeledScores:
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=float).ravel()
-        self.labels = np.asarray(self.labels).ravel().astype(int)
-        if self.scores.shape != self.labels.shape:
+        labels = np.asarray(self.labels).ravel()
+        if self.scores.shape != labels.shape:
             raise ValueError("scores and labels must have the same length")
-        if not np.isin(self.labels, (0, 1)).all():
+        # checked before the cast, which would make 0.5 a 0 and NaN anything
+        if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
+        if not np.isfinite(self.scores).all():  # a NaN would rank above every score
+            raise ValueError("scores must be finite, not NaN or infinite")
+        self.labels = labels.astype(int)
 
     @property
     def n_pos(self):

@@ -148,24 +148,6 @@ def select_rank(eigvals, ratio=0.9):
     return eigvals.size - 1
 
 
-def stationarity(X, graph):
-    """Stationarity ratio of the mode samples on the graph eigenbasis.
-
-    ``Gamma = P^T C P`` with C the unbiased sample covariance of the rows of
-    X (each column is one observation).  The ratio
-    ``||diag(Gamma)||_2 / ||Gamma||_F`` is 1 exactly when the covariance is
-    diagonalised by the graph eigenvectors.
-    """
-    X = np.asarray(X, dtype=float)
-    C = np.cov(X)
-    if not np.linalg.norm(C) > 0:
-        raise ValueError(
-            f"mode {graph.mode}: zero covariance, stationarity ratio undefined"
-        )
-    gamma = graph.eigvecs.T @ C @ graph.eigvecs
-    return float(np.linalg.norm(np.diag(gamma)) / np.linalg.norm(gamma))
-
-
 def build_mode_graphs(Y, k=10, ratio=0.9):
     """One :class:`ModeGraph` per tensor mode, built on the mode unfoldings.
 
@@ -193,6 +175,21 @@ def build_mode_graphs(Y, k=10, ratio=0.9):
 
 def stationarity_report(Y, graphs):
     """Stationarity ratio of every mode of Y as JSON-ready rows
-    ``{"mode": n, "s_r": ratio}``, in the order of ``graphs``."""
+    ``{"mode": n, "s_r": ratio}``, in the order of ``graphs``.
+
+    ``Gamma = P^T C P`` with P the mode's graph eigenvectors and C the
+    unbiased sample covariance of the rows of the mode-n unfolding (each
+    column is one observation).  The ratio ``||diag(Gamma)||_2 /
+    ||Gamma||_F`` is 1 exactly when the covariance is diagonalised by the
+    graph eigenvectors.
+    """
     Y = np.asarray(Y, dtype=float)
-    return [{"mode": g.mode, "s_r": stationarity(unfold(Y, g.mode), g)} for g in graphs]
+    rows = []
+    for g in graphs:
+        C = np.cov(unfold(Y, g.mode))
+        if not np.linalg.norm(C) > 0:
+            raise ValueError(f"mode {g.mode}: zero covariance, stationarity ratio undefined")
+        gamma = g.eigvecs.T @ C @ g.eigvecs
+        ratio = np.linalg.norm(np.diag(gamma)) / np.linalg.norm(gamma)
+        rows.append({"mode": g.mode, "s_r": float(ratio)})
+    return rows

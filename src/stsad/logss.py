@@ -25,7 +25,6 @@ import contextlib
 import contextvars
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -130,12 +129,13 @@ class SolverState:
     ``G`` holds the per-mode spectral coefficients (mode-n dimension J_n).
     ``lift_sum`` holds the sum of their lifts to full shape, which the L
     update turns into the sum of the lifts and the gamma4 in place.  Each lift
-    lives only in its part's ``scratch`` tensor (two work tensors), where its
-    consensus dual step is taken; the low-rank block and :func:`update_tv_aux`
-    record the sums of squares of the residuals whose dual steps they take in
-    ``squares`` (``r_graph``, one per mode, and ``r_tv``), which
-    :func:`update_duals` reads.  For LOGSS that is 15 tensors of Y's size: Y,
-    L, S, W, Z, gamma1..gamma3, N = 4 gamma4, ``lift_sum`` and the scratch.
+    lives only in a ``scratch`` tensor (two work tensors) for its group of
+    modes (:func:`_lifted_graph_terms`), where its consensus dual step is
+    taken; the low-rank block and :func:`update_tv_aux` record the sums of
+    squares of the residuals whose dual steps they take in ``squares``
+    (``r_graph``, one per mode, and ``r_tv``), which :func:`update_duals`
+    reads.  For LOGSS that is 15 tensors of Y's size: Y, L, S, W, Z,
+    gamma1..gamma3, N = 4 gamma4, ``lift_sum`` and the scratch.
     For the baselines ``graphs`` and ``projectors`` are None and ``G``
     holds full-shape per-mode low-rank tensors, of which the first is also
     ``lift_sum`` (18 tensors); their block appends its SVD count per
@@ -250,13 +250,13 @@ def _usable_cpus():
 
 def _in_parts(work, parts, worker):
     """``[work(part) for part in parts]`` for one or two parts, run in order
-    on the caller's thread where ``worker`` is None.  Otherwise the second
-    part runs on ``worker``, under the caller's context (so its
-    ``np.errstate``), while the caller runs the first; if the worker has not
-    started it by then (its CPU is busy), the caller runs it too.  Then it
-    returns, or raises the first part's exception before the second's, only
-    once both are done."""
-    if worker is None:
+    on the caller's thread for one part or where ``worker`` is None.
+    Otherwise the second part runs on ``worker``, under the caller's context
+    (so its ``np.errstate``), while the caller runs the first; if the worker
+    has not started it by then (its CPU is busy), the caller runs it too.
+    Then it returns, or raises the first part's exception before the
+    second's, only once both are done."""
+    if worker is None or len(parts) == 1:
         return [work(part) for part in parts]
     second = worker.submit(contextvars.copy_context().run, work, parts[1])
     try:
@@ -287,17 +287,16 @@ def _differences(x, out, transpose=False):
     return out
 
 
-def _per_mode(state, work, largest_first=False):
+def _per_mode(state, work):
     """``[work(n, scratch) for n in 1..N]`` for a per-mode block, in mode order.
     Each part of the block (:func:`_in_parts`) has its own scratch tensor and
-    takes the next mode from one iterator over the modes when it is free
-    (``next()`` on a list iterator is atomic under the GIL): in mode order,
-    or largest first (by the extent of ``state.G`` along the mode).  One
-    part, or the first of two on one CPU, takes every mode.  A mode is never
-    split: a split inside its product changed its bits."""
+    takes the next mode from one queue, largest first (by the extent of
+    ``state.G`` along the mode), when it is free (``next()`` on a list
+    iterator is atomic under the GIL).  One part, or the first of two on one
+    CPU, takes every mode.  A mode is never split: a split inside its product
+    changed its bits."""
     modes = range(1, state.Y.ndim + 1)
-    key = (lambda n: -state.G[n - 1].shape[n - 1]) if largest_first else None
-    queue, results = iter(sorted(modes, key=key)), {}
+    queue, results = iter(sorted(modes, key=lambda n: -state.G[n - 1].shape[n - 1])), {}
 
     def part(scratch):
         for n in queue:
@@ -307,52 +306,48 @@ def _per_mode(state, work, largest_first=False):
     return [results[n] for n in modes]
 
 
-def _consensus_step(state, n, lift, out):
-    """Mode n's consensus dual step, gamma4_n -= L - lift, with the residual
-    written to ``out`` (which may be ``lift``); returns the residual's sum of
-    squares, taken over the flat halves as :func:`update_duals` takes its own."""
-    r = np.subtract(state.L, lift, out=out)
-    state.gamma4[n - 1] -= r
-    return sum(float(np.vdot(v(r), v(r))) for v in state.flat)
+def _consensus_step(state, v, n, lift, out):
+    """Mode n's consensus dual step, gamma4_n -= L - lift, over the flat part
+    ``v`` (see :func:`_in_parts`), with the residual written to ``out`` (which
+    may be ``lift``); returns the part's sum of squares of the residual."""
+    r = np.subtract(v(state.L), v(lift), out=v(out))
+    gamma4 = v(state.gamma4[n - 1])
+    gamma4 -= r
+    return float(np.vdot(r, r))
 
 
 def _lifted_graph_terms(state):
-    """Lifts each G^n back to full shape, G^n x_n P_hat_n, into its part's
-    scratch tensor and adds it to ``state.lift_sum`` (mode 1 copies), then
-    takes mode n's consensus dual step in that scratch and records its sum
-    of squares in ``state.squares["r_graph"]``.
+    """Lifts each G^n back to full shape, G^n x_n P_hat_n, adds the lifts to
+    ``state.lift_sum`` (mode 1 copies) and takes each mode's consensus dual
+    step, recording its sum of squares in ``state.squares["r_graph"]``.
 
-    The lifts are added in mode order, so the sum has the bits of lift_1 +
-    ... + lift_N: the parts take the modes in mode order, and a part whose
-    lift of mode n is done waits until modes 1..n-1 are in.  A part that
-    raises ends the other's wait, so that one returns and the block raises
-    (:func:`_in_parts`) instead of hanging."""
-    added = threading.Condition()
-    count, failed = 0, False  # modes in the sum; whether a part has raised
+    The modes go in groups of one per part, in mode order: (1, 2), then
+    (3, 4), for two parts.  Each part lifts its mode of the group into its own
+    scratch tensor; then each flat part adds the group's lifts to the sum in
+    mode order, so the sum has the bits of lift_1 + ... + lift_N, and takes
+    their steps in the lifts' scratch.  Two parts add their sums of squares,
+    as :func:`update_duals` adds its own."""
+    def lift(part):
+        n, out = part
+        mode_n_product(state.G[n - 1], state.graphs[n - 1].basis, n, out=out)
 
-    def mode(n, lift):
-        nonlocal count, failed
-        try:
-            mode_n_product(state.G[n - 1], state.graphs[n - 1].basis, n, out=lift)
-            with added:
-                added.wait_for(lambda: count == n - 1 or failed)
-            if failed:
-                return None
-            if n == 1:
-                np.copyto(state.lift_sum, lift)
-            else:
-                state.lift_sum += lift
-        except BaseException:
-            with added:
-                failed = True
-                added.notify_all()
-            raise
-        with added:
-            count = n
-            added.notify_all()
-        return _consensus_step(state, n, lift, out=lift)
+    lifts, modes, squares = state.scratch[:len(state.flat)], range(1, state.Y.ndim + 1), []
+    for first in modes[::len(lifts)]:
+        group = list(zip(modes[first - 1:], lifts))
 
-    state.squares["r_graph"] = _per_mode(state, mode)
+        def fold(v):
+            total, steps = v(state.lift_sum), []
+            for n, lifted in group:
+                if n == 1:
+                    np.copyto(total, v(lifted))
+                else:
+                    total += v(lifted)
+                steps.append(_consensus_step(state, v, n, lifted, out=lifted))
+            return steps
+
+        _in_parts(lift, group, state.worker)
+        squares += map(sum, zip(*_in_parts(fold, state.flat, state.worker)))
+    state.squares["r_graph"] = squares
 
 
 def update_low_rank(state):

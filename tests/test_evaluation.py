@@ -87,6 +87,24 @@ def test_roc_points_shape():
     assert (np.diff(fpr) >= 0).all() and (np.diff(tpr) >= 0).all()
 
 
+def test_labeled_scores_rejects_labels_other_than_0_or_1():
+    # a cast to int first would keep [0.5, 1, 0.9] as [0, 1, 0], for an AUC of 1
+    for labels in ([0.5, 1, 0.9], [0, 1, np.nan], [0, 1, -1]):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            LabeledScores([0.1, 0.9, 0.5], labels)
+    for labels in ([False, True, False], [0.0, 1.0, 0.0], [0, 1, 0]):
+        assert LabeledScores([0.1, 0.9, 0.5], labels).labels.tolist() == [0, 1, 0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_labeled_scores_rejects_scores_that_are_not_finite(bad):
+    # a NaN ranks above every other score: the AUC below would read 0.0
+    with pytest.raises(ValueError, match="scores must be finite"):
+        roc_auc(LabeledScores([bad, 0.2, 0.3, 0.1], [0, 1, 0, 1]))
+    with pytest.raises(ValueError, match="scores must be finite"):
+        labeled_scores(np.array([[bad, 0.2], [0.3, 0.1]]), np.array([[0, 1], [0, 1]]))
+
+
 def test_labeled_scores_rejects_shapes_that_differ():
     scores = np.arange(6.0).reshape(2, 3)
     labels = np.array([[0, 1, 0], [1, 0, 1]])

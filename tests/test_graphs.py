@@ -9,14 +9,13 @@ from stsad.graphs import (
     build_laplacian,
     build_mode_graphs,
     select_rank,
-    stationarity,
     stationarity_report,
     sym_eig,
 )
 
 
 def make_graph(eigvecs, mode=1, rank=None):
-    """ModeGraph stub carrying only what stationarity needs."""
+    """ModeGraph stub carrying only what stationarity_report needs."""
     n = eigvecs.shape[0]
     return ModeGraph(
         mode=mode,
@@ -168,6 +167,14 @@ def test_select_rank_in_bounds_random():
         assert 1 <= J <= len(vals) - 1
 
 
+def mode1_ratio(X, eigvecs):
+    """stationarity_report's ratio of a 2-D X on a mode-1 graph, for which
+    unfold(X, 1) is X."""
+    [row] = stationarity_report(X, [make_graph(eigvecs)])
+    assert row["mode"] == 1
+    return row["s_r"]
+
+
 def test_stationarity_whitened_covariance_is_one():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(4, 50))
@@ -176,21 +183,21 @@ def test_stationarity_whitened_covariance_is_one():
     w, V = np.linalg.eigh(C)
     white = V @ np.diag(w**-0.5) @ V.T @ Xc
     Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    assert stationarity(white, make_graph(Q)) == pytest.approx(1.0, abs=1e-8)
+    assert mode1_ratio(white, Q) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_stationarity_2x2_hand_computed():
     # rows identical => covariance [[1,1],[1,1]] exactly
     X = np.array([[1.0, 0.0, -1.0], [1.0, 0.0, -1.0]])
     rot = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-    assert stationarity(X, make_graph(rot)) == pytest.approx(1.0)
-    assert stationarity(X, make_graph(np.eye(2))) == pytest.approx(np.sqrt(2) / 2)
+    assert mode1_ratio(X, rot) == pytest.approx(1.0)
+    assert mode1_ratio(X, np.eye(2)) == pytest.approx(np.sqrt(2) / 2)
 
 
 def test_stationarity_zero_covariance_errors():
     X = np.ones((3, 10))
-    with pytest.raises(ValueError):
-        stationarity(X, make_graph(np.eye(3)))
+    with pytest.raises(ValueError, match="^mode 1: zero covariance, stationarity ratio"):
+        mode1_ratio(X, np.eye(3))
 
 
 def test_stationarity_invariant_under_eigvec_permutation():
@@ -198,9 +205,7 @@ def test_stationarity_invariant_under_eigvec_permutation():
     X = rng.normal(size=(5, 30))
     Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
     perm = rng.permutation(5)
-    assert stationarity(X, make_graph(Q)) == pytest.approx(
-        stationarity(X, make_graph(Q[:, perm]))
-    )
+    assert mode1_ratio(X, Q) == pytest.approx(mode1_ratio(X, Q[:, perm]))
 
 
 def test_random_knn_laplacians_are_psd_with_zero_row_sums():

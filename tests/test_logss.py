@@ -869,21 +869,21 @@ def test_two_parts_work_every_mode_once_per_iteration(monkeypatch, solver):
         assert sorted(n for _, n, _ in block) == [1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("solver, order", [("logss", [1, 2, 3, 4]), ("loss", [3, 1, 4, 2])],
-                         ids=["graph-mode-order", "svt-largest-first"])
+@pytest.mark.parametrize("solver, order", [("logss", [3, 2, 4, 1]), ("loss", [3, 1, 4, 2])],
+                         ids=["graph-block", "svt-block"])
 def test_parts_take_the_modes_in_their_blocks_order(monkeypatch, solver, order):
-    # the graph block in mode order, which its sum of lifts needs; the SVT
-    # block largest first, by the extent of G along the mode (the size).
-    # One part, or the first of two on one CPU, takes every mode, in the
-    # queue's order
+    # the projections and the SVTs take one queue, largest first by the
+    # extent of G along the mode (the rank for a projection, the size for an
+    # SVT); the lifts go in mode order.  One part, or the first of two on one
+    # CPU, takes every mode, in that order
     Y, observed, graphs = queue_instance(88)
     calls = trace_mode_work(monkeypatch)
+    lifts = [1, 2, 3, 4] if solver == "logss" else []
     for parts in (1, 2):
         calls.clear()
         force_parts(monkeypatch, parts, cpus=1)
         run_solver(solver, Y, observed, graphs, make_params(max_iter=2, tol=0.0))
-        per_mode_blocks = 2 * (2 if solver == "logss" else 1)  # 2 iterations
-        assert [n for _, n, _ in calls] == order * per_mode_blocks
+        assert [n for _, n, _ in calls] == (order + lifts) * 2  # 2 iterations
         assert {thread for _, _, thread in calls} == {threading.get_ident()}
         # each part works in its own scratch tensor, and the results come back
         # in mode order, whatever order the modes ran in
@@ -900,8 +900,7 @@ def test_parts_take_the_modes_in_their_blocks_order(monkeypatch, solver, order):
 
         with ThreadPoolExecutor(max_workers=1) as worker:
             state.worker = worker if parts == 2 else None
-            largest_first = solver == "loss"
-            assert logss._per_mode(state, work, largest_first) == [-1, -2, -3, -4]
+            assert logss._per_mode(state, work) == [-1, -2, -3, -4]
         caller = [(n, s) for thread, n, s in taken if thread == threading.get_ident()]
         other = [(n, s) for thread, n, s in taken if thread != threading.get_ident()]
         if parts == 1:
@@ -913,6 +912,42 @@ def test_parts_take_the_modes_in_their_blocks_order(monkeypatch, solver, order):
                 assert modes and sorted(modes, key=order.index) == modes
             assert all(s is state.scratch[1] for _, s in other)
         assert all(s is state.scratch[0] for _, s in caller)
+    if solver == "logss":
+        # on two CPUs the lifts go in groups of one mode per part, (1, 2) then
+        # (3, 4): the caller lifts the lower mode and the worker the other, at
+        # once, and no group starts before the one before it is folded in
+        calls.clear()
+        force_parts(monkeypatch, 2, cpus=2)
+        both, traced = threading.Barrier(2, timeout=10), logss.mode_n_product
+
+        def product(x, matrix, n, out=None):
+            if x.shape != QUEUE_DIMS:  # a lift's x is G
+                both.wait()
+            return traced(x, matrix, n, out=out)
+
+        monkeypatch.setattr(logss, "mode_n_product", product)
+        run_solver(solver, Y, observed, graphs, make_params(max_iter=2, tol=0.0))
+        lifted = [(n, thread) for kind, n, thread in calls if kind == "lift"]
+        assert [{n for n, _ in lifted[k:k + 2]} for k in range(0, 8, 2)] == [{1, 2}, {3, 4}] * 2
+        assert all((thread == threading.get_ident()) == (n % 2 == 1) for n, thread in lifted)
+
+
+@pytest.mark.parametrize("solver", ["logss", "loss"])
+@pytest.mark.parametrize("dims, ranks", [((24, 7, 40), (3, 2, 4)),
+                                         ((12, 5, 6, 4, 5), (3, 2, 4, 2, 3))],
+                         ids=["order-3", "order-5"])
+def test_two_parts_of_odd_order_tensors_match_one_cpu(monkeypatch, solver, dims, ranks):
+    # an odd order leaves the last group of lifts one mode, which the caller
+    # lifts alone while the fold still runs as two parts
+    graphs = stub_graphs(dims, ranks, seed=89)
+    rng = np.random.default_rng(90)
+    Y, observed = rng.normal(size=dims), rng.random(dims) < 0.8
+    params = make_params(max_iter=20, tol=0.0)
+    force_parts(monkeypatch, 1)
+    one = run_solver(solver, Y, observed, graphs, params)
+    two = assert_two_parts_on_one_cpu_match_two_cpus(monkeypatch, solver, Y, observed,
+                                                     graphs, params)
+    assert np.array_equal(one.L, two.L) and np.array_equal(one.S, two.S)
 
 
 @pytest.mark.parametrize("solver", ["logss", "loss"])
