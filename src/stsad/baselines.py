@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 from . import instrumentation
-from .logss import LogssParams, _admm, _consensus_step, _in_parts, _per_mode
+from .logss import LogssParams, _admm, _fold, _per_mode
 from .tensor import fold
 
 __all__ = ["svt", "solve_loss", "solve_horpca"]
@@ -49,9 +49,9 @@ def _svt_block(state):
 
     Its penalty is the sum of the nuclear norms, which fall out of the
     thresholding, so the objective costs no extra SVDs.  The parts take the
-    modes largest first (:func:`_per_mode`); then a flat pass takes each
-    mode's consensus dual step and makes G^1 the sum of all G^n in mode
-    order, which is the state's ``lift_sum``.
+    modes largest first (:func:`_per_mode`); then :func:`_fold` takes each
+    mode's consensus dual step and makes G^1, the state's ``lift_sum``, the
+    sum of all G^n in mode order.
     """
     tau = state.params.theta / state.params.beta4
 
@@ -65,17 +65,8 @@ def _svt_block(state):
         np.copyto(G, fold(low, n, G.shape))
         return nuclear
 
-    def steps(v):
-        squares = [_consensus_step(state, v, n, G, out=state.scratch[0])
-                   for n, G in enumerate(state.G, start=1)]
-        total = v(state.G[0])
-        for G in state.G[1:]:
-            total += v(G)
-        return squares
-
     nuclear = _per_mode(state, mode)
-    state.squares["r_graph"] = list(map(sum, zip(*_in_parts(steps, state.flat, state.worker))))
-    state.svd_history.append(len(nuclear))  # one SVD per mode
+    state.squares["r_graph"] = _fold(state, list(enumerate(state.G, start=1)))
     return sum(nuclear)
 
 
@@ -86,7 +77,6 @@ def solve_loss(Y, observed, params=None):
     consensus constraint and updated by :func:`svt` with threshold
     theta/beta4; the S/W/Z blocks and the stopping rule are the graph
     solver's, so that accuracy differences isolate the low-rank surrogate.
-    Diagnostics additionally record the SVD count per iteration.
     """
     return _admm(Y, observed, params, _svt_block)
 

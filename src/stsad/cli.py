@@ -189,9 +189,8 @@ def _decompose(solver, cfg, Y, observed, graphs):
     if solver == "raw-ee":
         # passthrough: downstream stages score the raw tensor
         return logss.DecompositionResult(
-            L=np.zeros(Y.shape), S=Y, iterations=0,
-            residual_history=[], objective_history=[], wall_time=0.0,
-            converged=True, params=params,
+            L=np.zeros(Y.shape), S=Y, residual_history=[], objective_history=[],
+            wall_time=0.0, converged=True, params=params,
         )
     if solver == "logss":
         return logss.solve(Y, observed, graphs, params)

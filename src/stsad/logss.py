@@ -96,25 +96,20 @@ class LogssParams:
 class DecompositionResult:
     L: np.ndarray
     S: np.ndarray
-    iterations: int
     residual_history: list[dict]
     objective_history: list[float]
     wall_time: float
-    svd_history: list[int] = field(default_factory=list)
     converged: bool = False
     params: LogssParams | None = None  # as the run used them
 
+    @property
+    def iterations(self):
+        return len(self.residual_history)
+
     def diagnostics_rows(self):
         """One JSON-ready dict per iteration."""
-        rows = []
-        for t, (res, obj) in enumerate(
-            zip(self.residual_history, self.objective_history), start=1
-        ):
-            row = {"iter": t, **res, "objective": obj}
-            if self.svd_history:
-                row["svd_count"] = self.svd_history[t - 1]
-            rows.append(row)
-        return rows
+        rows = zip(self.residual_history, self.objective_history)
+        return [{"iter": t, **res, "objective": obj} for t, (res, obj) in enumerate(rows, 1)]
 
 
 @dataclass
@@ -130,16 +125,15 @@ class SolverState:
     ``lift_sum`` holds the sum of their lifts to full shape, which the L
     update turns into the sum of the lifts and the gamma4 in place.  Each lift
     lives only in a ``scratch`` tensor (two work tensors) for its group of
-    modes (:func:`_lifted_graph_terms`), where its consensus dual step is
-    taken; the low-rank block and :func:`update_tv_aux` record the sums of
-    squares of the residuals whose dual steps they take in ``squares``
-    (``r_graph``, one per mode, and ``r_tv``), which :func:`update_duals`
-    reads.  For LOGSS that is 15 tensors of Y's size: Y, L, S, W, Z,
+    modes (:func:`_lifted_graph_terms`), until :func:`_fold` adds it to the
+    sum and takes its consensus dual step; the low-rank block and
+    :func:`update_tv_aux` record the sums of squares of the residuals whose
+    dual steps they take in ``squares`` (``r_graph``, one per mode, and
+    ``r_tv``), which :func:`update_duals` reads.  For LOGSS that is 15 tensors of Y's size: Y, L, S, W, Z,
     gamma1..gamma3, N = 4 gamma4, ``lift_sum`` and the scratch.
     For the baselines ``graphs`` and ``projectors`` are None and ``G``
     holds full-shape per-mode low-rank tensors, of which the first is also
-    ``lift_sum`` (18 tensors); their block appends its SVD count per
-    iteration to ``svd_history``.  ``flat`` and ``columns`` hold one view
+    ``lift_sum`` (18 tensors).  ``flat`` and ``columns`` hold one view
     function per part a block runs as (see :func:`_in_parts`): the whole
     tensor, or the halves of its flat index and the column halves of its
     mode-1 unfolding.  ``worker`` runs second parts during a solve, if it is
@@ -168,7 +162,6 @@ class SolverState:
     graphs: list | None = None
     projectors: list[np.ndarray] | None = None
     squares: dict = field(default_factory=dict)
-    svd_history: list[int] = field(default_factory=list)
     worker: object = None
 
     @classmethod
@@ -306,27 +299,40 @@ def _per_mode(state, work):
     return [results[n] for n in modes]
 
 
-def _consensus_step(state, v, n, lift, out):
-    """Mode n's consensus dual step, gamma4_n -= L - lift, over the flat part
-    ``v`` (see :func:`_in_parts`), with the residual written to ``out`` (which
-    may be ``lift``); returns the part's sum of squares of the residual."""
-    r = np.subtract(v(state.L), v(lift), out=v(out))
-    gamma4 = v(state.gamma4[n - 1])
-    gamma4 -= r
-    return float(np.vdot(r, r))
+def _fold(state, terms):
+    """Adds the full-shape ``terms``, ``(n, tensor)`` pairs in mode order, to
+    ``state.lift_sum`` (mode 1 copies) and takes each mode's consensus dual
+    step, gamma4_n -= L - term, with the residual in ``state.scratch[0]``,
+    over the flat parts (:func:`_in_parts`).  Each step reads its term before
+    the next term is added, so mode 1's term may be ``lift_sum`` itself.
+    Returns each mode's sum of squares of its residual; two parts add theirs,
+    as :func:`update_duals` adds its own."""
+    def part(v):
+        total, r, squares = v(state.lift_sum), v(state.scratch[0]), []
+        for n, term in terms:
+            if n == 1:
+                np.copyto(total, v(term))
+            else:
+                total += v(term)
+            np.subtract(v(state.L), v(term), out=r)
+            gamma4 = v(state.gamma4[n - 1])
+            gamma4 -= r
+            squares.append(float(np.vdot(r, r)))
+        return squares
+
+    return list(map(sum, zip(*_in_parts(part, state.flat, state.worker))))
 
 
 def _lifted_graph_terms(state):
     """Lifts each G^n back to full shape, G^n x_n P_hat_n, adds the lifts to
-    ``state.lift_sum`` (mode 1 copies) and takes each mode's consensus dual
-    step, recording its sum of squares in ``state.squares["r_graph"]``.
+    ``state.lift_sum`` and takes each mode's consensus dual step
+    (:func:`_fold`), recording its sum of squares in
+    ``state.squares["r_graph"]``.
 
     The modes go in groups of one per part, in mode order: (1, 2), then
     (3, 4), for two parts.  Each part lifts its mode of the group into its own
-    scratch tensor; then each flat part adds the group's lifts to the sum in
-    mode order, so the sum has the bits of lift_1 + ... + lift_N, and takes
-    their steps in the lifts' scratch.  Two parts add their sums of squares,
-    as :func:`update_duals` adds its own."""
+    scratch tensor; then the group's lifts are folded in mode order, so the
+    sum has the bits of lift_1 + ... + lift_N."""
     def lift(part):
         n, out = part
         mode_n_product(state.G[n - 1], state.graphs[n - 1].basis, n, out=out)
@@ -334,19 +340,8 @@ def _lifted_graph_terms(state):
     lifts, modes, squares = state.scratch[:len(state.flat)], range(1, state.Y.ndim + 1), []
     for first in modes[::len(lifts)]:
         group = list(zip(modes[first - 1:], lifts))
-
-        def fold(v):
-            total, steps = v(state.lift_sum), []
-            for n, lifted in group:
-                if n == 1:
-                    np.copyto(total, v(lifted))
-                else:
-                    total += v(lifted)
-                steps.append(_consensus_step(state, v, n, lifted, out=lifted))
-            return steps
-
         _in_parts(lift, group, state.worker)
-        squares += map(sum, zip(*_in_parts(fold, state.flat, state.worker)))
+        squares += _fold(state, group)
     state.squares["r_graph"] = squares
 
 
@@ -582,11 +577,9 @@ def _admm(Y, observed, params, low_rank_block, graphs=None):
     return DecompositionResult(
         L=state.L,
         S=state.S,
-        iterations=len(residual_history),
         residual_history=residual_history,
         objective_history=objective_history,
         wall_time=time.perf_counter() - start,
-        svd_history=state.svd_history,
         converged=converged,
         params=params,
     )

@@ -126,7 +126,6 @@ def test_criterion_4_speedup_mechanism():
         assert fast.iterations == slow.iterations == 60
         assert mid["svd"] - before["svd"] == 0  # zero SVDs in the graph solver
         assert after["svd"] - mid["svd"] == Y.ndim * 60
-        assert slow.svd_history == [Y.ndim] * 60
         ratios.append(slow.wall_time / fast.wall_time)
     ratio = float(np.median(ratios))
     report(

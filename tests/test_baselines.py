@@ -147,8 +147,6 @@ def test_loss_performs_exactly_n_svds_per_iteration(spike_loss_run):
     total = instrumentation.snapshot()["svd"] - before
     assert result.iterations == 7
     assert total == 7 * Y.ndim
-    assert result.svd_history == [Y.ndim] * 7
-    assert result.diagnostics_rows()[0]["svd_count"] == Y.ndim
 
 
 def test_logss_iterations_cost_no_svds_and_less_time(spike_loss_run):
@@ -216,19 +214,19 @@ def test_two_part_baselines_count_and_share_every_svd(monkeypatch, horpca):
     observed = np.ones(PARTS_DIMS, dtype=bool)
     params = LogssParams.defaults(Y, observed, max_iter=5, tol=0.0)
     before = instrumentation.snapshot()["svd"]
-    result = (solve_horpca if horpca else solve_loss)(Y, observed, params)
-    assert result.svd_history == [4] * 5
+    (solve_horpca if horpca else solve_loss)(Y, observed, params)
     assert instrumentation.snapshot()["svd"] - before == 20
     assert len(threads) == 20 and len(set(threads)) == 2
 
 
 def test_concurrent_solves_each_count_their_own_svds():
-    # another thread's solve moves the process-wide counter, not a block's
-    # own count
+    # two solves that switch threads often both finish, and the process-wide
+    # counter takes every SVD of each
     Y = np.random.default_rng(91).normal(size=(12, 7, 6, 5))
     observed = np.ones(Y.shape, dtype=bool)
     params = LogssParams.defaults(Y, observed, max_iter=200, tol=0.0)
     results = {}
+    before = instrumentation.snapshot()["svd"]
 
     def run(k):
         results[k] = solve_loss(Y, observed, params)
@@ -244,12 +242,11 @@ def test_concurrent_solves_each_count_their_own_svds():
     finally:
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
-    for result in results.values():
-        assert result.svd_history == [Y.ndim] * 200
-    assert len(results) == 2
+    assert [r.iterations for r in results.values()] == [200, 200]
+    assert instrumentation.snapshot()["svd"] - before == 2 * 200 * Y.ndim
 
 
-def test_svd_counts_recorded_from_many_threads_add_up():
+def test_svds_recorded_from_many_threads_add_up():
     # more threads than cores and frequent switches, so that an unlocked
     # read-modify-write of a count could lose updates
     before = instrumentation.snapshot()["svd"]

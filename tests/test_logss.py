@@ -516,8 +516,6 @@ def test_result_carries_the_params_the_run_used():
     params = make_params(max_iter=3, tol=0.0)
     result = solve(Y, observed, graphs, params)
     assert result.params is params
-    assert result.svd_history == []
-    assert "svd_count" not in result.diagnostics_rows()[0]
     defaults = LogssParams.defaults(Y, observed, max_iter=3)
     assert solve(Y, observed, graphs, defaults).params == defaults
 
@@ -711,7 +709,6 @@ def assert_two_parts_on_one_cpu_match_two_cpus(monkeypatch, solver, Y, observed,
     assert np.array_equal(one_cpu.L, two_cpus.L) and np.array_equal(one_cpu.S, two_cpus.S)
     assert one_cpu.residual_history == two_cpus.residual_history
     assert one_cpu.objective_history == two_cpus.objective_history
-    assert one_cpu.svd_history == two_cpus.svd_history
     return two_cpus
 
 
@@ -726,7 +723,6 @@ def test_two_parts_match_one_part(monkeypatch, solver, masked):
                                                      graphs, params)
     assert np.array_equal(one.L, two.L) and np.array_equal(one.S, two.S)
     assert one.objective_history == two.objective_history
-    assert one.svd_history == two.svd_history
     # two parts add their sums of squares, so the norms may differ in bits
     for a, b in zip(one.residual_history, two.residual_history, strict=True):
         assert b == pytest.approx(a, rel=1e-13, abs=0)
@@ -973,9 +969,9 @@ def test_a_nan_in_one_part_raises_at_its_iteration(monkeypatch, solver, flat_ind
 
 @pytest.mark.parametrize("mode", [1, 2, 3, 4])
 def test_a_raising_lift_ends_a_two_part_solve_and_its_worker(monkeypatch, mode):
-    # the lifts enter their sum in mode order, so a part whose lift is done
-    # waits for the lower modes; a lift that raises must end that wait, or
-    # the solve would hang instead of raising
+    # a lift that raises on either part, after the other part's lift is done,
+    # ends the solve with its exception and joins the solve's worker; the
+    # solve must not hang
     Y, observed, graphs = parts_instance(masked=False)
     force_parts(monkeypatch, 2, cpus=2)
     real = logss.mode_n_product
@@ -1031,6 +1027,43 @@ def test_concurrent_two_part_solves_sum_their_lifts_in_mode_order(monkeypatch):
     for result in results.values():
         assert np.array_equal(result.L, reference.L) and np.array_equal(result.S, reference.S)
         assert result.residual_history == reference.residual_history
+
+
+@pytest.mark.parametrize("parts", [1, 2], ids=["one_part", "two_parts"])
+@pytest.mark.parametrize("group", [
+    [(1, "scratch0")],
+    [(3, "scratch0"), (4, "scratch1")],
+    [(1, "lift_sum"), (2, "G1"), (3, "G2"), (4, "G3")],
+], ids=["one_term", "two_terms", "first_term_is_the_sum"])
+def test_fold_matches_a_plain_loop_in_one_part_and_two(monkeypatch, parts, group):
+    # the LOGSS lifts live in the scratch, whose first tensor also takes the
+    # residuals; the SVT block's first term is lift_sum itself, so mode 1's
+    # step must read it before any other term is added
+    force_parts(monkeypatch, parts)
+    rng = np.random.default_rng(96)
+    state = SolverState.zeros(np.zeros(PARTS_DIMS), np.ones(PARTS_DIMS, dtype=bool),
+                              make_params(), None)
+    assert len(state.flat) == parts and state.lift_sum is state.G[0]
+    tensors = {"scratch0": state.scratch[0], "scratch1": state.scratch[1],
+               "lift_sum": state.lift_sum, "G1": state.G[1], "G2": state.G[2],
+               "G3": state.G[3]}
+    for a in [state.L, *state.gamma4, *tensors.values()]:
+        a[...] = rng.normal(size=PARTS_DIMS)
+    terms = [(n, tensors[name]) for n, name in group]
+    total, gamma4, squares = state.lift_sum.copy(), [g.copy() for g in state.gamma4], []
+    for n, term in terms:
+        total = term.copy() if n == 1 else total + term
+        r = state.L - term
+        gamma4[n - 1] -= r
+        squares.append(float(np.vdot(r, r)))
+
+    with ThreadPoolExecutor(max_workers=1) as state.worker:
+        got = logss._fold(state, terms)
+    assert np.array_equal(state.lift_sum, total)
+    for mine, theirs in zip(state.gamma4, gamma4, strict=True):
+        assert np.array_equal(mine, theirs)
+    # two parts add their sums of squares
+    assert got == pytest.approx(squares, rel=1e-13, abs=0)
 
 
 # a 3-iteration solve's tracemalloc peak, in tensors of Y's size, above
@@ -1229,7 +1262,6 @@ def test_two_part_solves_in_two_threads_give_the_bits_of_serial_ones(monkeypatch
         assert np.array_equal(result.L, serial.L) and np.array_equal(result.S, serial.S)
         assert result.residual_history == serial.residual_history
         assert result.objective_history == serial.objective_history
-        assert result.svd_history == serial.svd_history
     assert stsad_threads() == []
 
 
@@ -1353,7 +1385,6 @@ def test_unobserved_entries_of_y_change_no_bit(solver):
         assert other.S.tobytes() == base.S.tobytes()
         assert other.residual_history == base.residual_history
         assert other.objective_history == base.objective_history
-        assert other.svd_history == base.svd_history
 
 
 @pytest.mark.parametrize(
