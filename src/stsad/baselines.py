@@ -51,7 +51,8 @@ def _svt_block(state):
     thresholding, so the objective costs no extra SVDs.  The parts take the
     modes largest first (:func:`_per_mode`); then :func:`_fold` takes each
     mode's consensus dual step and makes G^1, the state's ``lift_sum``, the
-    sum of all G^n in mode order.
+    sum of all G^n in mode order.  Returns the penalty and the steps' sums of
+    squares, one per mode.
     """
     tau = state.params.theta / state.params.beta4
 
@@ -65,9 +66,7 @@ def _svt_block(state):
         np.copyto(G, fold(low, n, G.shape))
         return nuclear
 
-    nuclear = _per_mode(state, mode)
-    state.squares["r_graph"] = _fold(state, list(enumerate(state.G, start=1)))
-    return sum(nuclear)
+    return sum(_per_mode(state, mode)), _fold(state, list(enumerate(state.G, start=1)))
 
 
 def solve_loss(Y, observed, params=None):

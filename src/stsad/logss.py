@@ -26,7 +26,7 @@ import contextvars
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,11 +126,10 @@ class SolverState:
     update turns into the sum of the lifts and the gamma4 in place.  Each lift
     lives only in a ``scratch`` tensor (two work tensors) for its group of
     modes (:func:`_lifted_graph_terms`), until :func:`_fold` adds it to the
-    sum and takes its consensus dual step; the low-rank block and
-    :func:`update_tv_aux` record the sums of squares of the residuals whose
-    dual steps they take in ``squares`` (``r_graph``, one per mode, and
-    ``r_tv``), which :func:`update_duals` reads.  For LOGSS that is 15 tensors of Y's size: Y, L, S, W, Z,
-    gamma1..gamma3, N = 4 gamma4, ``lift_sum`` and the scratch.
+    sum and takes its consensus dual step.  The state holds no residual: the
+    blocks that take dual steps return their sums of squares to :func:`_admm`.
+    For LOGSS that is 15 tensors of Y's size: Y, L, S, W, Z, gamma1..gamma3,
+    N = 4 gamma4, ``lift_sum`` and the scratch.
     For the baselines ``graphs`` and ``projectors`` are None and ``G``
     holds full-shape per-mode low-rank tensors, of which the first is also
     ``lift_sum`` (18 tensors).  ``flat`` and ``columns`` hold one view
@@ -161,7 +160,6 @@ class SolverState:
     columns: tuple
     graphs: list | None = None
     projectors: list[np.ndarray] | None = None
-    squares: dict = field(default_factory=dict)
     worker: object = None
 
     @classmethod
@@ -306,7 +304,7 @@ def _fold(state, terms):
     over the flat parts (:func:`_in_parts`).  Each step reads its term before
     the next term is added, so mode 1's term may be ``lift_sum`` itself.
     Returns each mode's sum of squares of its residual; two parts add theirs,
-    as :func:`update_duals` adds its own."""
+    as every block that takes a dual step does."""
     def part(v):
         total, r, squares = v(state.lift_sum), v(state.scratch[0]), []
         for n, term in terms:
@@ -326,8 +324,7 @@ def _fold(state, terms):
 def _lifted_graph_terms(state):
     """Lifts each G^n back to full shape, G^n x_n P_hat_n, adds the lifts to
     ``state.lift_sum`` and takes each mode's consensus dual step
-    (:func:`_fold`), recording its sum of squares in
-    ``state.squares["r_graph"]``.
+    (:func:`_fold`).  Returns the steps' sums of squares, one per mode.
 
     The modes go in groups of one per part, in mode order: (1, 2), then
     (3, 4), for two parts.  Each part lifts its mode of the group into its own
@@ -342,7 +339,7 @@ def _lifted_graph_terms(state):
         group = list(zip(modes[first - 1:], lifts))
         _in_parts(lift, group, state.worker)
         squares += _fold(state, group)
-    state.squares["r_graph"] = squares
+    return squares
 
 
 def update_low_rank(state):
@@ -431,9 +428,8 @@ def update_smooth_aux(state):
 def update_tv_aux(state):
     """Shrinkage update of the mode-1 difference variable Z, then the dual
     step of its constraint Z = delta W: forms delta W in ``state.scratch[1]``,
-    leaves the residual delta W - Z there, and records its sum of squares,
-    taken over the flat halves as :func:`update_duals` takes its own, in
-    ``state.squares["r_tv"]``."""
+    leaves the residual delta W - Z there, and returns its sum of squares,
+    taken over the flat halves as :func:`update_duals` takes its own."""
     p = state.params
 
     def part(v):
@@ -448,17 +444,14 @@ def update_tv_aux(state):
         return float(np.vdot(r, r))
 
     _in_parts(part, state.columns, state.worker)
-    state.squares["r_tv"] = sum(_in_parts(squares, state.flat, state.worker))
+    return sum(_in_parts(squares, state.flat, state.worker))
 
 
 def update_duals(state):
     """Dual ascent on the data and S = W constraints, in place on gamma1 and
     gamma3 (the low-rank block and :func:`update_tv_aux` take the other
-    steps, where their residuals are formed, and record their sums of
-    squares in ``state.squares``).
-
-    Returns the primal residual norms used both for the stopping rule and
-    the diagnostics.
+    steps, where their residuals are formed).  Returns the two residuals'
+    sums of squares, ``[r_data^2, r_sw^2]``; two parts add theirs.
     """
     def part(v):
         # each residual is written to r, subtracted from its dual, then its
@@ -476,14 +469,7 @@ def update_duals(state):
         squares.append(float(np.vdot(r, r)))
         return squares
 
-    # sqrt(r.r) is np.linalg.norm(r) bit for bit; two parts add their sums
-    r_data, r_sw = (sum(sq) for sq in zip(*_in_parts(part, state.flat, state.worker)))
-    return {
-        "r_data": math.sqrt(r_data),
-        "r_tv": math.sqrt(state.squares["r_tv"]),
-        "r_sw": math.sqrt(r_sw),
-        "r_graph_max": max(map(math.sqrt, state.squares["r_graph"])),
-    }
+    return [sum(sq) for sq in zip(*_in_parts(part, state.flat, state.worker))]
 
 
 def objective_value(state, low_rank_penalty):
@@ -519,10 +505,8 @@ def _check_finite(residuals, iteration):
 def _graph_block(state):
     """LOGSS low-rank block: ridge projections onto the graph eigenbases.  Writes
     G and the sum of its lifts and takes the gamma4 steps; returns the graph
-    energy."""
-    energy = update_graph_coeffs(state)
-    _lifted_graph_terms(state)
-    return energy
+    energy and the steps' sums of squares."""
+    return update_graph_coeffs(state), _lifted_graph_terms(state)
 
 
 def _admm(Y, observed, params, low_rank_block, graphs=None):
@@ -531,10 +515,12 @@ def _admm(Y, observed, params, low_rank_block, graphs=None):
     ``low_rank_block(state)`` (:func:`_graph_block`, or the baselines' SVT
     block) writes ``state.G`` and the sum of the consensus terms tied to L
     to ``state.lift_sum``, takes each mode's consensus dual step on
-    ``state.gamma4``, records the steps' sums of squares in
-    ``state.squares["r_graph"]`` and returns its penalty term; ``graphs``
-    sizes G (None: full shape per mode).  All other blocks, the histories and
-    the stopping rule are common.
+    ``state.gamma4`` and returns its penalty term and the steps' sums of
+    squares, one per mode; ``graphs`` sizes G (None: full shape per mode).
+    All other blocks, the histories and the stopping rule are common.  The
+    loop forms each iteration's residual record, which they read, from the
+    sums of squares that the blocks taking dual steps return (sqrt(r.r) is
+    np.linalg.norm(r) bit for bit), with the largest of the N graph norms.
     """
     Y = np.asarray(Y, dtype=float)
     observed = np.asarray(observed, dtype=bool)
@@ -561,11 +547,13 @@ def _admm(Y, observed, params, low_rank_block, graphs=None):
     with worker as state.worker:
         for t in range(1, params.max_iter + 1):
             update_low_rank(state)
-            penalty = low_rank_block(state)
+            penalty, graph = low_rank_block(state)
             update_sparse(state)
             update_smooth_aux(state)
-            update_tv_aux(state)
-            residuals = update_duals(state)
+            tv = update_tv_aux(state)
+            data, sw = update_duals(state)
+            residuals = {"r_data": math.sqrt(data), "r_tv": math.sqrt(tv),
+                         "r_sw": math.sqrt(sw), "r_graph_max": max(map(math.sqrt, graph))}
 
             _check_finite(residuals, t)
             residual_history.append(residuals)

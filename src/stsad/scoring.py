@@ -117,8 +117,16 @@ def score_sparse_tensor(S, h_fraction=0.75):
     )
 
 
+def _percent_count(k_percent, n):
+    """ceil(k% of n), but a count within 1e-12 of a whole number is that number (7% of
+    100 is 7, not ceil(7.000000000000001)), and a k% of n that underflows is 1, not 0."""
+    x = k_percent * n
+    whole = round(x / 100)
+    return whole if math.isclose(x, 100 * whole, rel_tol=1e-12) else int(-(-x // 100))
+
+
 def top_k_mask(scores, k_percent):
-    """Boolean mask of the ceil(k% of all elements) highest scores.
+    """Boolean mask of the ceil(k% of all elements) (:func:`_percent_count`) highest scores.
 
     Ties at the cutoff are broken by lexicographic index order, so the mask
     is deterministic and its size exact.
@@ -126,7 +134,7 @@ def top_k_mask(scores, k_percent):
     scores = np.asarray(scores)
     if not 0 < k_percent <= 100:
         raise ValueError(f"K percent must be in (0, 100], got {k_percent}")
-    count = math.ceil(k_percent / 100.0 * scores.size)
+    count = _percent_count(k_percent, scores.size)
     flat = scores.ravel()                   # C order == lexicographic indices
     order = np.argsort(-flat, kind="stable")
     mask = np.zeros(scores.size, dtype=bool)

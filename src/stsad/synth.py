@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .scoring import _percent_count
+
 __all__ = [
     "SynthConfig",
     "GroundTruth",
@@ -131,13 +133,13 @@ def inject_noise(T, seed, mean=1.0, var=0.5):
 
 
 def _fibers(shape, percent, name, rng):
-    """``ceil(percent %)`` of the mode-1 fibers of ``shape``, drawn without
-    replacement, as index tuples over modes 2..N."""
+    """``ceil(percent %)`` (:func:`.scoring._percent_count`) of the mode-1 fibers
+    of ``shape``, drawn without replacement, as index tuples over modes 2..N."""
     if not 0 <= percent <= 100:  # NaN fails too
         raise ValueError(f"{name} must be a percentage in [0, 100], got {percent}")
     fiber_dims = shape[1:]
     total = math.prod(fiber_dims)
-    count = math.ceil(percent / 100.0 * total)
+    count = _percent_count(percent, total)
     chosen = rng.choice(total, size=count, replace=False) if count else []
     return [np.unravel_index(flat, fiber_dims) for flat in chosen]
 

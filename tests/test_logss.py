@@ -24,7 +24,7 @@ from conftest import (
 
 import stsad
 from stsad import baselines, instrumentation, logss
-from stsad.baselines import _svt_with_norm, solve_loss
+from stsad.baselines import _svt_with_norm, solve_loss, svt
 from stsad.logss import (
     LogssParams,
     NumericalError,
@@ -326,14 +326,14 @@ def test_update_tv_aux():
     graphs = stub_graphs(DIMS, RANKS, seed=28)
     state = random_state(DIMS, params, graphs, seed=29)
     gamma2 = state.gamma2.copy()
-    update_tv_aux(state)
+    r_tv = update_tv_aux(state)
     w_diff = mode_n_product(state.W, build_diff_operator(DIMS[0]), 1)
     assert np.allclose(state.Z, w_diff - gamma2)
     # then the dual step of Z = delta W, whose residual stays in scratch[1]
     residual = w_diff - state.Z
     assert np.array_equal(state.scratch[1], residual)
     assert np.array_equal(state.gamma2, gamma2 - residual)
-    assert state.squares["r_tv"] == pytest.approx(np.vdot(residual, residual))
+    assert r_tv == pytest.approx(np.vdot(residual, residual))
 
     # constant along mode 1: circular differences vanish
     state = random_state(DIMS, make_params(gamma=2.0), graphs, seed=29)
@@ -355,10 +355,10 @@ def test_update_tv_aux_matches_grid_prox():
 
 
 def refresh_consensus_terms(state):
-    # what the loop's G and Z blocks leave in the state for the dual update:
-    # the gamma4 and gamma2 steps and their residuals' sums of squares
-    _lifted_graph_terms(state)
-    update_tv_aux(state)
+    # what the loop's G and Z blocks do before the dual update: the gamma4
+    # and gamma2 steps; returns their residuals' sums of squares, the per-mode
+    # list and r_tv^2
+    return _lifted_graph_terms(state), update_tv_aux(state)
 
 
 def test_update_duals_fixed_point_and_residuals():
@@ -389,37 +389,34 @@ def test_update_duals_fixed_point_and_residuals():
         "gamma3": state.gamma3.copy(),
         "gamma4": np.stack(state.gamma4),
     }
-    refresh_consensus_terms(state)
-    residuals = update_duals(state)
-    assert max(residuals.values()) <= 1e-10
+    graph, tv = refresh_consensus_terms(state)
+    data, sw = update_duals(state)
+    assert max(graph + [tv, data, sw]) <= 1e-20
     for key, val in before.items():
         assert np.allclose(np.stack(getattr(state, key)), val, atol=1e-10)
 
     # all-zero state: first dual step absorbs the observed data
     zero = SolverState.zeros(Y, observed, params, graphs)
     refresh_consensus_terms(zero)
-    residuals = update_duals(zero)
+    data, _ = update_duals(zero)
     assert np.allclose(zero.gamma1, project_support(Y, observed))
-    assert residuals["r_data"] == pytest.approx(
-        np.linalg.norm(project_support(Y, observed))
-    )
+    assert data == pytest.approx(np.linalg.norm(project_support(Y, observed)) ** 2)
 
-    # random state: reported norms match independent recomputation
+    # random state: returned sums of squares match independent recomputation
     state = random_state(DIMS, params, graphs, seed=33, Y=Y, observed=observed)
-    refresh_consensus_terms(state)
-    residuals = update_duals(state)
-    assert residuals["r_data"] == pytest.approx(
-        np.linalg.norm(project_support(state.L + state.S - Y, observed))
+    graph, tv = refresh_consensus_terms(state)
+    data, sw = update_duals(state)
+    assert data == pytest.approx(
+        np.linalg.norm(project_support(state.L + state.S - Y, observed)) ** 2
     )
-    assert residuals["r_tv"] == pytest.approx(
-        np.linalg.norm(mode_n_product(state.W, build_diff_operator(DIMS[0]), 1) - state.Z)
+    assert tv == pytest.approx(
+        np.linalg.norm(mode_n_product(state.W, build_diff_operator(DIMS[0]), 1) - state.Z) ** 2
     )
-    assert residuals["r_sw"] == pytest.approx(np.linalg.norm(state.S - state.W))
-    expected_graph = max(
-        np.linalg.norm(state.L - mode_n_product(state.G[n - 1], g.basis, n))
+    assert sw == pytest.approx(np.linalg.norm(state.S - state.W) ** 2)
+    assert graph == pytest.approx([
+        np.linalg.norm(state.L - mode_n_product(state.G[n - 1], g.basis, n)) ** 2
         for n, g in enumerate(graphs, start=1)
-    )
-    assert residuals["r_graph_max"] == pytest.approx(expected_graph)
+    ])
 
 
 def test_solve_zero_data_is_fixed_point():
@@ -960,7 +957,7 @@ def test_a_nan_in_one_part_raises_at_its_iteration(monkeypatch, solver, flat_ind
     def patched(state):
         if next(calls) == 3:
             state.gamma2.reshape(-1)[flat_index] = np.nan
-        real(state)
+        return real(state)
 
     monkeypatch.setattr(logss, "update_tv_aux", patched)
     with pytest.raises(NumericalError, match=r"^non-finite r_tv at iteration 3$"):
@@ -1064,6 +1061,47 @@ def test_fold_matches_a_plain_loop_in_one_part_and_two(monkeypatch, parts, group
         assert np.array_equal(mine, theirs)
     # two parts add their sums of squares
     assert got == pytest.approx(squares, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("parts", [1, 2], ids=["one_part", "two_parts"])
+@pytest.mark.parametrize("solver", ["logss", "loss"])
+def test_dual_step_blocks_return_their_residual_sums_in_one_part_and_two(monkeypatch,
+                                                                        solver, parts):
+    # the loop forms its residual record from what the blocks return, so each
+    # block's sums of squares must be those of the residuals it stepped on
+    force_parts(monkeypatch, parts)
+    graphs = stub_graphs(PARTS_DIMS, (3, 2, 4, 3), seed=97) if solver == "logss" else None
+    rng = np.random.default_rng(98)
+    state = SolverState.zeros(rng.normal(size=PARTS_DIMS), rng.random(PARTS_DIMS) < 0.7,
+                              make_params(), graphs)
+    assert len(state.flat) == parts
+    for a in [state.L, state.S, state.W, state.Z, state.gamma2, state.gamma3,
+              *state.gamma4]:
+        a[...] = rng.normal(size=PARTS_DIMS)
+    tau = state.params.theta / state.params.beta4
+    # the SVT block's G^n, from L and gamma4 as they are before its steps
+    svt_terms = [fold(svt(unfold(state.L - g, n), tau), n, PARTS_DIMS)
+                 for n, g in enumerate(state.gamma4, start=1)]
+
+    with ThreadPoolExecutor(max_workers=1) as state.worker:
+        if solver == "logss":
+            _, graph = logss._graph_block(state)
+            terms = [mode_n_product(state.G[n - 1], g.basis, n)
+                     for n, g in enumerate(graphs, start=1)]
+        else:
+            _, graph = baselines._svt_block(state)
+            terms = svt_terms
+        tv = update_tv_aux(state)
+        data, sw = update_duals(state)
+
+    w_diff = mode_n_product(state.W, build_diff_operator(PARTS_DIMS[0]), 1)
+    expected = [
+        *(np.linalg.norm(state.L - term) ** 2 for term in terms),
+        np.linalg.norm(w_diff - state.Z) ** 2,
+        np.linalg.norm(project_support(state.L + state.S - state.Y, ~state.missing)) ** 2,
+        np.linalg.norm(state.S - state.W) ** 2,
+    ]
+    assert [*graph, tv, data, sw] == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 # a 3-iteration solve's tracemalloc peak, in tensors of Y's size, above

@@ -11,6 +11,7 @@ import os
 import re
 import shutil
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,10 +72,16 @@ def test_mode_products_on_different_modes_commute(T, data):
                   elements=st.floats(-1e6, 1e6) | st.integers(-2, 2).map(float)),
     k=st.floats(0, 100, exclude_min=True),
 )
+@example(scores=np.arange(100.0).reshape(4, 5, 5), k=7.0)
+@example(scores=np.arange(7.0), k=100 / 7)
 def test_top_k_mask_selects_exactly_the_ceiling_count_of_top_scores(scores, k):
     mask = top_k_mask(scores, k)
     assert mask.shape == scores.shape
-    assert mask.sum() == math.ceil(k / 100.0 * scores.size)
+    # ceil of the exact k% of the size, or the whole number that it is within
+    # float rounding of (7% of 100 is 7, though 7 / 100 * 100 is not)
+    exact = Fraction(k) * scores.size / 100
+    count = mask.sum()
+    assert count == math.ceil(exact) or abs(count - exact) <= 2e-12 * count
     if 0 < mask.sum() < scores.size:
         assert scores[mask].min() >= scores[~mask].max()
 

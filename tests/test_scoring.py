@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from stsad.scoring import (
     LARGE_SCORE,
     FiberScoreField,
+    _percent_count,
     score_sparse_tensor,
     top_k_mask,
     univariate_mcd,
@@ -156,11 +158,26 @@ def test_top_k_mask_full_and_single():
 def test_top_k_mask_tie_handling_deterministic():
     rng = np.random.default_rng(6)
     scores = rng.integers(0, 4, size=(4, 4, 4, 4)).astype(float)  # many ties
-    for k in (3.0, 17.0, 50.0):
-        expected = math.ceil(k / 100.0 * scores.size)
+    for k, expected in ((3.0, 8), (17.0, 44), (50.0, 128)):  # of 256
         first = top_k_mask(scores, k)
         assert first.sum() == expected
         assert np.array_equal(first, top_k_mask(scores.copy(), k))
+
+
+@pytest.mark.parametrize("n", [1, 7, 99, 100, 700, 1001, 2016, 2999, 8736, 8736 * 263])
+def test_percent_count_is_the_exact_decimal_count(n):
+    # every k in 0.1, 0.2, ..., 100.0 against exact decimal arithmetic; in
+    # floats 7 / 100 * 100 is 7.000000000000001
+    for i in range(1, 1001):
+        assert _percent_count(i / 10, n) == math.ceil(Fraction(i * n, 1000)), (i / 10, n)
+    assert _percent_count(100 / n, n) == 1
+    assert _percent_count(0.0, n) == 0
+
+
+def test_top_k_mask_marks_k_percent_when_it_is_a_whole_count():
+    assert top_k_mask(np.arange(100.0), 7).sum() == 7
+    assert top_k_mask(np.arange(7.0), 100 / 7).sum() == 1
+    assert top_k_mask(np.arange(100.0), 7.01).sum() == 8
 
 
 def test_top_k_masks_are_nested():

@@ -84,11 +84,10 @@ def test_inject_anomalies_constant_fiber_arithmetic():
 
 def test_inject_anomalies_label_counts_across_seeds():
     T = np.random.default_rng(7).uniform(1, 2, size=DIMS)
-    fibers_total = math.prod(DIMS[1:])
     for seed in range(5):
         m = 10.0
         out, truth = inject_anomalies(T, c=1.5, l=4, m=m, seed=seed)
-        selected = math.ceil(m / 100.0 * fibers_total)
+        selected = 8  # ceil(10% of the 4 * 6 * 3 = 72 fibers)
         assert len(truth.injected_intervals) == selected
         assert truth.anomaly_mask.sum() == selected * 4
         fibers = {f for f, *_ in truth.injected_intervals}
@@ -145,7 +144,7 @@ def test_anomalous_fraction_matches_formula():
     T = np.random.default_rng(10).uniform(1, 2, size=(10, 5, 6, 4))
     m, l = 15.0, 4
     _, truth = inject_anomalies(T, c=2.0, l=l, m=m, seed=11)
-    selected = math.ceil(m / 100.0 * 5 * 6 * 4)
+    selected = 18  # 15% of 120 fibers, exactly
     assert truth.anomaly_mask.mean() == pytest.approx(selected * l / T.size)
 
 
@@ -164,12 +163,19 @@ def test_apply_missing_counts_and_consistency():
     T = np.random.default_rng(13).uniform(1, 2, size=DIMS)
     P = 30.0
     out, observed = apply_missing(T, P, seed=14)
-    fibers_total = math.prod(DIMS[1:])
-    expected = math.ceil(P / 100.0 * fibers_total)
+    expected = 22  # ceil(30% of the 72 fibers)
     missing_fibers = (~observed).all(axis=0).sum()
     assert missing_fibers == expected
     assert ((~observed).any(axis=0) == (~observed).all(axis=0)).all()  # whole fibers
     assert np.array_equal(out == 0.0, ~observed)
+
+
+def test_a_whole_percent_count_of_fibers_is_not_rounded_up():
+    # 7% of 700 fibers is 49, though 7 / 100 * 700 is 49.00000000000001 in floats
+    _, observed = apply_missing(np.ones((2, 7, 100)), 7.0, seed=15)
+    assert (~observed).all(axis=0).sum() == 49
+    _, truth = inject_anomalies(np.ones((4, 7, 100)), c=1.0, l=2, m=7.0, seed=16)
+    assert len(truth.injected_intervals) == 49
 
 
 def test_synth_config_validation():
