@@ -40,12 +40,23 @@ def _input(cfg, name):
 
 
 def _load(cfg, *names):
-    """The stage inputs ``names``, omega.txt and labels.txt as masks, of one shape."""
+    """The stage inputs ``names``, omega.txt and labels.txt as masks, of one
+    shape.  The support must hold an entry and, where the labels come with
+    it, both classes: the AUC is taken over it."""
     arrays = [(load_mask if name in ("omega.txt", "labels.txt") else load_tensor)(
         _input(cfg, name)) for name in names]
     if len({a.shape for a in arrays}) > 1:
         raise ValueError("dims differ: " + ", ".join(
             f"{name} {a.shape}" for name, a in zip(names, arrays)))
+    inputs = dict(zip(names, arrays))
+    observed, labels = inputs.get("omega.txt"), inputs.get("labels.txt")
+    if observed is not None and not observed.any():
+        raise ValueError(f"{_out(cfg, 'omega.txt')}: no observed entries")
+    if observed is not None and labels is not None:
+        positive, n = np.count_nonzero(labels[observed]), np.count_nonzero(observed)
+        if positive in (0, n):
+            raise ValueError(f"{_out(cfg, 'labels.txt')}: {positive} of the {n} observed "
+                             "labels are positive; the AUC needs both classes")
     return arrays
 
 
@@ -114,10 +125,11 @@ def _read_scores_csv(path, dims):
         if line.rstrip("\r\n") != header:
             raise ValueError(f"{path}:1: header {line!r} is not {header}")
         table = _read_table(fh, path, len(dims) + 1, ",", index_ok)
-    scores = np.full(dims, np.nan)
-    scores[tuple(table[:, :-1].astype(np.intp).T)] = table[:, -1]
-    if np.isnan(scores).any():
+    # index_ok rules out repeats, so the rows cover the tensor when they are as many
+    if len(table) != np.prod(dims):
         raise ValueError(f"{path}: does not cover all {dims} elements")
+    scores = np.empty(dims)
+    scores[tuple(table[:, :-1].astype(np.intp).T)] = table[:, -1]
     return scores
 
 
@@ -184,14 +196,13 @@ def _load_graphs(cfg):
 
 def _decompose(solver, cfg, Y, observed, graphs):
     """Run one solver on (Y, observed); ``graphs`` is needed by logss only."""
-    # resolved for every solver, so raw-ee checks the support against Y too
-    params = logss.LogssParams.defaults(Y, observed, **library_args(cfg, "solver"))
     if solver == "raw-ee":
         # passthrough: downstream stages score the raw tensor
         return logss.DecompositionResult(
             L=np.zeros(Y.shape), S=Y, residual_history=[], objective_history=[],
-            wall_time=0.0, converged=True, params=params,
+            wall_time=0.0, converged=True,
         )
+    params = logss.LogssParams.defaults(Y, observed, **library_args(cfg, "solver"))
     if solver == "logss":
         return logss.solve(Y, observed, graphs, params)
     run = baselines.solve_loss if solver == "loss" else baselines.solve_horpca
@@ -237,21 +248,8 @@ def run_score(cfg):
     print(f"score: wrote scores for {S.shape}")
 
 
-def _check_both_classes(labels_path, labels, observed):
-    # the AUC is taken over the observed support; an empty one is reported by
-    # the solvers and by evaluate
-    if observed.any():
-        positive, n = np.count_nonzero(labels[observed]), np.count_nonzero(observed)
-        if positive in (0, n):
-            raise ValueError(f"{labels_path}: {positive} of the {n} observed labels are "
-                             "positive; the AUC needs both classes")
-
-
 def run_evaluate(cfg):
     observed, labels = _load(cfg, "omega.txt", "labels.txt")
-    if not observed.any():
-        raise ValueError(f"{_out(cfg, 'omega.txt')}: no observed entries")
-    _check_both_classes(_out(cfg, "labels.txt"), labels, observed)
     scores = _read_scores_csv(_input(cfg, "scores.csv"), labels.shape)
     ls = labeled_scores(scores, labels, observed)
     auc = roc_auc(ls)
@@ -273,7 +271,6 @@ def run_evaluate(cfg):
 
 def run_bench(cfg):
     Y, observed, labels = _load(cfg, "Y.txt", "omega.txt", "labels.txt")
-    _check_both_classes(_out(cfg, "labels.txt"), labels, observed)
     graphs = None
     if "logss" in cfg["bench_solvers"]:
         graphs = build_mode_graphs(Y, **library_args(cfg, "graphs"))
@@ -319,7 +316,8 @@ def main(argv=None):
     for stage in STAGES:
         p = sub.add_parser(stage)
         p.add_argument("--config", required=True, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="override seed (synth only)")
+        if stage == "synth":
+            p.add_argument("--seed", type=int, help="override the config's seed")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -327,7 +325,7 @@ def main(argv=None):
         return 1 if exc.code else 0
 
     try:
-        cfg = config_for_stage(args.config, args.stage, seed_override=args.seed)
+        cfg = config_for_stage(args.config, args.stage, getattr(args, "seed", None))
         try:
             os.makedirs(cfg["output_dir"], exist_ok=True)
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path

@@ -146,20 +146,16 @@ def config_for_stage(path, stage, seed_override=None):
                 raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from exc
     if cfg["bench_repeats"] < 2:
         raise ConfigError(f"{path}: bench_repeats must be at least 2")
-    if stage == "evaluate":
-        ks = cfg["k_list"]
-        bad = [k for k in ks if not 0 < k <= 100]  # NaN included
-        twice = [k for i, k in enumerate(ks) if k in ks[:i]]  # detection.json counts by K
-        if bad or twice or not ks:
-            why = (f"K percent must be in (0, 100], got {bad[0]}" if bad
-                   else f"K {twice[0]} is listed twice" if twice else "K list is empty")
-            raise ConfigError(f"{path}: bad value for 'k_list': {why}")
-    if stage == "evaluate" and cfg["events_csv"]:
-        needed = [k for k in ("zone_file", "year") if cfg[k] is None]
-        if needed:
-            raise ConfigError(
-                f"{path}: events_csv requires keys: {', '.join(needed)}"
-            )
+    ks = cfg["k_list"]
+    bad = [k for k in ks if not 0 < k <= 100]  # NaN included
+    twice = [k for i, k in enumerate(ks) if k in ks[:i]]  # detection.json counts by K
+    if bad or twice or not ks:
+        why = (f"K percent must be in (0, 100], got {bad[0]}" if bad
+               else f"K {twice[0]} is listed twice" if twice else "K list is empty")
+        raise ConfigError(f"{path}: bad value for 'k_list': {why}")
+    needed = [k for k in ("zone_file", "year") if cfg[k] is None]
+    if cfg["events_csv"] and needed:
+        raise ConfigError(f"{path}: events_csv requires keys: {', '.join(needed)}")
     if not cfg["bench_solvers"]:
         raise ConfigError(f"{path}: bench_solvers names no solver")
     unknown = [s for s in cfg["bench_solvers"] if s not in _SOLVERS]

@@ -524,8 +524,6 @@ def _admm(Y, observed, params, low_rank_block, graphs=None):
     """
     Y = np.asarray(Y, dtype=float)
     observed = np.asarray(observed, dtype=bool)
-    if observed.shape != Y.shape:
-        raise ValueError("mask shape does not match tensor shape")
     if not np.isfinite(Y).all():
         raise NumericalError("non-finite values in Y at iteration 0")
     if params is None:

@@ -15,7 +15,7 @@ from conftest import break_sparse_update, reference_bad_line
 from stsad import cli, tensor
 from stsad.cli import _load_graphs, _read_scores_csv, _write_scores_csv, main
 from stsad.config import (
-    _SCHEMA, ARGUMENTS, ConfigError, config_for_stage, library_args, parse_config,
+    _SCHEMA, ARGUMENTS, STAGES, ConfigError, config_for_stage, library_args, parse_config,
 )
 from stsad.ingest import events_from_csv, ingest_trips, read_zone_list
 from stsad.logss import LogssParams
@@ -126,6 +126,18 @@ def test_bad_k_list_exits_1_before_reading_artifacts(tmp_path, capsys, k_list, m
     assert run_stage("evaluate", cfg_path) == 1
     assert capsys.readouterr().err == (
         f"config error: {cfg_path}: bad value for 'k_list': {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"k_list": "0 150"}, "bad value for 'k_list': K percent must be in (0, 100], got 0.0"),
+    ({"events_csv": "events.csv", "year": 2020}, "events_csv requires keys: zone_file"),
+], ids=["k_list", "events_csv"])
+def test_config_rules_of_evaluate_fail_synth_too(tmp_path, capsys, extra, message):
+    cfg_path, out = base_config(tmp_path, **extra)
+    for stage in ("synth", "evaluate"):
+        assert run_stage(stage, cfg_path) == 1, stage
+        assert capsys.readouterr().err == f"config error: {cfg_path}: {message}\n", stage
     assert not out.exists()
 
 
@@ -377,11 +389,13 @@ def test_evaluate_that_exits_1_writes_no_artifact(tmp_path, capsys, k_list, zone
         f"zone,start_datetime,end_datetime\n{zone},2020-01-06 10:00,2020-01-06 12:00\n"
     )
     zones = zone_file(tmp_path, zones=("A", "B", "C"))
-    cfg_path, out = base_config(tmp_path, dims="24 7 4 3", solver="raw-ee",
-                                events_csv=events, zone_file=zones, year=2020,
-                                k_list=k_list)
+    config = dict(dims="24 7 4 3", solver="raw-ee", events_csv=events, zone_file=zones,
+                  year=2020)
+    # a bad K list fails every stage: the upstream ones run from a good one
+    cfg_path, out = base_config(tmp_path, k_list="1 5", **config)
     for stage in ("synth", "decompose", "score"):
         assert run_stage(stage, cfg_path) == 0, stage
+    cfg_path, _ = base_config(tmp_path, k_list=k_list, **config)
     assert run_stage("evaluate", cfg_path) == 1
     err = capsys.readouterr().err
     # a K list out of range is a config error, found before any artifact is read
@@ -663,6 +677,14 @@ def test_scores_csv_bad_line_is_the_one_prefix_bisection_named(tmp_path, monkeyp
             _read_scores_csv(str(path), dims)
 
 
+@pytest.mark.parametrize("stage", [s for s in STAGES if s != "synth"])
+def test_only_synth_takes_a_seed_flag(tmp_path, capsys, stage):
+    cfg_path, out = base_config(tmp_path)
+    assert run_stage(stage, cfg_path, seed=1) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spelling", ["file", "flag"])
 def test_negative_seed_exits_1_and_writes_nothing(tmp_path, capsys, spelling):
     if spelling == "file":
@@ -833,7 +855,7 @@ def test_input_files_whose_dims_disagree_exit_1(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == expected["decompose"]
     save_mask(out / "omega.txt", np.zeros((8, 4, 6, 3), dtype=bool))
     assert run_stage("decompose", str(raw_ee)) == 1
-    assert capsys.readouterr().err == "error: no observed entries\n"
+    assert capsys.readouterr().err == f"error: {out / 'omega.txt'}: no observed entries\n"
     assert (out / "S.txt").read_bytes() == S
     (out / "omega.txt").write_bytes(omega)
     save_mask(out / "labels.txt", np.ones((8, 4, 6, 2), dtype=bool))
@@ -880,21 +902,27 @@ def test_labels_of_one_class_exit_1_before_any_work(tmp_path, capsys, monkeypatc
     assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
 
-def test_evaluate_on_an_empty_support_exits_1_before_any_work(tmp_path, capsys,
-                                                              monkeypatch):
-    # the AUC over no observed entries cannot be taken: scores.csv is not read
-    cfg_path, out = base_config(tmp_path, solver="raw-ee")
-    for upstream in ("synth", "decompose", "score"):
+@pytest.mark.parametrize("stage, solver", [
+    ("decompose", "logss"), ("decompose", "raw-ee"), ("evaluate", "raw-ee"),
+    ("bench", "logss"),
+], ids=["decompose-logss", "decompose-raw-ee", "evaluate", "bench"])
+def test_an_empty_support_exits_1_before_any_work(tmp_path, capsys, monkeypatch, stage,
+                                                  solver):
+    # no solver runs and scores.csv is not read: the AUC over no observed
+    # entries cannot be taken
+    cfg_path, out = base_config(tmp_path, solver=solver, max_iter=3, bench_repeats=2)
+    for upstream in ("synth", "graphs", "decompose", "score"):
         assert run_stage(upstream, cfg_path) == 0, upstream
     save_mask(out / "omega.txt", np.zeros((8, 4, 6, 3), dtype=bool))
 
     def refuse(*args, **kwargs):
         raise AssertionError("called after the support was read")
 
-    monkeypatch.setattr(cli, "_read_scores_csv", refuse)
+    for name in ("_load_graphs", "build_mode_graphs", "_decompose", "_read_scores_csv"):
+        monkeypatch.setattr(cli, name, refuse)
     before = {name: (out / name).read_bytes() for name in os.listdir(out)}
     capsys.readouterr()
-    assert run_stage("evaluate", cfg_path) == 1
+    assert run_stage(stage, cfg_path) == 1
     assert capsys.readouterr().err == f"error: {out / 'omega.txt'}: no observed entries\n"
     assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
@@ -990,13 +1018,11 @@ def test_empty_support_exits_1_with_one_stderr_line(tmp_path):
             env=dict(os.environ, PYTHONPATH=src_dir), capture_output=True, text=True,
         )
 
-    proc = run("decompose")
-    assert (proc.returncode, proc.stderr) == (1, "error: no observed entries\n")
-    assert not (out / "S.txt").exists()
-    proc = run("bench")
-    assert proc.returncode == 0, proc.stderr
-    [row] = json.loads((out / "bench.json").read_text())
-    assert row["errors"] == ["ValueError: no observed entries"] * 2
+    for stage, artifact in (("decompose", "S.txt"), ("bench", "bench.json")):
+        proc = run(stage)
+        assert (proc.returncode, proc.stderr) == (
+            1, f"error: {out / 'omega.txt'}: no observed entries\n"), stage
+        assert not (out / artifact).exists()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")

@@ -13,6 +13,7 @@ from stsad.scoring import (
     top_k_mask,
     univariate_mcd,
 )
+from stsad.synth import SynthConfig, builtin_template, synthesize
 
 
 def exhaustive_mcd(x, h):
@@ -144,6 +145,17 @@ def test_scores_shift_and_scale_equivariant():
     scaled = S.copy()
     scaled[2, 0, :, 0] *= -5.1
     assert np.allclose(score_sparse_tensor(scaled).scores, base)
+
+    # a week-constant shift C (constant along mode 3) moves only each fiber's
+    # location, so an S that differs from Y by one scores as Y does
+    dims = (24, 7, 12, 8)
+    Y = synthesize(SynthConfig(builtin_template(dims), c=2.5, l=7, m=2.3, seed=0))[0]
+    whole = rng.uniform(-1e3, 1e3, size=(3, 2, 1, 2)) * S.std()
+    for T, C in ((S, whole), (Y, -Y.mean(axis=2, keepdims=True))):
+        field, moved = score_sparse_tensor(T), score_sparse_tensor(T + C)
+        np.testing.assert_allclose(moved.scores, field.scores, rtol=1e-9)
+        np.testing.assert_allclose(moved.scale, field.scale, rtol=1e-9)
+        np.testing.assert_allclose(moved.loc, field.loc + C[:, :, 0], rtol=1e-9)
 
 
 def test_top_k_mask_full_and_single():
