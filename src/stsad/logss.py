@@ -2,8 +2,8 @@
 sparse decomposition (LOGSS).
 
 Observed data Y is split as L + S on the support: L is constrained to be a
-low graph-frequency signal on every mode (via projections G^n onto the
-truncated Laplacian eigenbases), S is sparse with small total variation
+low graph-frequency signal on every mode (the lift of a small core C through
+the truncated Laplacian eigenbases), S is sparse with small total variation
 along mode 1.  Auxiliary variables W (copy of S) and Z (mode-1 differences
 of W) decouple the two sparsity terms; scaled dual tensors enforce all
 constraints.  Every update below is the exact minimizer / proximal map of
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 import os
 import time
@@ -43,7 +44,8 @@ class LogssParams:
 
     theta weighs the graph-smoothness (or, for the nuclear-norm baselines,
     low-rank) term, lam the sparsity of S, gamma the temporal total
-    variation; beta1..beta4 are the constraint penalty parameters.
+    variation; beta1..beta4 are the constraint penalty parameters (LOGSS
+    weighs its one core constraint, in place of N per-mode ones, by N * beta4).
     """
 
     theta: float = 1.0
@@ -116,28 +118,26 @@ class DecompositionResult:
 class SolverState:
     """Everything one ADMM run reads and writes, allocated once.  Each block
     takes only the state and overwrites its own variable in it, so an
-    iteration allocates no tensor.
+    iteration allocates no tensor of Y's size.
 
     ``Y``, ``params`` and ``missing`` (the unobserved entries, inverted once;
-    None on full support) are fixed for the run, and ``w_inv`` (W update) and
-    ``projectors`` (G update) are precomputed from them.
-    ``G`` holds the per-mode spectral coefficients (mode-n dimension J_n).
-    ``lift_sum`` holds the sum of their lifts to full shape, which the L
-    update turns into the sum of the lifts and the gamma4 in place.  Each lift
-    lives only in a ``scratch`` tensor (two work tensors) for its group of
-    modes (:func:`_lifted_graph_terms`), until :func:`_fold` adds it to the
-    sum and takes its consensus dual step.  The state holds no residual: the
-    blocks that take dual steps return their sums of squares to :func:`_admm`.
-    For LOGSS that is 15 tensors of Y's size: Y, L, S, W, Z, gamma1..gamma3,
-    N = 4 gamma4, ``lift_sum`` and the scratch.
-    For the baselines ``graphs`` and ``projectors`` are None and ``G``
-    holds full-shape per-mode low-rank tensors, of which the first is also
-    ``lift_sum`` (18 tensors).  ``flat`` and ``columns`` hold one view
-    function per part a block runs as (see :func:`_in_parts`): the whole
-    tensor, or the halves of its flat index and the column halves of its
-    mode-1 unfolding.  ``worker`` runs second parts during a solve, if it is
-    not None (:func:`_admm`).  ``Y``, ``missing`` and every tensor the
-    state allocates are C-ordered and start on a 64-byte boundary
+    None on full support) are fixed for the run, and ``w_inv`` (W update),
+    ``core_eigvals`` and ``core_scale`` (core update) are precomputed from
+    them.  For LOGSS, ``G[n - 1]`` is the projection-lift chain's tensor with
+    ranks in its first n modes, the last the core C; ``lift_sum`` holds the
+    lift K of C, which the L update turns into K + gamma4 in place.  The
+    state holds no residual: the blocks that take dual steps return their
+    sums of squares to :func:`_admm`.  LOGSS holds 12 tensors of Y's size
+    for any N: Y, L, S, W, Z, gamma1..gamma3, the one gamma4, ``lift_sum``
+    and two ``scratch`` work tensors.  For the baselines ``graphs`` and the
+    core arrays are None, ``G`` holds full-shape per-mode low-rank tensors,
+    of which the first is also ``lift_sum``, and ``gamma4`` one per mode
+    (18 tensors at N = 4).  ``flat`` and ``columns`` hold one view function
+    per part a block runs as (see :func:`_in_parts`): the whole tensor, or
+    the halves of its flat index and the column halves of its mode-1
+    unfolding.  ``worker`` runs second parts during a solve, if it is not
+    None (:func:`_admm`).  ``Y``, ``missing`` and every tensor the state
+    allocates are C-ordered and start on a 64-byte boundary
     (:func:`_aligned_zeros`); ``Y`` is always the state's own copy.
     """
 
@@ -159,7 +159,8 @@ class SolverState:
     flat: tuple
     columns: tuple
     graphs: list | None = None
-    projectors: list[np.ndarray] | None = None
+    core_eigvals: np.ndarray | None = None
+    core_scale: np.ndarray | None = None
     worker: object = None
 
     @classmethod
@@ -169,12 +170,12 @@ class SolverState:
         if Y.size >= _TWO_PARTS_MIN:
             # the flat index is halved where numpy's pairwise sum splits it, so
             # per-part sums add up to the whole sum bit for bit; the mode-1
-            # unfolding on a multiple of 64 columns (an unaligned split changed
-            # some entries of the products by 1 ulp against the whole tensor's)
+            # unfolding, of Y or G[0], on a multiple of 64 columns (an unaligned
+            # split changed some entries of the products by 1 ulp)
             n, rows = Y.size, dims[0]
             h, c = n // 2 - n // 2 % 8, round(n // rows / 128) * 64
             flat = tuple(lambda a, s=s: a.reshape(-1)[s] for s in (slice(h), slice(h, n)))
-            columns = tuple(lambda a, s=s: a.reshape(rows, -1)[:, s]
+            columns = tuple(lambda a, s=s: a.reshape(len(a), -1)[:, s]
                             for s in (slice(c), slice(c, None)))
         zero = lambda shape=dims: _aligned_zeros(shape)
         # parts view every tensor through its C-order layout, and np.putmask
@@ -186,22 +187,26 @@ class SolverState:
         w_inv = np.linalg.inv(
             params.beta3 * np.eye(dims[0]) + params.beta2 * delta.T @ delta
         )
-        if graphs is not None:
-            G = [zero(dims[:n] + (g.rank,) + dims[n + 1:]) for n, g in enumerate(graphs)]
-            lift_sum = zero()
-            # the G update's ridge inverse is diagonal in the eigenbasis
-            weight = 2.0 * params.theta / params.beta4
-            scales = [1.0 / (weight * g.low_eigvals + 1.0) for g in graphs]
-            projectors = [s[:, None] * g.basis.T for s, g in zip(scales, graphs)]
-        else:
+        if graphs is None:
             G = [zero() for _ in dims]
-            lift_sum, projectors = G[0], None
+            lift_sum, duals, core_eigvals, core_scale = G[0], len(dims), None, None
+        else:
+            ranks = tuple(g.rank for g in graphs)
+            G = [zero(ranks[:n] + dims[n:]) for n in range(1, len(dims) + 1)]
+            lift_sum, duals = zero(), 1
+            # the eigenvalues of the Kronecker sum of the mode Laplacians on
+            # the core, where the core update's ridge inverse is diagonal
+            core_eigvals = functools.reduce(np.add.outer, [g.low_eigvals for g in graphs])
+            weight = 2.0 * params.theta / (len(dims) * params.beta4)
+            core_scale = 1.0 / (weight * core_eigvals + 1.0)
+        # gamma4 after gamma1..gamma3: the allocation order sets which freed
+        # buffers glibc reuses, and so the peak RSS of a process of many solves
         return cls(
             Y=Y, params=params, missing=missing,
             L=zero(), S=zero(), W=zero(), Z=zero(), G=G, gamma1=zero(), gamma2=zero(),
-            gamma3=zero(), gamma4=[zero() for _ in dims], w_inv=w_inv,
-            lift_sum=lift_sum, scratch=(zero(), zero()), flat=flat,
-            columns=columns, graphs=graphs, projectors=projectors,
+            gamma3=zero(), gamma4=[zero() for _ in range(duals)], w_inv=w_inv,
+            lift_sum=lift_sum, scratch=(zero(), zero()), flat=flat, columns=columns,
+            graphs=graphs, core_eigvals=core_eigvals, core_scale=core_scale,
         )
 
 
@@ -279,15 +284,14 @@ def _differences(x, out, transpose=False):
 
 
 def _per_mode(state, work):
-    """``[work(n, scratch) for n in 1..N]`` for a per-mode block, in mode order.
-    Each part of the block (:func:`_in_parts`) has its own scratch tensor and
-    takes the next mode from one queue, largest first (by the extent of
-    ``state.G`` along the mode), when it is free (``next()`` on a list
-    iterator is atomic under the GIL).  One part, or the first of two on one
-    CPU, takes every mode.  A mode is never split: a split inside its product
-    changed its bits."""
+    """``[work(n, scratch) for n in 1..N]`` for the baselines' SVT block, in
+    mode order.  Each part of the block (:func:`_in_parts`) has its own
+    scratch tensor and takes the next mode from one queue, largest mode
+    first, when it is free (``next()`` on a list iterator is atomic under the
+    GIL).  One part, or the first of two on one CPU, takes every mode.  A
+    mode is never split: a split inside its SVD changed its bits."""
     modes = range(1, state.Y.ndim + 1)
-    queue, results = iter(sorted(modes, key=lambda n: -state.G[n - 1].shape[n - 1])), {}
+    queue, results = iter(sorted(modes, key=lambda n: -state.Y.shape[n - 1])), {}
 
     def part(scratch):
         for n in queue:
@@ -299,7 +303,7 @@ def _per_mode(state, work):
 
 def _fold(state, terms):
     """Adds the full-shape ``terms``, ``(n, tensor)`` pairs in mode order, to
-    ``state.lift_sum`` (mode 1 copies) and takes each mode's consensus dual
+    ``state.lift_sum`` (mode 1 copies) and takes each term's consensus dual
     step, gamma4_n -= L - term, with the residual in ``state.scratch[0]``,
     over the flat parts (:func:`_in_parts`).  Each step reads its term before
     the next term is added, so mode 1's term may be ``lift_sum`` itself.
@@ -322,36 +326,29 @@ def _fold(state, terms):
 
 
 def _lifted_graph_terms(state):
-    """Lifts each G^n back to full shape, G^n x_n P_hat_n, adds the lifts to
-    ``state.lift_sum`` and takes each mode's consensus dual step
-    (:func:`_fold`).  Returns the steps' sums of squares, one per mode.
-
-    The modes go in groups of one per part, in mode order: (1, 2), then
-    (3, 4), for two parts.  Each part lifts its mode of the group into its own
-    scratch tensor; then the group's lifts are folded in mode order, so the
-    sum has the bits of lift_1 + ... + lift_N."""
-    def lift(part):
-        n, out = part
-        mode_n_product(state.G[n - 1], state.graphs[n - 1].basis, n, out=out)
-
-    lifts, modes, squares = state.scratch[:len(state.flat)], range(1, state.Y.ndim + 1), []
-    for first in modes[::len(lifts)]:
-        group = list(zip(modes[first - 1:], lifts))
-        _in_parts(lift, group, state.worker)
-        squares += _fold(state, group)
-    return squares
+    """Lifts the core back to full shape, K = C x_N P_N ... x_1 P_1, into
+    ``state.lift_sum`` through the chain ``state.G``, mode 1's full-size
+    product last and over the column parts, and takes the consensus dual
+    step gamma4 -= L - K (:func:`_fold`).  Returns its sum of squares."""
+    G, graphs = state.G, state.graphs
+    for n in range(len(G), 1, -1):
+        mode_n_product(G[n - 1], graphs[n - 1].basis, n, out=G[n - 2])
+    last = lambda v: _product(v(G[0]), graphs[0].basis, v(state.lift_sum))
+    _in_parts(last, state.columns, state.worker)
+    return _fold(state, [(1, state.lift_sum)])
 
 
 def update_low_rank(state):
     """Exact minimizer of the L block.
 
-    On the support the data-fit and the N graph-consensus penalties mix; off
-    the support only the graph terms act, giving the plain average of the
-    lifted contributions.  Adds the gamma4, in mode order, into
+    On the support the data-fit and the consensus penalties mix; off the
+    support only the consensus terms act, giving the plain average of the
+    m = ``len(state.gamma4)`` terms: the baselines' N per-mode ones, or
+    LOGSS's one, weighted N * beta4.  Adds the gamma4, in mode order, into
     ``state.lift_sum`` in place, which the low-rank block rewrites.
     """
     p = state.params
-    N = state.Y.ndim
+    N, m = state.Y.ndim, len(state.gamma4)
 
     def part(v):
         T2, work = v(state.lift_sum), v(state.scratch[0])
@@ -360,31 +357,32 @@ def update_low_rank(state):
         L = np.subtract(v(state.Y), v(state.S), out=v(state.L))  # T1 = Y - S + gamma1
         L += v(state.gamma1)
         L *= p.beta1
-        L += np.multiply(T2, p.beta4, out=work)
+        L += np.multiply(T2, p.beta4 * (N / m), out=work)
         L /= p.beta1 + N * p.beta4
         if state.missing is not None:
-            T2 /= N
+            T2 /= m
             np.putmask(L, v(state.missing), T2)
 
     _in_parts(part, state.flat, state.worker)
 
 
 def update_graph_coeffs(state):
-    """Per-mode spectral coefficient updates; returns the graph energy
-    sum_n tr(G^n' Lambda_n G^n), summed in mode order.
+    """Core update, a ridge problem whose inverse is diagonal in the
+    Kronecker product of the eigenbases: C = (L - gamma4) x_1 P_1' ...
+    x_N P_N' scaled by ``state.core_scale``, through the chain ``state.G``
+    (the core last).  Returns the graph energy sum_i w_i c_i^2.  Mode 1's
+    product, the one of full size, goes first, over the column parts."""
+    G, graphs = state.G, state.graphs
 
-    Each mode solves an independent ridge problem in the truncated eigenbasis;
-    the matrix inverse is diagonal, so it is applied as a row scaling of the
-    projected unfolding (``state.projectors``).
-    """
-    def mode(n, diff):
-        np.subtract(state.L, state.gamma4[n - 1], out=diff)
-        G = mode_n_product(diff, state.projectors[n - 1], n, out=state.G[n - 1])
-        g = state.graphs[n - 1]
-        c = G.reshape(-1, g.rank, math.prod(G.shape[n:]))
-        return float(g.low_eigvals @ np.einsum("arb,arb->r", c, c))
+    def first(v):
+        diff = np.subtract(v(state.L), v(state.gamma4[0]), out=v(state.scratch[0]))
+        _product(diff, graphs[0].basis.T, v(G[0]))
 
-    return sum(_per_mode(state, mode))
+    _in_parts(first, state.columns, state.worker)
+    for n in range(2, len(G) + 1):
+        mode_n_product(G[n - 2], graphs[n - 1].basis.T, n, out=G[n - 1])
+    G[-1] *= state.core_scale
+    return float(np.vdot(state.core_eigvals * G[-1], G[-1]))
 
 
 def update_sparse(state):
@@ -476,7 +474,7 @@ def objective_value(state, low_rank_penalty):
     """Objective value at the current primal iterates.
 
     ``low_rank_penalty`` is the low-rank block's own term as returned by its
-    update (graph energy of G for LOGSS, summed nuclear norms for the
+    update (graph energy of the core for LOGSS, summed nuclear norms for the
     baselines); recorded for diagnostics only, since ADMM is not monotone.
     """
     p = state.params
@@ -503,9 +501,9 @@ def _check_finite(residuals, iteration):
 
 
 def _graph_block(state):
-    """LOGSS low-rank block: ridge projections onto the graph eigenbases.  Writes
-    G and the sum of its lifts and takes the gamma4 steps; returns the graph
-    energy and the steps' sums of squares."""
+    """LOGSS low-rank block: the core's ridge projection onto the graph
+    eigenbases and its lift.  Writes the chain G and the lift and takes the
+    gamma4 step; returns the graph energy and the step's sum of squares."""
     return update_graph_coeffs(state), _lifted_graph_terms(state)
 
 
@@ -514,13 +512,13 @@ def _admm(Y, observed, params, low_rank_block, graphs=None):
 
     ``low_rank_block(state)`` (:func:`_graph_block`, or the baselines' SVT
     block) writes ``state.G`` and the sum of the consensus terms tied to L
-    to ``state.lift_sum``, takes each mode's consensus dual step on
+    to ``state.lift_sum``, takes the consensus dual step of each tensor in
     ``state.gamma4`` and returns its penalty term and the steps' sums of
-    squares, one per mode; ``graphs`` sizes G (None: full shape per mode).
+    squares, one per dual; ``graphs`` sizes G (None: full shape per mode).
     All other blocks, the histories and the stopping rule are common.  The
     loop forms each iteration's residual record, which they read, from the
     sums of squares that the blocks taking dual steps return (sqrt(r.r) is
-    np.linalg.norm(r) bit for bit), with the largest of the N graph norms.
+    np.linalg.norm(r) bit for bit), the largest consensus norm as r_graph_max.
     """
     Y = np.asarray(Y, dtype=float)
     observed = np.asarray(observed, dtype=bool)

@@ -51,7 +51,7 @@ def random_state(dims, params, graphs, seed=0, Y=None, observed=None):
     state.gamma1 = rng.normal(size=dims)
     state.gamma2 = rng.normal(size=dims)
     state.gamma3 = rng.normal(size=dims)
-    state.gamma4 = [rng.normal(size=dims) for _ in dims]
+    state.gamma4 = [rng.normal(size=dims) for _ in state.gamma4]  # one for LOGSS
     state.G = [rng.normal(size=g.shape) for g in state.G]
     return state
 

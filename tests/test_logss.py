@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import itertools
 import multiprocessing
 import os
@@ -119,28 +120,26 @@ def test_update_low_rank_zero_case():
     assert np.allclose(state.L, 0.0)
 
 
+def lift(core, graphs):
+    """The core's lift to full shape, one mode-n product per mode."""
+    for g in graphs:
+        core = mode_n_product(core, g.basis, g.mode)
+    return core
+
+
 def test_update_low_rank_unobserved_average():
     params = make_params()
     graphs = stub_graphs(DIMS, RANKS)
     Y = np.zeros(DIMS)
     state = SolverState.zeros(Y, np.zeros(DIMS, dtype=bool), params, graphs)
-    rng = np.random.default_rng(2)
-    state.G[0] = rng.normal(size=state.G[0].shape)
-    lifted = mode_n_product(state.G[0], graphs[0].basis, 1)
+    state.G[-1][...] = np.random.default_rng(2).normal(size=RANKS)
+    lifted = lift(state.G[-1], graphs)
     _lifted_graph_terms(state)
-    # the lift's consensus step, gamma4_1 -= L - lift at L = 0, leaves
-    # gamma4_1 = lift, which the L update averages in as well
+    # the lift's consensus step, gamma4 -= L - K at L = 0, leaves gamma4 = K,
+    # and off the support L is the one consensus term K + gamma4
     assert np.allclose(state.gamma4[0], lifted)
     update_low_rank(state)
-    assert np.allclose(state.L, (lifted + lifted) / 4.0)
-
-
-def l_block_gradient(L, state, Y, observed, params, graphs):
-    g = params.beta1 * project_support(L + state.S - Y - state.gamma1, observed)
-    for n, graph in enumerate(graphs, start=1):
-        lifted = mode_n_product(state.G[n - 1], graph.basis, n)
-        g = g + params.beta4 * (L - lifted - state.gamma4[n - 1])
-    return g
+    assert np.allclose(state.L, lifted + lifted)
 
 
 def test_update_low_rank_zeroes_gradient():
@@ -151,9 +150,21 @@ def test_update_low_rank_zeroes_gradient():
     observed = rng.random(DIMS) < 0.8
     state = random_state(DIMS, params, graphs, seed=4, Y=Y, observed=observed)
     _lifted_graph_terms(state)
+    K, gamma4 = state.lift_sum.copy(), state.gamma4[0].copy()
     update_low_rank(state)
-    g = l_block_gradient(state.L, state, Y, observed, params, graphs)
+    # the one core constraint L = K is weighted N * beta4
+    L = state.L
+    g = (params.beta1 * project_support(L + state.S - Y - state.gamma1, observed)
+         + len(DIMS) * params.beta4 * (L - K - gamma4))
     assert np.abs(g).max() <= 1e-8
+
+
+def project(x, graphs):
+    """The projection of a full-shape tensor onto the eigenbases, the core's
+    shape, one mode-n product per mode."""
+    for g in graphs:
+        x = mode_n_product(x, g.basis.T, g.mode)
+    return x
 
 
 def test_update_graph_coeffs_theta_zero():
@@ -161,9 +172,7 @@ def test_update_graph_coeffs_theta_zero():
     graphs = stub_graphs(DIMS, RANKS, seed=6)
     state = random_state(DIMS, params, graphs, seed=7)
     update_graph_coeffs(state)
-    for n, graph in enumerate(graphs, start=1):
-        expected = mode_n_product(state.L - state.gamma4[n - 1], graph.basis.T, n)
-        assert np.allclose(state.G[n - 1], expected)
+    assert np.allclose(state.G[-1], project(state.L - state.gamma4[0], graphs))
 
 
 def test_update_graph_coeffs_zero_frequencies():
@@ -172,43 +181,83 @@ def test_update_graph_coeffs_zero_frequencies():
     for g in graphs:
         g.eigvals[:] = 0.0
     state = random_state(DIMS, params, graphs, seed=9)
-    update_graph_coeffs(state)
-    for n, graph in enumerate(graphs, start=1):
-        expected = mode_n_product(state.L - state.gamma4[n - 1], graph.basis.T, n)
-        assert np.allclose(state.G[n - 1], expected)
+    assert update_graph_coeffs(state) == 0.0
+    assert np.allclose(state.G[-1], project(state.L - state.gamma4[0], graphs))
 
 
 def test_update_graph_coeffs_scalar_scaling():
-    # single retained frequency with eigenvalue 2 and theta/beta4 = 1: the
-    # projected row is scaled by 1/5
+    # one retained frequency per mode, each with eigenvalue 2, so w = 2N = 8;
+    # with theta/beta4 = 1 the projected core is scaled by 1/(2 * 8/N + 1) = 1/5
     params = make_params(theta=0.8, beta4=0.8)
     graphs = stub_graphs(DIMS, (1, 1, 1, 1), seed=10)
     for g in graphs:
         g.eigvals[:] = 2.0
     state = random_state(DIMS, params, graphs, seed=11)
-    update_graph_coeffs(state)
-    for n, graph in enumerate(graphs, start=1):
-        projected = mode_n_product(state.L - state.gamma4[n - 1], graph.basis.T, n)
-        assert np.allclose(state.G[n - 1], projected / 5.0)
-
-
-def g_block_gradient(G, state, params, graphs, n):
-    graph = graphs[n - 1]
-    X = unfold(G[n - 1], n)
-    A = unfold(state.L - state.gamma4[n - 1], n)
-    return (
-        2 * params.theta * graph.low_eigvals[:, None] * X
-        - params.beta4 * graph.basis.T @ (A - graph.basis @ X)
-    )
+    penalty = update_graph_coeffs(state)
+    core = project(state.L - state.gamma4[0], graphs) / 5.0
+    assert np.allclose(state.G[-1], core)
+    assert penalty == pytest.approx(8.0 * float(core.ravel()[0]) ** 2)
 
 
 def test_update_graph_coeffs_zeroes_gradient():
+    # the core minimizes theta sum_i w_i c_i^2 + N beta4/2 ||L - gamma4 - lift(C)||^2
     params = make_params()
     graphs = stub_graphs(DIMS, RANKS, seed=12)
     state = random_state(DIMS, params, graphs, seed=13)
     update_graph_coeffs(state)
-    for n in range(1, 5):
-        assert np.abs(g_block_gradient(state.G, state, params, graphs, n)).max() <= 1e-8
+    C = state.G[-1]
+    gradient = (2 * params.theta * state.core_eigvals * C
+                - len(DIMS) * params.beta4 * project(state.L - state.gamma4[0] - lift(C, graphs),
+                                                     graphs))
+    assert np.abs(gradient).max() <= 1e-8
+
+
+def kronecker_sum(graphs):
+    """The eigenvalues of the Kronecker sum of the mode Laplacians, one per
+    column of the Kronecker basis."""
+    return sum(
+        functools.reduce(np.kron, [g.low_eigvals if g is h else np.ones(g.rank) for g in graphs])
+        for h in graphs
+    )
+
+
+@pytest.mark.parametrize("parts", [1, 2], ids=["one_part", "two_parts"])
+@pytest.mark.parametrize("dims, ranks", [((6, 20, 13), (3, 4, 2)),
+                                         ((5, 8, 6, 7), (2, 3, 2, 2))],
+                         ids=["order-3", "order-4"])
+@pytest.mark.parametrize("theta, eigvals", [(0.7, "one-zero"), (0.0, "one-zero"),
+                                            (0.7, "all-zero")],
+                         ids=["ridge", "theta-zero", "zero-eigvals"])
+def test_core_step_matches_the_dense_kronecker_ridge_in_one_part_and_two(
+        monkeypatch, parts, dims, ranks, theta, eigvals):
+    # with B the Kronecker basis (x)_n P_n and w the Kronecker sum's
+    # eigenvalues, the core minimizes theta w.c^2 + N beta4/2 ||L - gamma4 - B c||^2
+    force_parts(monkeypatch, parts)
+    graphs = stub_graphs(dims, ranks, seed=12)
+    for g in graphs:
+        if eigvals == "all-zero":
+            g.eigvals[:] = 0.0
+    params = make_params(theta=theta)
+    state = SolverState.zeros(np.zeros(dims), np.ones(dims, dtype=bool), params, graphs)
+    assert len(state.columns) == parts
+    rng = np.random.default_rng(13)
+    for a in (state.L, state.gamma4[0]):
+        a[...] = rng.normal(size=dims)
+    L, gamma4 = state.L.copy(), state.gamma4[0].copy()
+    B, w = functools.reduce(np.kron, [g.basis for g in graphs]), kronecker_sum(graphs)
+    ridge = np.diag(2 * theta * w / (len(dims) * params.beta4)) + np.eye(len(w))
+    core = np.linalg.solve(ridge, B.T @ (L - gamma4).ravel())
+    K = (B @ core).reshape(dims)
+
+    with ThreadPoolExecutor(max_workers=1) as state.worker:
+        penalty = update_graph_coeffs(state)
+        squares = _lifted_graph_terms(state)
+    # relative to each tensor's largest entry: an entry of a sum may cancel
+    for got, want in [(state.G[-1].ravel(), core), (state.lift_sum, K),
+                      (state.gamma4[0], gamma4 - (L - K))]:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert penalty == pytest.approx(w @ core**2, rel=1e-12)
+    assert squares == pytest.approx([np.linalg.norm(L - K) ** 2], rel=1e-12)
 
 
 def test_update_sparse_no_threshold():
@@ -355,9 +404,9 @@ def test_update_tv_aux_matches_grid_prox():
 
 
 def refresh_consensus_terms(state):
-    # what the loop's G and Z blocks do before the dual update: the gamma4
-    # and gamma2 steps; returns their residuals' sums of squares, the per-mode
-    # list and r_tv^2
+    # what the loop's low-rank and Z blocks do before the dual update: the
+    # gamma4 and gamma2 steps; returns their residuals' sums of squares, the
+    # low-rank block's list and r_tv^2
     return _lifted_graph_terms(state), update_tv_aux(state)
 
 
@@ -371,15 +420,13 @@ def test_update_duals_fixed_point_and_residuals():
     # a state satisfying every constraint exactly, with no TV shrinkage to
     # move Z off delta W: duals stay put
     state = SolverState.zeros(Y, observed, make_params(gamma=0.0), graphs)
-    state.G = [
-        mode_n_product(Y, g.basis.T, n) for n, g in enumerate(graphs, start=1)
-    ]
-    # L must equal each lifted G^n: use an exactly representable L
-    L = Y
+    # L must equal the lifted core: use an exactly representable L
+    core = Y
     for g in graphs:
-        L = mode_n_product(L, g.basis @ g.basis.T, g.mode)
+        core = mode_n_product(core, g.basis.T, g.mode)
+    L = lift(core, graphs)
     state.L = L
-    state.G = [mode_n_product(L, g.basis.T, g.mode) for g in graphs]
+    state.G[-1][...] = core
     state.S = project_support(Y - L, observed)
     state.W = state.S.copy()
     state.Z = mode_n_product(state.W, build_diff_operator(DIMS[0]), 1)
@@ -413,10 +460,7 @@ def test_update_duals_fixed_point_and_residuals():
         np.linalg.norm(mode_n_product(state.W, build_diff_operator(DIMS[0]), 1) - state.Z) ** 2
     )
     assert sw == pytest.approx(np.linalg.norm(state.S - state.W) ** 2)
-    assert graph == pytest.approx([
-        np.linalg.norm(state.L - mode_n_product(state.G[n - 1], g.basis, n)) ** 2
-        for n, g in enumerate(graphs, start=1)
-    ])
+    assert graph == pytest.approx([np.linalg.norm(state.L - lift(state.G[-1], graphs)) ** 2])
 
 
 def test_solve_zero_data_is_fixed_point():
@@ -520,24 +564,28 @@ def test_result_carries_the_params_the_run_used():
 def reference_admm(Y, observed, params, graphs=None):
     """The solvers' iteration written out as plain array expressions.
 
-    ``graphs`` None runs the LOSS low-rank block (per-mode SVT).
+    ``graphs`` None runs the LOSS low-rank block (per-mode SVT); otherwise
+    LOGSS's one consensus L = K, weighted N * beta4, where K lifts the core
+    C through the eigenbases and w holds the Kronecker sum's eigenvalues.
     """
     p, N = params, Y.ndim
     delta = build_diff_operator(Y.shape[0])
     w_inv = np.linalg.inv(p.beta3 * np.eye(Y.shape[0]) + p.beta2 * delta.T @ delta)
     S = W = Z = gamma1 = gamma2 = gamma3 = np.zeros(Y.shape)
-    gamma4 = lifted = [np.zeros(Y.shape)] * N
+    m = N if graphs is None else 1
+    gamma4 = lifted = [np.zeros(Y.shape)] * m
     if graphs is not None:
-        weight = 2.0 * p.theta / p.beta4
-        projectors = [(1.0 / (weight * g.low_eigvals + 1.0))[:, None] * g.basis.T
-                      for g in graphs]
+        w = 0.0
+        for n, g in enumerate(graphs):
+            w = w + g.low_eigvals.reshape((1,) * n + (-1,) + (1,) * (N - n - 1))
+        scale = 1.0 / (2.0 * p.theta / (N * p.beta4) * w + 1.0)
     history, objectives = [], []
     for _ in range(p.max_iter):
         T2 = lifted[0]
         for term in lifted[1:] + gamma4:
             T2 = T2 + term
-        L = (p.beta1 * (Y - S + gamma1) + p.beta4 * T2) / (p.beta1 + N * p.beta4)
-        L = np.where(observed, L, T2 / N)
+        L = (p.beta1 * (Y - S + gamma1) + p.beta4 * (N / m) * T2) / (p.beta1 + N * p.beta4)
+        L = np.where(observed, L, T2 / m)
         if graphs is None:
             updated = [
                 _svt_with_norm(unfold(L - gamma4[n - 1], n), p.theta / p.beta4)
@@ -546,14 +594,15 @@ def reference_admm(Y, observed, params, graphs=None):
             lifted = [fold(low, n, Y.shape) for n, (low, _) in enumerate(updated, start=1)]
             penalty = sum(nuc for _, nuc in updated)
         else:
-            G = [mode_n_product(L - gamma4[n - 1], P, n)
-                 for n, P in enumerate(projectors, start=1)]
-            penalty = sum(
-                float(g.low_eigvals @ (Gn**2).sum(axis=tuple(a for a in range(N) if a != n - 1)))
-                for n, (Gn, g) in enumerate(zip(G, graphs), start=1)
-            )
-            lifted = [mode_n_product(Gn, g.basis, n)
-                      for n, (Gn, g) in enumerate(zip(G, graphs), start=1)]
+            C = L - gamma4[0]
+            for n, g in enumerate(graphs, start=1):
+                C = fold(g.basis.T @ unfold(C, n), n, C.shape[:n - 1] + (g.rank,) + C.shape[n:])
+            C = C * scale
+            penalty = float(np.vdot(w * C, C))
+            K = C
+            for n, g in reversed(list(enumerate(graphs, start=1))):
+                K = fold(g.basis @ unfold(K, n), n, K.shape[:n - 1] + (len(g.basis),) + K.shape[n:])
+            lifted = [K]
         T3, T4 = Y - L + gamma1, W + gamma3
         S = soft_threshold(p.beta1 * T3 + p.beta3 * T4, p.lam) / (p.beta1 + p.beta3)
         S = np.where(observed, S, soft_threshold(T4, p.lam / p.beta3))
@@ -746,10 +795,16 @@ def test_state_tensors_start_on_64_byte_boundaries_in_parts(monkeypatch, solver,
         state = SolverState.zeros(Y_in, at_offset(observed, 8), make_params(), graphs)
         assert len(state.flat) == parts
         tensors = [state.L, state.S, state.W, state.Z, state.gamma1, state.gamma2,
-                   state.gamma3, *state.gamma4, state.lift_sum, *state.G, *state.scratch]
-        for a in tensors + [state.Y]:
+                   state.gamma3, *state.gamma4, state.lift_sum, *state.scratch, state.Y]
+        # LOGSS's G is the core chain, whose first tensor the column parts view
+        viewed = [(a, state.flat) for a in tensors]
+        if solver == "logss":
+            viewed += [(state.G[0], state.columns)] + [(a, ()) for a in state.G[1:]]
+        else:
+            viewed += [(a, state.flat) for a in state.G]
+        for a, views in viewed:
             assert a.flags.c_contiguous and a.ctypes.data % 64 == 0
-            for view in state.flat:
+            for view in views:
                 assert view(a).ctypes.data % 64 == 0
         assert state.missing.flags.c_contiguous and state.missing.ctypes.data % 64 == 0
         assert np.array_equal(state.Y, Y) and np.array_equal(state.missing, ~observed)
@@ -809,79 +864,63 @@ def test_mode1_differences_are_the_delta_products_bits_in_parts(monkeypatch, row
         assert np.array_equal(ours, product)
 
 
-# distinct sizes, and ranks in another order, so that a mode is known by its
-# size and the two solvers queue their modes differently
-QUEUE_DIMS, QUEUE_RANKS = (9, 5, 11, 7), (1, 3, 4, 2)
+# distinct sizes, so that a mode is known by its size
+QUEUE_DIMS = (9, 5, 11, 7)
 
 
-def trace_mode_work(monkeypatch):
-    """Record ``(kind, mode, thread)`` for each per-mode SVT, projection and
-    lift that the solves which follow make, in the order they start."""
+def trace_svts(monkeypatch):
+    """Record ``(mode, thread)`` for each per-mode SVT that the solves which
+    follow make, in the order they start."""
     calls, lock = [], threading.Lock()
-    real_product, real_svt = logss.mode_n_product, baselines._svt_with_norm
-
-    def product(x, matrix, n, out=None):
-        with lock:
-            kind = "projection" if x.shape == QUEUE_DIMS else "lift"  # a lift's x is G
-            calls.append((kind, n, threading.get_ident()))
-        return real_product(x, matrix, n, out=out)
+    real = baselines._svt_with_norm
 
     def svt(M, tau, out=None):
         with lock:
-            calls.append(("svt", QUEUE_DIMS.index(len(M)) + 1, threading.get_ident()))
-        return real_svt(M, tau, out=out)
+            calls.append((QUEUE_DIMS.index(len(M)) + 1, threading.get_ident()))
+        return real(M, tau, out=out)
 
-    monkeypatch.setattr(logss, "mode_n_product", product)
     monkeypatch.setattr(baselines, "_svt_with_norm", svt)
     return calls
 
 
 def queue_instance(seed):
-    graphs = stub_graphs(QUEUE_DIMS, QUEUE_RANKS, seed=seed)
-    Y = np.random.default_rng(seed + 1).normal(size=QUEUE_DIMS)
-    return Y, np.ones(QUEUE_DIMS, dtype=bool), graphs
+    Y = np.random.default_rng(seed).normal(size=QUEUE_DIMS)
+    return Y, np.ones(QUEUE_DIMS, dtype=bool), None
 
 
-@pytest.mark.parametrize("solver", ["logss", "loss"])
+@pytest.mark.parametrize("solver", ["loss"])
 def test_two_parts_work_every_mode_once_per_iteration(monkeypatch, solver):
-    calls = trace_mode_work(monkeypatch)
+    calls = trace_svts(monkeypatch)
     force_parts(monkeypatch, 2, cpus=2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the parts take their modes from one iterator
     try:
-        run_solver(solver, *queue_instance(86), make_params(max_iter=40, tol=0.0))
+        run_solver(solver, *queue_instance(87), make_params(max_iter=40, tol=0.0))
     finally:
         sys.setswitchinterval(interval)
-    kinds = ["projection", "lift"] if solver == "logss" else ["svt"]
     # a block's parts are done before the next block starts, so each run of
     # four calls is one block, and has each mode once
     blocks = [calls[k:k + 4] for k in range(0, len(calls), 4)]
-    assert [block[0][0] for block in blocks] == kinds * 40
+    assert len(blocks) == 40
     for block in blocks:
-        assert {kind for kind, _, _ in block} == {block[0][0]}
-        assert sorted(n for _, n, _ in block) == [1, 2, 3, 4]
+        assert sorted(n for n, _ in block) == [1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("solver, order", [("logss", [3, 2, 4, 1]), ("loss", [3, 1, 4, 2])],
-                         ids=["graph-block", "svt-block"])
+@pytest.mark.parametrize("solver, order", [("loss", [3, 1, 4, 2])], ids=["svt-block"])
 def test_parts_take_the_modes_in_their_blocks_order(monkeypatch, solver, order):
-    # the projections and the SVTs take one queue, largest first by the
-    # extent of G along the mode (the rank for a projection, the size for an
-    # SVT); the lifts go in mode order.  One part, or the first of two on one
-    # CPU, takes every mode, in that order
-    Y, observed, graphs = queue_instance(88)
-    calls = trace_mode_work(monkeypatch)
-    lifts = [1, 2, 3, 4] if solver == "logss" else []
+    # the SVTs take one queue, largest mode first.  One part, or the first of
+    # two on one CPU, takes every mode, in that order
+    Y, observed, graphs = queue_instance(89)
+    calls = trace_svts(monkeypatch)
     for parts in (1, 2):
         calls.clear()
         force_parts(monkeypatch, parts, cpus=1)
         run_solver(solver, Y, observed, graphs, make_params(max_iter=2, tol=0.0))
-        assert [n for _, n, _ in calls] == (order + lifts) * 2  # 2 iterations
-        assert {thread for _, _, thread in calls} == {threading.get_ident()}
+        assert [n for n, _ in calls] == order * 2  # 2 iterations
+        assert {thread for _, thread in calls} == {threading.get_ident()}
         # each part works in its own scratch tensor, and the results come back
         # in mode order, whatever order the modes ran in
-        state = SolverState.zeros(Y, observed, make_params(),
-                                  graphs if solver == "logss" else None)
+        state = SolverState.zeros(Y, observed, make_params(), graphs)
         started, taken = threading.Barrier(parts, timeout=10), []
 
         def work(n, scratch):
@@ -905,24 +944,6 @@ def test_parts_take_the_modes_in_their_blocks_order(monkeypatch, solver, order):
                 assert modes and sorted(modes, key=order.index) == modes
             assert all(s is state.scratch[1] for _, s in other)
         assert all(s is state.scratch[0] for _, s in caller)
-    if solver == "logss":
-        # on two CPUs the lifts go in groups of one mode per part, (1, 2) then
-        # (3, 4): the caller lifts the lower mode and the worker the other, at
-        # once, and no group starts before the one before it is folded in
-        calls.clear()
-        force_parts(monkeypatch, 2, cpus=2)
-        both, traced = threading.Barrier(2, timeout=10), logss.mode_n_product
-
-        def product(x, matrix, n, out=None):
-            if x.shape != QUEUE_DIMS:  # a lift's x is G
-                both.wait()
-            return traced(x, matrix, n, out=out)
-
-        monkeypatch.setattr(logss, "mode_n_product", product)
-        run_solver(solver, Y, observed, graphs, make_params(max_iter=2, tol=0.0))
-        lifted = [(n, thread) for kind, n, thread in calls if kind == "lift"]
-        assert [{n for n, _ in lifted[k:k + 2]} for k in range(0, 8, 2)] == [{1, 2}, {3, 4}] * 2
-        assert all((thread == threading.get_ident()) == (n % 2 == 1) for n, thread in lifted)
 
 
 @pytest.mark.parametrize("solver", ["logss", "loss"])
@@ -930,8 +951,8 @@ def test_parts_take_the_modes_in_their_blocks_order(monkeypatch, solver, order):
                                          ((12, 5, 6, 4, 5), (3, 2, 4, 2, 3))],
                          ids=["order-3", "order-5"])
 def test_two_parts_of_odd_order_tensors_match_one_cpu(monkeypatch, solver, dims, ranks):
-    # an odd order leaves the last group of lifts one mode, which the caller
-    # lifts alone while the fold still runs as two parts
+    # an odd order leaves one part of the SVT queue a mode more than the
+    # other, and gives LOGSS's projection-lift chain another length
     graphs = stub_graphs(dims, ranks, seed=89)
     rng = np.random.default_rng(90)
     Y, observed = rng.normal(size=dims), rng.random(dims) < 0.8
@@ -966,20 +987,29 @@ def test_a_nan_in_one_part_raises_at_its_iteration(monkeypatch, solver, flat_ind
 
 @pytest.mark.parametrize("mode", [1, 2, 3, 4])
 def test_a_raising_lift_ends_a_two_part_solve_and_its_worker(monkeypatch, mode):
-    # a lift that raises on either part, after the other part's lift is done,
-    # ends the solve with its exception and joins the solve's worker; the
-    # solve must not hang
+    # a lift that raises, on the caller (modes N..2) or on both column parts
+    # (mode 1, after the other part is done with its half), ends the solve
+    # with its exception and joins the solve's worker; the solve must not hang
     Y, observed, graphs = parts_instance(masked=False)
     force_parts(monkeypatch, 2, cpus=2)
-    real = logss.mode_n_product
+    real_product, real_mode_n_product = logss._product, logss.mode_n_product
+    lift_shape = graphs[mode - 1].basis.shape  # a projection's matrix is its transpose
 
-    def product(x, matrix, n, out=None):
-        if n == mode and x.shape != Y.shape:  # a lift's x is G
-            time.sleep(0.1)  # the other part is done with its mode by now
+    def raise_in_lift(n, matrix):
+        if n == mode and matrix.shape == lift_shape:
+            time.sleep(0.1)
             raise ZeroDivisionError(f"lift of mode {n}")
-        return real(x, matrix, n, out=out)
 
-    monkeypatch.setattr(logss, "mode_n_product", product)
+    def product(x, matrix, out):  # mode 1's products
+        raise_in_lift(1, matrix)
+        return real_product(x, matrix, out)
+
+    def mode_n_product(x, matrix, n, out=None):
+        raise_in_lift(n, matrix)
+        return real_mode_n_product(x, matrix, n, out=out)
+
+    monkeypatch.setattr(logss, "_product", product)
+    monkeypatch.setattr(logss, "mode_n_product", mode_n_product)
     errors = []
 
     def run():
@@ -1033,9 +1063,9 @@ def test_concurrent_two_part_solves_sum_their_lifts_in_mode_order(monkeypatch):
     [(1, "lift_sum"), (2, "G1"), (3, "G2"), (4, "G3")],
 ], ids=["one_term", "two_terms", "first_term_is_the_sum"])
 def test_fold_matches_a_plain_loop_in_one_part_and_two(monkeypatch, parts, group):
-    # the LOGSS lifts live in the scratch, whose first tensor also takes the
-    # residuals; the SVT block's first term is lift_sum itself, so mode 1's
-    # step must read it before any other term is added
+    # a term may live in the scratch, whose first tensor also takes the
+    # residuals; LOGSS's one term and the SVT block's first are lift_sum
+    # itself, so mode 1's step must read it before any other term is added
     force_parts(monkeypatch, parts)
     rng = np.random.default_rng(96)
     state = SolverState.zeros(np.zeros(PARTS_DIMS), np.ones(PARTS_DIMS, dtype=bool),
@@ -1086,8 +1116,7 @@ def test_dual_step_blocks_return_their_residual_sums_in_one_part_and_two(monkeyp
     with ThreadPoolExecutor(max_workers=1) as state.worker:
         if solver == "logss":
             _, graph = logss._graph_block(state)
-            terms = [mode_n_product(state.G[n - 1], g.basis, n)
-                     for n, g in enumerate(graphs, start=1)]
+            terms = [lift(state.G[-1], graphs)]
         else:
             _, graph = baselines._svt_block(state)
             terms = svt_terms
@@ -1105,17 +1134,23 @@ def test_dual_step_blocks_return_their_residual_sums_in_one_part_and_two(monkeyp
 
 
 # a 3-iteration solve's tracemalloc peak, in tensors of Y's size, above
-# which a change has added a tensor-sized buffer: the state holds 15 for
-# LOGSS and 18 for the baselines, and the rest is G, the mask and, for the
-# baselines, the SVDs' copies
+# which a change has added a tensor-sized buffer: the state holds 12 for
+# LOGSS at any order and 18 for the baselines, and the rest is the mask,
+# LOGSS's core chain (r_1/I_1 of Y and less) and, for the baselines, the
+# SVDs' copies
+FOOTPRINT_RANKS = {3: (4, 2, 2), 4: (4, 2, 2, 2), 5: (3, 2, 2, 2, 2)}
+
+
 @pytest.mark.parametrize("solver, dims, parts, bound", [
-    ("logss", (24, 7, 52, 16), 2, 17.0),
-    ("logss", (24, 7, 12, 8), 1, 17.0),
+    ("logss", (24, 7, 52, 16), 2, 13.5),
+    ("logss", (24, 7, 12, 8), 1, 13.5),
     ("loss", (24, 7, 52, 16), 2, 20.5),
+    ("logss", (24, 7, 40), 1, 13.5),
+    ("logss", (12, 5, 6, 4, 5), 1, 13.5),
 ])
 def test_solver_state_footprint(monkeypatch, solver, dims, parts, bound):
     force_parts(monkeypatch, parts)
-    graphs = stub_graphs(dims, (4, 2, 2, 2), seed=92)
+    graphs = stub_graphs(dims, FOOTPRINT_RANKS[len(dims)], seed=92)
     rng = np.random.default_rng(93)
     Y = rng.normal(size=dims)
     observed = rng.random(dims) < 0.8
