@@ -112,20 +112,26 @@ def _write_scores_csv(path, scores):
 
 
 def _read_scores_csv(path, dims):
-    def index_ok(table):  # integers inside the tensor, no element twice
-        index = table[:, :-1]
-        if not ((index == np.floor(index)) & (index >= 0) & (index < dims)).all():
-            return False
-        flat = np.ravel_multi_index(tuple(index.astype(np.intp).T), dims)
-        return np.bincount(flat).max() == 1
+    def bad_index(table):  # not integers inside the tensor, or an earlier row's element
+        bad, flat = np.zeros(len(table), bool), np.zeros(len(table), np.intp)
+        for size, column in zip(dims, table[:, :-1].T):  # flat: the element, in C order
+            column = np.ascontiguousarray(column)  # twice as fast as the strided view
+            ok = (column == np.floor(column)) & (column >= 0) & (column < size)
+            bad |= ~ok
+            flat *= size
+            flat += np.where(ok, column, 0.0).astype(np.intp)  # no NaN is cast
+        # every row but the first of its element; a bad row's element counts too
+        if np.bincount(flat, minlength=1).max() > 1:
+            bad |= ~np.isin(np.arange(len(flat)), np.unique(flat, return_index=True)[1])
+        return bad
 
     header = _index_header(range(1, len(dims) + 1), "score")
     with open(path, newline="") as fh:
         line = fh.readline()
         if line.rstrip("\r\n") != header:
             raise ValueError(f"{path}:1: header {line!r} is not {header}")
-        table = _read_table(fh, path, len(dims) + 1, ",", index_ok)
-    # index_ok rules out repeats, so the rows cover the tensor when they are as many
+        table = _read_table(fh, path, len(dims) + 1, ",", bad_index)
+    # bad_index rules out repeats, so the rows cover the tensor when they are as many
     if len(table) != np.prod(dims):
         raise ValueError(f"{path}: does not cover all {dims} elements")
     scores = np.empty(dims)

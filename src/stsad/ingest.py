@@ -24,14 +24,23 @@ def read_zone_list(path):
 
 def _rows(path, columns):
     """The records of the CSV file at ``path`` as ("file:line", record)
-    pairs, once its header is checked to name every one of ``columns``."""
+    pairs, once its header is checked to name every one of ``columns``.  A
+    record the csv module rejects raises ValueError naming its first line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
+
+        def read(next_record):
+            line = reader.line_num + 1
+            try:
+                return next_record()
+            except csv.Error as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from exc
+
+        fields = read(lambda: reader.fieldnames) or []
         for col in columns:
             if col not in fields:
                 raise ValueError(f"{path}: missing column {col!r} in header")
-        for record in reader:
+        while (record := read(lambda: next(reader, None))) is not None:
             yield f"{path}:{reader.line_num}", record
 
 

@@ -425,24 +425,24 @@ def update_smooth_aux(state):
 
 def update_tv_aux(state):
     """Shrinkage update of the mode-1 difference variable Z, then the dual
-    step of its constraint Z = delta W: forms delta W in ``state.scratch[1]``,
-    leaves the residual delta W - Z there, and returns its sum of squares,
-    taken over the flat halves as :func:`update_duals` takes its own."""
+    step of its constraint Z = delta W.  Forms delta W in ``state.scratch[1]``
+    over the column parts; the Z and dual steps then run over the flat
+    halves, as :func:`update_duals` takes its own, and leave the residual
+    delta W - Z in ``state.scratch[1]``.  Returns its sum of squares."""
     p = state.params
 
     def part(v):
-        w_diff = _differences(v(state.W), v(state.scratch[1]))
+        w_diff = v(state.scratch[1])
         arg = np.subtract(w_diff, v(state.gamma2), out=v(state.scratch[0]))
         Z = soft_threshold(arg, p.gamma / p.beta2, out=v(state.Z))
         gamma2 = v(state.gamma2)
-        gamma2 -= np.subtract(w_diff, Z, out=w_diff)
-
-    def squares(v):
-        r = v(state.scratch[1])
+        r = np.subtract(w_diff, Z, out=w_diff)
+        gamma2 -= r
         return float(np.vdot(r, r))
 
-    _in_parts(part, state.columns, state.worker)
-    return sum(_in_parts(squares, state.flat, state.worker))
+    _in_parts(lambda v: _differences(v(state.W), v(state.scratch[1])), state.columns,
+              state.worker)
+    return sum(_in_parts(part, state.flat, state.worker))
 
 
 def update_duals(state):
@@ -480,14 +480,11 @@ def objective_value(state, low_rank_penalty):
     p = state.params
     abs_s, abs_tv = state.scratch
 
-    def tv_part(v):
-        tv = _differences(v(state.S), v(abs_tv))
-        np.abs(tv, out=tv)
-
     def sums_part(v):
-        return float(np.abs(v(state.S), out=v(abs_s)).sum()), float(v(abs_tv).sum())
+        return (float(np.abs(v(state.S), out=v(abs_s)).sum()),
+                float(np.abs(v(abs_tv), out=v(abs_tv)).sum()))
 
-    _in_parts(tv_part, state.columns, state.worker)
+    _in_parts(lambda v: _differences(v(state.S), v(abs_tv)), state.columns, state.worker)
     sparse, tv = map(sum, zip(*_in_parts(sums_part, state.flat, state.worker)))
     return p.theta * low_rank_penalty + p.lam * sparse + p.gamma * tv
 

@@ -168,71 +168,50 @@ def _read_header(fh, path):
 _CHUNK = 4096
 
 
-def _read_table(fh, path, width, delimiter=None, check=lambda rows: True):
+def _read_table(fh, path, width, delimiter=None, bad_rows=lambda rows: np.zeros(len(rows), bool)):
     """The body of the open text file ``fh``, after its one header line, as
-    an (n, ``width``) table of finite floats that passes ``check(table)``.
+    an (n, ``width``) table of finite floats.
 
-    Otherwise raises ValueError naming ``path:line`` (header = line 1) of the
-    first bad line; ``check`` must pass on every prefix of a body it passes.
+    ``bad_rows(table)`` returns one bool per row, True where the row is bad
+    given the rows before it.  A line is bad when np.loadtxt cannot read it
+    as ``width`` values, and a row when it is not finite or ``bad_rows``
+    flags it.  A bad line or row raises ValueError naming ``path:line``
+    (header = line 1) of the first one.
     """
-    def parse(lines):  # None if np.loadtxt rejects a line
+    def parse(lines):  # None unless np.loadtxt reads the lines as width columns
         with warnings.catch_warnings():
             # an empty body is reported by the caller's count or coverage check
             warnings.simplefilter("ignore", UserWarning)
             try:
-                return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+                rows = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
             except ValueError:
                 return None
-
-    def good(rows):
-        return rows.size == 0 or (
-            rows.shape[1] == width and np.isfinite(rows).all() and check(rows))
+        if not rows.size:
+            return np.empty((0, width))
+        return rows if rows.shape[1] == width else None
 
     rows = parse(fh)
-    if rows is not None and good(rows):
-        return rows if rows.size else np.empty((0, width))
+    # one array of flags at a time besides the table keeps the good path's
+    # peak memory under np.loadtxt's own
+    if rows is not None and np.isfinite(rows).all() and not bad_rows(rows).any():
+        return rows
+    # chunk by chunk up to the first chunk with an unreadable line, which is
+    # bisected: a prefix of the chunk reads as width columns until it holds it
     fh.seek(0)
-    line = _first_bad_line(fh.readlines()[1:], parse, good, delimiter or " ")
-    raise ValueError(f"{path}:{line}: bad row")
-
-
-def _first_bad_line(lines, parse, good, separator):
-    """1 + the length of the shortest prefix of the body ``lines`` that does not
-    parse or whose rows are not ``good``, for a body with such a prefix.
-
-    The body is parsed a chunk at a time, and only the chunk with the first
-    unparsable line is bisected.  The rows parsed before it are then bisected
-    for the first row that is not good, without parsing them again.
-    """
-    blocks = []  # (first line, lines, pad, rows) of each chunk, up to a bad line
-    pad, bad = [], len(lines) + 1
+    lines, tables, end = fh.readlines()[1:], [], None
     for start in range(0, len(lines), _CHUNK):
         chunk = lines[start:start + _CHUNK]
-        # pad, one row of the column count so far, makes a chunk parse as it
-        # would after the lines before it
-        rows = parse(pad + chunk)
-        if rows is None:
-            fails = lambda k: parse(pad + chunk[:k]) is None
-            k = bisect.bisect_left(range(len(chunk) + 1), True, key=fails)
-            bad, chunk = start + k, chunk[:k - 1]
-            rows = parse(pad + chunk)
-        rows = rows[len(pad):]
-        blocks.append((start, chunk, pad, rows))
-        if rows.size and not pad:
-            pad = [separator.join(["0"] * rows.shape[1]) + "\n"]
-        if bad <= len(lines):
+        tables.append(parse(chunk))
+        if tables[-1] is None:
+            end = start + bisect.bisect_left(range(len(chunk) + 1), True,
+                                             key=lambda k: parse(chunk[:k]) is None) - 1
+            tables[-1] = parse(lines[start:end])
             break
-    parsed = [rows for *_, rows in blocks if rows.size]
-    table = np.concatenate(parsed) if parsed else np.empty((0, 1))
-    m = bisect.bisect_left(range(len(table) + 1), True, key=lambda m: not good(table[:m]))
-    for start, chunk, pad, rows in blocks:
-        if m > len(rows):
-            m -= len(rows)
-            continue
-        # the line of the chunk's m-th row
-        count = lambda k: len(parse(pad + chunk[:k])) - len(pad)
-        return start + bisect.bisect_left(range(len(chunk) + 1), m, key=count) + 1
-    return bad + 1
+    table = np.concatenate(tables)
+    flagged = np.flatnonzero(~np.isfinite(table).all(axis=1) | bad_rows(table))
+    if flagged.size:  # the line of the first flagged row: every line not blank is a row
+        end = [i for i, line in enumerate(lines[:end]) if line.strip()][flagged[0]]
+    raise ValueError(f"{path}:{end + 2}: bad row")
 
 
 def load_tensor(path):

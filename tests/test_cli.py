@@ -332,6 +332,30 @@ def test_ingest_errors_name_file_and_line(tmp_path):
         ingest_trips([outside], zones, 2018)
 
 
+@pytest.mark.parametrize("stage", ["ingest", "evaluate"])
+def test_a_record_the_csv_module_rejects_exits_1_naming_its_line(tmp_path, capsys, stage):
+    # a zone field over the csv module's 131,072-character limit, in the trips
+    # that ingest counts or in the events that evaluate detects
+    zones = zone_file(tmp_path)
+    huge = "1" * 140_000
+    if stage == "ingest":
+        path = trips_csv(tmp_path, [("2018-03-06 14:05:00", "12"), ("2018-03-06 15:05:00", huge)])
+        cfg_path = write_config(tmp_path / "ingest.cfg", output_dir=tmp_path / "out",
+                                trips_csv=path, zone_file=zones, year=2018)
+    else:
+        path = tmp_path / "events.csv"
+        path.write_text("zone,start_datetime,end_datetime\n"
+                        "4,2018-03-06 14:00:00,2018-03-06 16:00:00\n"
+                        f"{huge},2018-03-06 14:00:00,2018-03-06 16:00:00\n")
+        cfg_path, _ = base_config(tmp_path, solver="raw-ee", events_csv=path, zone_file=zones,
+                                  year=2018, dims="24 7 4 3")
+        for upstream in ("synth", "decompose", "score"):
+            assert run_stage(upstream, cfg_path) == 0, upstream
+        capsys.readouterr()
+    assert run_stage(stage, cfg_path) == 1
+    assert capsys.readouterr().err == f"error: {path}:3: field larger than field limit (131072)\n"
+
+
 def test_ingest_drops_week_53(tmp_path):
     zones = ["4"]
     # 2020-12-31 falls in ISO week 53 of 2020

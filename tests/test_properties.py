@@ -12,6 +12,7 @@ import re
 import shutil
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from stsad.cli import main
+from conftest import reference_bad_line
+
+from stsad import tensor
+from stsad.cli import _read_scores_csv, main
 from stsad.config import STAGES
 from stsad.evaluation import LabeledScores, roc_auc
 from stsad.graphs import build_mode_graphs
@@ -353,3 +357,61 @@ def test_every_numeric_file_names_its_bad_line(name, T, pick, bad):
         else:
             with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: "):
                 (load_mask if name == "mask.txt" else load_tensor)(path)
+
+
+# blank lines, which np.loadtxt skips, shift rows against lines
+blank_lines = st.sampled_from(["\n", "\r\n", " \n", "\t\n"])
+# one of each kind: unreadable, of the wrong width, not finite
+bad_values = st.sampled_from(["x", "1 2", "1,2", "nan", "inf", "-inf"])
+SCORE_DIMS = (3, 2, 2, 1)
+# unreadable, of the wrong width, a score not finite, an index not an integer
+# inside the tensor; a repeated index is drawn from the body
+bad_score_rows = st.sampled_from(["0,0,x,0,1", "0,0,0,0,1,2", "0,0,0,0", "0,1,1,0,nan",
+                                  "0,1,1,0,-inf", "nan,0,0,0,1", "0.5,0,0,0,1",
+                                  "3,0,0,0,1", "0,-1,0,0,1", "0,0,0,inf,1"])
+
+
+def with_bad_lines(data, body, bad):
+    """``body`` with one or two lines drawn from ``bad`` and up to four blank
+    lines inserted."""
+    body = list(body)
+    lines = data.draw(st.lists(bad, min_size=1, max_size=2))
+    for line in lines + data.draw(st.lists(blank_lines, max_size=4)):
+        body.insert(data.draw(st.integers(0, len(body))), line)
+    return body
+
+
+def scores_index_ok(table):
+    """The whole-table check of a scores.csv body: integer indices inside
+    SCORE_DIMS, no element twice."""
+    index = table[:, :-1]
+    if not ((index == np.floor(index)) & (index >= 0) & (index < SCORE_DIMS)).all():
+        return False
+    flat = np.ravel_multi_index(tuple(index.astype(np.intp).T), SCORE_DIMS)
+    return np.bincount(flat).max() == 1
+
+
+@settings(SETTINGS, max_examples=150)
+@given(chunk=st.integers(1, 9), data=st.data())
+def test_bad_line_is_the_one_prefix_bisection_names(chunk, data):
+    # across chunk edges, the table reader names the first line whose body
+    # prefix fails as a whole: the per-row flags map rows to lines rightly
+    values = data.draw(st.lists(st.integers(-9, 9), max_size=20))
+    tensor_body = with_bad_lines(data, [f"{v}\n" for v in values], bad_values.map("{}\n".format))
+    order = data.draw(st.permutations(list(np.ndindex(SCORE_DIMS))))
+    rows = [",".join(map(str, index)) + f",{n}\r\n" for n, index in enumerate(order)]
+    repeats = st.sampled_from(rows).map(lambda row: row.rsplit(",", 1)[0] + ",7\r\n")
+    scores_body = with_bad_lines(data, rows, bad_score_rows.map("{}\r\n".format) | repeats)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(tensor, "_CHUNK", chunk):
+        path = f"{tmp}/t.txt"
+        with open(path, "w", newline="") as fh:
+            fh.write("dims: 9\n" + "".join(tensor_body))  # the body is read first
+        line = reference_bad_line(path, 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: bad row$"):
+            load_tensor(path)
+        path = f"{tmp}/scores.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("i1,i2,i3,i4,score\r\n" + "".join(scores_body))
+        line = reference_bad_line(path, 5, ",", scores_index_ok, newline="")
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: bad row$"):
+            _read_scores_csv(path, SCORE_DIMS)

@@ -1,21 +1,31 @@
-"""Bit-identity record of the solvers: one sha256 per configuration.
+"""Bit-identity record of the solvers: one sha256 per configuration, then
+one per artifact of a small CLI chain.
 
-Each hash covers L and S as bytes, the repr of the residual and objective
-histories and (iterations, converged); the last line hashes the lines before
-it.  Two checkouts whose solvers compute the same bits print the same lines,
-whatever the CPU count (run it again under ``taskset -c 0`` to check that).
+Each solver hash covers L and S as bytes, the repr of the residual and
+objective histories and (iterations, converged); the line "combined" hashes
+the solver lines.  The chain synth > graphs > decompose > score > evaluate
+runs in process in a temporary directory, at 24x7x12x8 with seed 0 and 30
+LOGSS iterations at tol 0; each artifact's line hashes its bytes, and
+"combined artifacts" hashes those lines.  Two checkouts whose solvers
+compute the same bits print the same lines, whatever the CPU count (run it
+again under ``taskset -c 0`` to check that).
 
 usage: PYTHONPATH=src python tools/bits.py [--quick]
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
+import os
+import tempfile
 
 import numpy as np
 
 from stsad import logss
 from stsad.baselines import solve_horpca, solve_loss
+from stsad.cli import main as cli_main
 from stsad.graphs import ModeGraph, build_mode_graphs
 from stsad.logss import LogssParams, solve
 from stsad.synth import SynthConfig, builtin_template, synthesize
@@ -71,10 +81,50 @@ def random_bases(dims, ranks):
     yield f"logss random bases {dims} two parts", result
 
 
+CHAIN_CONFIG = """\
+dims = 24 7 12 8
+seed = 0
+synth_c = 2.5
+synth_l = 7
+synth_m = 2.3
+synth_p = 0
+max_iter = 30
+tol = 0
+"""
+
+
+def artifacts():
+    """(sha256, file name) of each artifact the CLI chain writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = os.path.join(tmp, "chain.cfg"), os.path.join(tmp, "out")
+        with open(config, "w") as fh:
+            fh.write(f"output_dir = {out}\n" + CHAIN_CONFIG)
+        for stage in ("synth", "graphs", "decompose", "score", "evaluate"):
+            # the stages' progress lines and the max_iter warning
+            log = io.StringIO()
+            with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+                code = cli_main([stage, "--config", config])
+            if code:
+                raise SystemExit(f"stage {stage} exited with {code}:\n{log.getvalue()}")
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as fh:
+                yield hashlib.sha256(fh.read()).hexdigest(), name
+
+
+def report(lines, name):
+    """Prints each of ``lines`` as it comes, then their sha256 as ``name``."""
+    printed = []
+    for line in lines:
+        printed.append(line)
+        print(line, flush=True)
+    combined = hashlib.sha256("\n".join(printed).encode()).hexdigest()
+    print(f"{combined}  {name}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="run only the 24x7x12x8, p = 0 cases")
+                        help="run only the 24x7x12x8, p = 0 solver cases and the chain")
     quick = parser.parse_args(argv).quick
     cases = [synthetic((24, 7, 12, 8), (0,) if quick else (0, 20, 40), SOLVERS, 25,
                        default=True)]
@@ -84,12 +134,9 @@ def main(argv=None):
                   synthetic((24, 7, 52, 48), (0, 40), ("logss", "loss"), 12),
                   random_bases((24, 7, 40), (3, 2, 4)),
                   random_bases((12, 5, 6, 4, 5), (3, 2, 4, 2, 3))]
-    lines = []
-    for name, result in itertools.chain(*cases):
-        lines.append(f"{digest(result)}  {name}")
-        print(lines[-1], flush=True)
-    combined = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    print(f"{combined}  combined")
+    report((f"{digest(result)}  {name}" for name, result in itertools.chain(*cases)),
+           "combined")
+    report((f"{sha}  artifact {name}" for sha, name in artifacts()), "combined artifacts")
 
 
 if __name__ == "__main__":
