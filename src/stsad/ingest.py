@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -24,24 +25,31 @@ def read_zone_list(path):
 
 def _rows(path, columns):
     """The records of the CSV file at ``path`` as ("file:line", record)
-    pairs, once its header is checked to name every one of ``columns``.  A
-    record the csv module rejects raises ValueError naming its first line."""
+    pairs, once its header is checked to name every one of ``columns``.
+    Blank lines are skipped but counted.  A record the csv module rejects
+    raises ValueError naming its first line."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
 
-        def read(next_record):
-            line = reader.line_num + 1
-            try:
-                return next_record()
-            except csv.Error as exc:
-                raise ValueError(f"{path}:{line}: {exc}") from exc
+        def numbered():  # (first line, values) per row, blank ones as []
+            while True:
+                line = reader.line_num + 1  # blank lines count too
+                try:
+                    values = next(reader)
+                except StopIteration:
+                    return
+                except csv.Error as exc:
+                    raise ValueError(f"{path}:{line}: {exc}") from exc
+                yield line, values
 
-        fields = read(lambda: reader.fieldnames) or []
+        rows = numbered()
+        _, fields = next(rows, (0, []))
         for col in columns:
             if col not in fields:
                 raise ValueError(f"{path}: missing column {col!r} in header")
-        while (record := read(lambda: next(reader, None))) is not None:
-            yield f"{path}:{reader.line_num}", record
+        for line, values in rows:
+            if values:  # a short row's missing fields are None
+                yield f"{path}:{line}", dict(itertools.zip_longest(fields, values))
 
 
 def _parse_timestamp(text, where):

@@ -1,8 +1,11 @@
 """Counters for expensive spectral operations.
 
-Every dense SVD and symmetric eigendecomposition performed by this package
-goes through :func:`record`, so tests can assert where the spectral work
-happens (graph construction vs. solver iterations).
+Every singular value thresholding and every graph eigendecomposition
+performed by this package goes through :func:`record`, so tests can assert
+where the spectral work happens (graph construction vs. solver iterations).
+``"svd"`` counts one per thresholding, whichever factorisation it takes (the
+eigendecomposition of its small Gram matrix, or an SVD); ``"eig"`` counts the
+graphs' eigendecompositions only.
 """
 
 from __future__ import annotations

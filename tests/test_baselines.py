@@ -10,6 +10,7 @@ from conftest import PARTS_DIMS, force_parts, spike_instance
 from stsad import baselines, instrumentation
 from stsad.baselines import _svt_with_norm, solve_horpca, solve_loss, svt
 from stsad.logss import LogssParams, solve
+from stsad.synth import SynthConfig, builtin_template, synthesize
 from stsad.tensor import project_support
 
 
@@ -69,9 +70,10 @@ def test_svt_shrinks_singular_values():
 def svt_matrices():
     rng = np.random.default_rng(6)
     low = rng.normal(size=(9, 2)) @ rng.normal(size=(2, 14))
+    # tiny's squares underflow, so it must take the SVD, not the Gram route
     return {"wide": rng.normal(size=(6, 40)), "tall": rng.normal(size=(40, 6)),
             "square": rng.normal(size=(12, 12)), "rank-2-wide": low,
-            "rank-2-tall": low.T.copy()}
+            "rank-2-tall": low.T.copy(), "tiny": 1e-160 * rng.normal(size=(6, 40))}
 
 
 @pytest.mark.parametrize("name", list(svt_matrices()))
@@ -94,6 +96,18 @@ def test_svt_matches_the_thresholded_svd_of_m(name):
         assert nuclear == pytest.approx(kept.sum(), rel=1e-12, abs=bound)
         if tau > s[0]:  # at s[0] itself the other side's s[0] may be 1 ulp larger
             assert not low.any() and nuclear == 0.0
+
+
+def test_svt_takes_the_svd_where_the_squares_overflow_or_are_not_finite():
+    # the Gram route would square the entries: these matrices take the SVD,
+    # which thresholds a huge M as it does any other and rejects a NaN
+    M = 1e200 * np.random.default_rng(7).normal(size=(6, 40))
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    expected = (U * np.maximum(s - s[1], 0.0)) @ Vt
+    assert np.abs(svt(M, s[1]) - expected).max() <= 1e-12 * s[0]
+    M[1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        svt(M, s[1])
 
 
 def baseline_params(Y, observed, **kw):
@@ -147,6 +161,26 @@ def test_loss_performs_exactly_n_svds_per_iteration(spike_loss_run):
     total = instrumentation.snapshot()["svd"] - before
     assert result.iterations == 7
     assert total == 7 * Y.ndim
+
+
+@pytest.mark.parametrize("p", [0, 40])
+@pytest.mark.parametrize("dims, parts", [((24, 7, 12, 8), 1), ((24, 7, 52, 16), 2)],
+                         ids=["24x7x12x8-one-part", "24x7x52x16-two-parts"])
+@pytest.mark.parametrize("solver", [solve_loss, solve_horpca], ids=["loss", "horpca"])
+def test_svt_takes_the_gram_route_at_the_default_thresholds(monkeypatch, solver, dims, parts, p):
+    # at the defaults tau is well above the cut, so no SVT falls back to
+    # np.linalg.svd; each still counts one "svd" and no "eig"
+    force_parts(monkeypatch, parts)
+    svd_calls, real = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(1) or real(*a, **k))
+    Y, observed, _, _ = synthesize(SynthConfig(base=builtin_template(dims), c=2.5, l=7, m=2.3,
+                                               p=p, seed=0))
+    before = instrumentation.snapshot()
+    result = solver(Y, observed, LogssParams.defaults(Y, observed, max_iter=30))
+    after = instrumentation.snapshot()
+    assert svd_calls == []
+    assert after["svd"] - before["svd"] == Y.ndim * result.iterations
+    assert after["eig"] == before["eig"]
 
 
 def test_logss_iterations_cost_no_svds_and_less_time(spike_loss_run):

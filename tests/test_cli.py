@@ -356,6 +356,28 @@ def test_a_record_the_csv_module_rejects_exits_1_naming_its_line(tmp_path, capsy
     assert capsys.readouterr().err == f"error: {path}:3: field larger than field limit (131072)\n"
 
 
+@pytest.mark.parametrize("stage", ["ingest", "evaluate"])
+def test_blank_lines_before_a_rejected_record_count_toward_its_line(tmp_path, capsys, stage):
+    # header, one good record, two blank lines, then an over-long zone field
+    # on line 5
+    zones, huge = zone_file(tmp_path), "1" * 140_000
+    path = tmp_path / "blank.csv"
+    if stage == "ingest":
+        path.write_text(f"timestamp,zone\n2018-03-06 14:05:00,12\n\n\n2018-03-06 15:05:00,{huge}\n")
+        cfg_path = write_config(tmp_path / "ingest.cfg", output_dir=tmp_path / "out",
+                                trips_csv=path, zone_file=zones, year=2018)
+    else:
+        times = "2018-03-06 14:00:00,2018-03-06 16:00:00"
+        path.write_text(f"zone,start_datetime,end_datetime\n4,{times}\n\n\n{huge},{times}\n")
+        cfg_path, _ = base_config(tmp_path, solver="raw-ee", events_csv=path, zone_file=zones,
+                                  year=2018, dims="24 7 4 3")
+        for upstream in ("synth", "decompose", "score"):
+            assert run_stage(upstream, cfg_path) == 0, upstream
+        capsys.readouterr()
+    assert run_stage(stage, cfg_path) == 1
+    assert capsys.readouterr().err == f"error: {path}:5: field larger than field limit (131072)\n"
+
+
 def test_ingest_drops_week_53(tmp_path):
     zones = ["4"]
     # 2020-12-31 falls in ISO week 53 of 2020

@@ -25,7 +25,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import reference_bad_line
 
-from stsad import tensor
+from stsad import baselines, tensor
 from stsad.cli import _read_scores_csv, main
 from stsad.config import STAGES
 from stsad.evaluation import LabeledScores, roc_auc
@@ -415,3 +415,31 @@ def test_bad_line_is_the_one_prefix_bisection_names(chunk, data):
         line = reference_bad_line(path, 5, ",", scores_index_ok, newline="")
         with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: bad row$"):
             _read_scores_csv(path, SCORE_DIMS)
+
+
+# tau / s_max: zero, either side of the Gram route's cut, or in (0, 2)
+tau_ratios = (st.sampled_from([0.0, 0.99 * baselines._GRAM_CUT, 1.01 * baselines._GRAM_CUT])
+              | st.floats(0, 2, exclude_min=True, exclude_max=True))
+
+
+@settings(SETTINGS, max_examples=120)
+@given(m=st.integers(1, 30), n=st.integers(1, 30), rank=st.integers(1, 30),
+       log_cond=st.floats(0, 14), log_scale=st.floats(-3, 3), seed=st.integers(0, 2**32 - 1),
+       ratio=tau_ratios)
+@example(m=8, n=30, rank=8, log_cond=10, log_scale=0, seed=0, ratio=0.0)
+def test_svt_is_the_thresholded_svd_of_a_matrix_with_a_prescribed_spectrum(
+        m, n, rank, log_cond, log_scale, seed, ratio):
+    # singular values from s_max down to s_max / 10**log_cond, and zeros
+    # when rank < min(m, n): each SVT route is the thresholded SVD of M
+    rank = min(rank, m, n)
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.normal(size=(m, rank)))
+    right, _ = np.linalg.qr(rng.normal(size=(n, rank)))
+    M = (left * np.geomspace(1.0, 10.0 ** -log_cond, rank) * 10.0 ** log_scale) @ right.T
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    tau = ratio * s[0]
+    kept = np.maximum(s - tau, 0.0)
+    bound = 1e-12 * np.linalg.norm(M)
+    low, nuclear = baselines._svt_with_norm(M, tau)
+    assert np.abs(low - (U * kept) @ Vt).max() <= bound
+    assert nuclear == pytest.approx(kept.sum(), rel=1e-12, abs=bound)
